@@ -2,16 +2,13 @@
 
 __version__ = "0.1.0"
 
-from .model import (ArmModel, GeneratorConfig, SystemState, WcmdpInstance,
-                    generate, generate_fully_heterogeneous, generate_typed,
-                    validate)
+from .model import (GeneratorConfig, WcmdpInstance, generate,
+                    generate_fully_heterogeneous, generate_typed, validate)
 from .lp_relax import (LpProblem, LpSolution, SingleArmPolicy, build_lp,
                        check_solution, extract_policy, solve_lp)
 from .reassign import (ReassignmentResult, SlopeReport, active_constraints,
-                       reassign, remaining_budget, remaining_budget_curve,
-                       verify_slope)
-from .policies import (ErcPolicyRunner, IdPolicyRunner, StepOutcome,
-                       erc_policy_step, exact_oracle, id_policy_step)
+                       reassign, remaining_budget_curve, verify_slope)
+from .policies import ErcPolicyRunner, IdPolicyRunner, StepOutcome, exact_oracle
 from .simulator import (PolicyBundle, SimConfig, SimResult, batch_means_ci,
                         simulate, sweep, write_results_csv)
 from .lyapunov import (AssumptionReport, ChainDiagnostics, DriftProbeResult,
@@ -20,14 +17,13 @@ from .lyapunov import (AssumptionReport, ChainDiagnostics, DriftProbeResult,
                        lyapunov_value, mixing_time, prefix_h, subset_h)
 
 __all__ = [
-    "ArmModel", "GeneratorConfig", "SystemState", "WcmdpInstance",
+    "GeneratorConfig", "WcmdpInstance",
     "generate", "generate_fully_heterogeneous", "generate_typed", "validate",
     "LpProblem", "LpSolution", "SingleArmPolicy", "build_lp",
     "check_solution", "extract_policy", "solve_lp",
     "ReassignmentResult", "SlopeReport", "active_constraints", "reassign",
-    "remaining_budget", "remaining_budget_curve", "verify_slope",
-    "ErcPolicyRunner", "IdPolicyRunner", "StepOutcome", "erc_policy_step",
-    "exact_oracle", "id_policy_step",
+    "remaining_budget_curve", "verify_slope",
+    "ErcPolicyRunner", "IdPolicyRunner", "StepOutcome", "exact_oracle",
     "PolicyBundle", "SimConfig", "SimResult", "batch_means_ci", "simulate",
     "sweep", "write_results_csv",
     "AssumptionReport", "ChainDiagnostics", "DriftProbeResult",

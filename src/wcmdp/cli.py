@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -94,12 +93,14 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reps", type=int, default=4)
     p.add_argument("--batch-size", type=int, default=4000)
     p.add_argument("--sim-seed", type=int, default=0)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("WCMDP_THREADS", "1")))
 
 
 def _load_instance(path: str) -> WcmdpInstance:
-    instance = WcmdpInstance.load(path)
+    try:
+        instance = WcmdpInstance.load(path)
+    except ValueError as exc:
+        print(f"invalid instance: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_VALIDATION) from None
     problems = validate(instance)
     if problems:
         for msg in problems:
@@ -146,7 +147,7 @@ def cmd_simulate(args) -> int:
     config = SimConfig(horizon=args.horizon, replications=args.reps,
                        batch_size=args.batch_size, seed=args.sim_seed,
                        policy=args.policy)
-    result = simulate(instance, bundle, config, threads=args.threads)
+    result = simulate(instance, bundle, config)
     if result.feasibility_violations:
         print(f"feasibility violations: {result.feasibility_violations}",
               file=sys.stderr)
@@ -179,8 +180,7 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     config = SimConfig(horizon=args.horizon, replications=args.reps,
                        batch_size=args.batch_size, seed=args.sim_seed)
-    rows = sweep(template, n_values, config, policies=policies,
-                 threads=args.threads)
+    rows = sweep(template, n_values, config, policies=policies)
     if any(r["violations"] for r in rows):
         print("budget violation detected during sweep", file=sys.stderr)
         return EXIT_FEASIBILITY
@@ -246,7 +246,7 @@ def cmd_compare(args) -> int:
         config = SimConfig(horizon=args.horizon, replications=args.reps,
                            batch_size=args.batch_size, seed=args.sim_seed,
                            policy=kind)
-        result = simulate(instance, bundle, config, threads=args.threads)
+        result = simulate(instance, bundle, config)
         if result.feasibility_violations:
             print("budget violation detected", file=sys.stderr)
             return EXIT_FEASIBILITY

@@ -122,23 +122,20 @@ def build_lp(instance: WcmdpInstance) -> LpProblem:
                   instance.num_actions, instance.num_constraints)
     sa = S * A
 
-    reward_coeffs = np.concatenate(
-        [arm.reward.ravel() for arm in instance.arms]) / N
-
-    cost_rows = np.empty((K, N * sa))
-    for i, arm in enumerate(instance.arms):
-        cost_rows[:, i * sa:(i + 1) * sa] = arm.cost.reshape(K, sa)
+    reward_coeffs = instance.reward.reshape(N * sa) / N
+    cost_rows = instance.cost.transpose(1, 0, 2, 3).reshape(K, N * sa)
     budget = sp.csr_matrix(cost_rows / N)
 
-    blocks = []
-    row_idx = np.arange(S)
-    col_idx = np.arange(S)[:, None] * A + np.arange(A)[None, :]
-    for arm in instance.arms:
-        # block[s, (s', a')] = P(s | s', a') - 1{s == s'}
-        block = arm.transition.transpose(2, 0, 1).reshape(S, sa).copy()
-        block[row_idx[:, None], col_idx] -= 1.0
-        blocks.append(sp.csr_matrix(block))
-    balance = sp.block_diag(blocks, format="csr")
+    # row (i, s), column (i, s', a'): P_i(s | s', a') - 1{s == s'}; every
+    # row holds arm i's S*A columns, exact zeros dropped
+    block = instance.transition.transpose(0, 3, 1, 2).reshape(N, S, sa).copy()
+    own_cols = np.arange(S)[:, None] * A + np.arange(A)   # columns (s, a') of row s
+    block[:, np.arange(S)[:, None], own_cols] -= 1.0
+    indices = np.broadcast_to(np.arange(N * sa).reshape(N, 1, sa), (N, S, sa))
+    balance = sp.csr_matrix(
+        (block.ravel(), indices.ravel(), np.arange(N * S + 1) * sa),
+        shape=(N * S, N * sa))
+    balance.eliminate_zeros()
 
     normalization = sp.kron(sp.identity(N, format="csr"),
                             np.ones((1, sa)), format="csr")
@@ -187,16 +184,13 @@ def extract_policy(instance: WcmdpInstance, solution: LpSolution) -> SingleArmPo
     pi = np.where(visited[:, :, None], y / safe[:, :, None], 1.0 / A)
     pi /= pi.sum(axis=2, keepdims=True)
 
-    transition = np.stack([arm.transition for arm in instance.arms])  # (N,S,A,S)
-    induced_P = np.einsum("nsat,nsa->nst", transition, pi)
+    induced_P = np.einsum("nsat,nsa->nst", instance.transition, pi)
 
     mu_star = marginal / marginal.sum(axis=1, keepdims=True)
 
-    cost = np.stack([arm.cost for arm in instance.arms])              # (N,K,S,A)
-    C_star = np.einsum("nsa,nksa->kn", y, cost)
-    reward = np.stack([arm.reward for arm in instance.arms])          # (N,S,A)
-    r_star = np.einsum("nsa,nsa->ns", pi, reward)
-    c_star = np.einsum("nsa,nksa->kns", pi, cost)
+    C_star = np.einsum("nsa,nksa->kn", y, instance.cost)
+    r_star = np.einsum("nsa,nsa->ns", pi, instance.reward)
+    c_star = np.einsum("nsa,nksa->kns", pi, instance.cost)
 
     return SingleArmPolicy(pi=pi, induced_P=induced_P, mu_star=mu_star,
                            C_star=C_star, r_star=r_star, c_star=c_star)
@@ -226,13 +220,11 @@ def check_solution(instance: WcmdpInstance, solution: LpSolution,
 
     norm_res = float(np.max(np.abs(y.sum(axis=(1, 2)) - 1.0)))
 
-    transition = np.stack([arm.transition for arm in instance.arms])
-    inflow = np.einsum("nsat,nsa->nt", transition, y)
+    inflow = np.einsum("nsat,nsa->nt", instance.transition, y)
     outflow = y.sum(axis=2)
     balance_res = float(np.max(np.abs(inflow - outflow)))
 
-    cost = np.stack([arm.cost for arm in instance.arms])
-    usage = np.einsum("nsa,nksa->k", y, cost) / N
+    usage = np.einsum("nsa,nksa->k", y, instance.cost) / N
     budget_excess = float(np.max(usage - instance.alpha))
 
     negativity = float(max(0.0, -np.min(y)))

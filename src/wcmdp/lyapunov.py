@@ -305,19 +305,27 @@ def h_id(x: np.ndarray, m: float, policy: SingleArmPolicy,
     return float(values[:n_m + 1].max())
 
 
-def _focus_scan(instance, x, policy, reassignment, diag, tol):
-    """Envelope and budget curves in reassigned order; returns
-    (m, envelope, min_beta)."""
+def _focus_scan(instance, x, policy, reassignment, diag, tol, allow_large):
+    """Prefix values h(x, [n]) in reassigned order, their envelope, the focus
+    fraction m, and the series truncation level and certified tail; x is in
+    original arm order."""
+    if instance.num_arms > FOCUS_SIZE_GUARD and not allow_large:
+        raise ValueError(
+            f"N={instance.num_arms} exceeds the diagnostic guard "
+            f"{FOCUS_SIZE_GUARD}; pass allow_large=True to override")
     order = reassignment.order()
     ordered = policy.permuted(order)
-    envelope = np.maximum.accumulate(prefix_h(np.asarray(x)[order],
-                                              ordered, diag, tol))
+    values, level, tail = _prefix_h_detailed(
+        np.asarray(x, dtype=np.float64)[order], ordered, diag, tol)
+    envelope = np.maximum.accumulate(values)
     beta = remaining_budget_curve(instance, ordered, reassignment.active_set)
     min_beta = beta.min(axis=1)
+    m = 0.0
     for n in range(instance.num_arms, -1, -1):
         if envelope[n] <= min_beta[n]:
-            return n / instance.num_arms, envelope, min_beta
-    return 0.0, envelope, min_beta
+            m = n / instance.num_arms
+            break
+    return values, envelope, m, level, tail
 
 
 def focus_m(instance: WcmdpInstance, x: np.ndarray, policy: SingleArmPolicy,
@@ -325,13 +333,8 @@ def focus_m(instance: WcmdpInstance, x: np.ndarray, policy: SingleArmPolicy,
             tol: float = 1e-6, allow_large: bool = False) -> float:
     """Largest grid fraction m with h_id(x, m) covered by the worst remaining
     budget of the prefix [Nm]. x is given in original arm order."""
-    if instance.num_arms > FOCUS_SIZE_GUARD and not allow_large:
-        raise ValueError(
-            f"focus scan is O(N) series evaluations; N={instance.num_arms} "
-            f"exceeds the diagnostic guard {FOCUS_SIZE_GUARD} "
-            "(pass allow_large=True to override)")
-    m, _, _ = _focus_scan(instance, x, policy, reassignment, diag, tol)
-    return m
+    return _focus_scan(instance, x, policy, reassignment, diag, tol,
+                       allow_large)[2]
 
 
 def lyapunov_value(instance: WcmdpInstance, x: np.ndarray,
@@ -339,12 +342,9 @@ def lyapunov_value(instance: WcmdpInstance, x: np.ndarray,
                    diag: ChainDiagnostics, tol: float = 1e-6,
                    allow_large: bool = False) -> tuple[float, float, float]:
     """(V(x), m(x), h_id(x, m(x))) with V = h_id + l_h * N * (1 - m)."""
-    if instance.num_arms > FOCUS_SIZE_GUARD and not allow_large:
-        raise ValueError("N exceeds the diagnostic guard; pass allow_large=True")
-    m, envelope, _ = _focus_scan(instance, x, policy, reassignment, diag, tol)
-    h_at_m = float(envelope[int(round(m * instance.num_arms))])
-    v = h_at_m + diag.l_h * instance.num_arms * (1.0 - m)
-    return v, m, h_at_m
+    report = build_report(instance, x, policy, reassignment, diag, tol,
+                          allow_large)
+    return report.v, report.focus_m, report.h_id[report.focus_m]
 
 
 @dataclass(frozen=True)
@@ -371,28 +371,15 @@ def build_report(instance: WcmdpInstance, x: np.ndarray,
                  diag: ChainDiagnostics, tol: float = 1e-6,
                  allow_large: bool = False) -> LyapunovReport:
     """Evaluate prefixes, envelope, focus fraction, and V at one state."""
-    if instance.num_arms > FOCUS_SIZE_GUARD and not allow_large:
-        raise ValueError("N exceeds the diagnostic guard; pass allow_large=True")
-    order = reassignment.order()
-    ordered = policy.permuted(order)
-    x_ord = np.asarray(x, dtype=np.float64)[order]
-    values, level, tail = _prefix_h_detailed(x_ord, ordered, diag, tol)
-    envelope = np.maximum.accumulate(values)
-    beta = remaining_budget_curve(instance, ordered, reassignment.active_set)
-    min_beta = beta.min(axis=1)
-    m = 0.0
-    for n in range(instance.num_arms, -1, -1):
-        if envelope[n] <= min_beta[n]:
-            m = n / instance.num_arms
-            break
-    h_at_m = float(envelope[int(round(m * instance.num_arms))])
+    values, envelope, m, level, tail = _focus_scan(
+        instance, x, policy, reassignment, diag, tol, allow_large)
+    n_arms = instance.num_arms
+    h_at_m = float(envelope[int(round(m * n_arms))])
     return LyapunovReport(
-        h_values={f"prefix:{n}": float(values[n])
-                  for n in range(instance.num_arms + 1)},
-        h_id={n / instance.num_arms: float(envelope[n])
-              for n in range(instance.num_arms + 1)},
+        h_values={f"prefix:{n}": float(values[n]) for n in range(n_arms + 1)},
+        h_id={n / n_arms: float(envelope[n]) for n in range(n_arms + 1)},
         focus_m=m,
-        v=h_at_m + diag.l_h * instance.num_arms * (1.0 - m),
+        v=h_at_m + diag.l_h * n_arms * (1.0 - m),
         truncation_level=level,
         tail_bound=tail,
     )

@@ -6,8 +6,10 @@ the distinguished free action: it incurs zero cost of every type for every
 arm in every state, which guarantees that a feasible system action always
 exists.
 
-Instances are immutable after construction and safe to share across threads.
-The JSON file format is a single self-describing document:
+The arms are stored as four read-only arrays stacked along the arm axis:
+transition (N, S, A, S), reward (N, S, A), cost (N, K, S, A) and the budget
+coefficients alpha (K,). Every consumer indexes these arrays directly. The
+JSON file format keeps one object per arm:
 
     {"N": ..., "S": ..., "A": ..., "K": ...,
      "alpha": [...],
@@ -22,7 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +38,8 @@ COST_ACTION_ONLY = "action_only"
 # integer in [1, 9] per constraint, times the grid step.
 ALPHA_GRID_STEP = 0.05
 
+_NDIM = {"transition": 4, "reward": 3, "cost": 4, "alpha": 1}
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
@@ -45,78 +48,55 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ArmModel:
-    """One arm's MDP: transition kernel, rewards, and K cost tables.
-
-    transition[s, a, s'] is the probability of moving to s' when action a is
-    taken in state s; reward[s, a] the immediate reward; cost[k, s, a] the
-    type-k cost. Arrays are stored read-only.
-    """
-
-    transition: np.ndarray  # (S, A, S)
-    reward: np.ndarray      # (S, A)
-    cost: np.ndarray        # (K, S, A)
-
-    def __post_init__(self):
-        object.__setattr__(self, "transition", _readonly(self.transition))
-        object.__setattr__(self, "reward", _readonly(self.reward))
-        object.__setattr__(self, "cost", _readonly(self.cost))
-
-    @property
-    def num_states(self) -> int:
-        return self.transition.shape[0]
-
-    @property
-    def num_actions(self) -> int:
-        return self.transition.shape[1]
-
-    @property
-    def num_constraints(self) -> int:
-        return self.cost.shape[0]
-
-
-@dataclass(frozen=True)
 class WcmdpInstance:
-    """N arms plus the per-arm budget coefficient vector alpha.
+    """N arms stacked along the leading axis, plus the budget coefficients.
 
-    The type-k budget available to the whole system at every step is
-    alpha[k] * N. r_max and c_max cache the largest absolute reward and the
-    largest cost over all arms; they feed constants used elsewhere.
+    transition[i, s, a, s'] is the probability that arm i moves to s' when
+    action a is taken in state s; reward[i, s, a] its immediate reward;
+    cost[i, k, s, a] its type-k cost. The type-k budget available to the
+    whole system at every step is alpha[k] * N. The arrays are stored
+    read-only; an array with the wrong number of dimensions raises
+    ValueError, and validate() checks everything else.
     """
 
-    arms: tuple[ArmModel, ...]
-    alpha: np.ndarray  # (K,)
-    r_max: float
-    c_max: float
+    transition: np.ndarray  # (N, S, A, S)
+    reward: np.ndarray      # (N, S, A)
+    cost: np.ndarray        # (N, K, S, A)
+    alpha: np.ndarray       # (K,)
 
     def __post_init__(self):
-        object.__setattr__(self, "arms", tuple(self.arms))
-        object.__setattr__(self, "alpha", _readonly(self.alpha))
-
-    @classmethod
-    def from_arms(cls, arms: Sequence[ArmModel], alpha) -> "WcmdpInstance":
-        """Build an instance, computing the cached maxima from the contents."""
-        arms = tuple(arms)
-        r_max = max(float(np.max(np.abs(a.reward))) for a in arms)
-        c_max = max(float(np.max(a.cost)) for a in arms)
-        return cls(arms=arms, alpha=np.asarray(alpha, dtype=np.float64),
-                   r_max=r_max, c_max=c_max)
+        for name, ndim in _NDIM.items():
+            a = _readonly(getattr(self, name))
+            if a.ndim != ndim:
+                raise ValueError(f"{name}: expected {ndim} dimensions, "
+                                 f"got shape {a.shape}")
+            object.__setattr__(self, name, a)
 
     @property
     def num_arms(self) -> int:
-        return len(self.arms)
+        return self.transition.shape[0]
 
     @property
     def num_states(self) -> int:
-        return self.arms[0].num_states
+        return self.transition.shape[1]
 
     @property
     def num_actions(self) -> int:
-        return self.arms[0].num_actions
+        return self.transition.shape[2]
 
     @property
     def num_constraints(self) -> int:
         return len(self.alpha)
+
+    @property
+    def r_max(self) -> float:
+        """Largest absolute reward over all arms."""
+        return float(np.max(np.abs(self.reward)))
+
+    @property
+    def c_max(self) -> float:
+        """Largest cost over all arms and types."""
+        return float(np.max(self.cost))
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,23 +105,25 @@ class WcmdpInstance:
             "A": self.num_actions,
             "K": self.num_constraints,
             "alpha": self.alpha.tolist(),
-            "arms": [
-                {"P": a.transition.tolist(),
-                 "r": a.reward.tolist(),
-                 "c": a.cost.tolist()}
-                for a in self.arms
-            ],
+            "arms": [{"P": p, "r": r, "c": c} for p, r, c in zip(
+                self.transition.tolist(), self.reward.tolist(),
+                self.cost.tolist())],
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WcmdpInstance":
-        arms = tuple(
-            ArmModel(transition=np.array(a["P"], dtype=np.float64),
-                     reward=np.array(a["r"], dtype=np.float64),
-                     cost=np.array(a["c"], dtype=np.float64))
-            for a in d["arms"]
-        )
-        return cls.from_arms(arms, np.array(d["alpha"], dtype=np.float64))
+        """Inverse of to_json_dict. A missing, empty, ragged or non-numeric
+        field raises ValueError naming it."""
+        arms = _field(d, "arms")
+        if not isinstance(arms, list) or not arms:
+            raise ValueError("arms: expected a non-empty list of arm objects")
+
+        def stacked(key: str) -> np.ndarray:
+            return _float_array([_field(a, key) for a in arms], f"arms[].{key}")
+
+        return cls(transition=stacked("P"), reward=stacked("r"),
+                   cost=stacked("c"),
+                   alpha=_float_array(_field(d, "alpha"), "alpha"))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -154,26 +136,18 @@ class WcmdpInstance:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
-@dataclass(frozen=True)
-class SystemState:
-    """States of all N arms; exposes the one-hot row-matrix view."""
+def _field(d, key: str):
+    try:
+        return d[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"missing field {key!r}") from None
 
-    states: np.ndarray  # (N,) int
 
-    def __post_init__(self):
-        s = np.ascontiguousarray(np.asarray(self.states, dtype=np.int64))
-        s.setflags(write=False)
-        object.__setattr__(self, "states", s)
-
-    @property
-    def num_arms(self) -> int:
-        return self.states.shape[0]
-
-    def one_hot(self, num_states: int) -> np.ndarray:
-        """(N, S) matrix with exactly one 1 per row."""
-        x = np.zeros((self.num_arms, num_states))
-        x[np.arange(self.num_arms), self.states] = 1.0
-        return x
+def _float_array(value, name: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -220,20 +194,25 @@ def _simplex_rows(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return e
 
 
-def _sample_arm(rng: np.random.Generator, cfg: GeneratorConfig) -> ArmModel:
+def _sample_arms(rng: np.random.Generator, cfg: GeneratorConfig,
+                 count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked (transition, reward, cost) of `count` arms sampled in index
+    order; per arm the reward table, the transition tensor, the cost tensor."""
     S, A, K = cfg.num_states, cfg.num_actions, cfg.num_constraints
-    reward = np.zeros((S, A))
-    if A > 1:
-        reward[:, 1:] = rng.random((S, A - 1))
-    transition = _simplex_rows(rng, (S, A, S))
-    cost = np.zeros((K, S, A))
-    if A > 1:
-        if cfg.cost_mode == COST_ACTION_ONLY:
-            per_action = rng.random((K, A - 1))
-            cost[:, :, 1:] = per_action[:, None, :]
-        else:
-            cost[:, :, 1:] = rng.random((K, S, A - 1))
-    return ArmModel(transition=transition, reward=reward, cost=cost)
+    transition = np.empty((count, S, A, S))
+    reward = np.zeros((count, S, A))
+    cost = np.zeros((count, K, S, A))
+    for i in range(count):
+        if A > 1:
+            reward[i, :, 1:] = rng.random((S, A - 1))
+        transition[i] = _simplex_rows(rng, (S, A, S))
+        if A > 1:
+            if cfg.cost_mode == COST_ACTION_ONLY:
+                per_action = rng.random((K, A - 1))
+                cost[i, :, :, 1:] = per_action[:, None, :]
+            else:
+                cost[i, :, :, 1:] = rng.random((K, S, A - 1))
+    return transition, reward, cost
 
 
 def _sample_alpha(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -254,25 +233,26 @@ def generate_fully_heterogeneous(cfg: GeneratorConfig) -> WcmdpInstance:
         raise ValueError("config family is not fully_heterogeneous")
     rng = np.random.default_rng(cfg.seed)
     alpha = _sample_alpha(rng, cfg.num_constraints)
-    arms = [_sample_arm(rng, cfg) for _ in range(cfg.num_arms)]
-    return WcmdpInstance.from_arms(arms, alpha)
+    transition, reward, cost = _sample_arms(rng, cfg, cfg.num_arms)
+    return WcmdpInstance(transition=transition, reward=reward, cost=cost,
+                         alpha=alpha)
 
 
 def generate_typed(cfg: GeneratorConfig) -> WcmdpInstance:
     """Instance with num_types parameter sets, equal-size contiguous blocks.
 
-    Each type is sampled like a fully heterogeneous arm and shared verbatim
-    by all arms of that type. Requires num_arms divisible by num_types.
+    Each type is sampled like a fully heterogeneous arm and copied verbatim
+    to all arms of that type. Requires num_arms divisible by num_types.
     """
     cfg.check()
     if cfg.family != TYPED:
         raise ValueError("config family is not typed")
     rng = np.random.default_rng(cfg.seed)
     alpha = _sample_alpha(rng, cfg.num_constraints)
-    prototypes = [_sample_arm(rng, cfg) for _ in range(cfg.num_types)]
-    block = cfg.num_arms // cfg.num_types
-    arms = [prototypes[i // block] for i in range(cfg.num_arms)]
-    return WcmdpInstance.from_arms(arms, alpha)
+    transition, reward, cost = _sample_arms(rng, cfg, cfg.num_types)
+    type_of = np.arange(cfg.num_arms) // (cfg.num_arms // cfg.num_types)
+    return WcmdpInstance(transition=transition[type_of], reward=reward[type_of],
+                         cost=cost[type_of], alpha=alpha)
 
 
 def generate(cfg: GeneratorConfig) -> WcmdpInstance:
@@ -287,59 +267,41 @@ def validate(instance: WcmdpInstance) -> list[str]:
     An empty list means the instance is well formed. Messages name the arm
     index, the offending field, and the measured value.
     """
-    out: list[str] = []
-    if not instance.arms:
+    N, S, A, K = (instance.num_arms, instance.num_states,
+                  instance.num_actions, instance.num_constraints)
+    if N == 0:
         return ["instance: no arms"]
-    S, A, K = instance.num_states, instance.num_actions, instance.num_constraints
-    if instance.alpha.shape != (K,):
-        out.append(f"instance: alpha has shape {instance.alpha.shape}, expected ({K},)")
+    expected = {"transition": (N, S, A, S), "reward": (N, S, A),
+                "cost": (N, K, S, A)}
+    out = [f"instance: {name} has shape {getattr(instance, name).shape}, "
+           f"expected {shape}"
+           for name, shape in expected.items()
+           if getattr(instance, name).shape != shape]
+    if out:
+        return out
+
     for k, a in enumerate(instance.alpha):
-        if not a > 0:
+        if not np.isfinite(a):
+            out.append(f"instance: alpha[{k}] = {a} is not finite")
+        elif not a > 0:
             out.append(f"instance: alpha[{k}] = {a} is not positive")
 
-    r_seen = 0.0
-    c_seen = 0.0
-    for i, arm in enumerate(instance.arms):
-        if arm.transition.shape != (S, A, S):
-            out.append(f"arm {i}: transition shape {arm.transition.shape} != ({S},{A},{S})")
-            continue
-        if arm.reward.shape != (S, A):
-            out.append(f"arm {i}: reward shape {arm.reward.shape} != ({S},{A})")
-            continue
-        if arm.cost.shape != (K, S, A):
-            out.append(f"arm {i}: cost shape {arm.cost.shape} != ({K},{S},{A})")
-            continue
-        sums = arm.transition.sum(axis=2)
-        bad = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)
-        for s, a in bad:
-            out.append(f"arm {i}: transition row ({s},{a}) sums to {sums[s, a]:.12g}")
-        if np.any(arm.transition < 0.0) or np.any(arm.transition > 1.0):
-            worst = float(arm.transition.min()) if arm.transition.min() < 0 \
-                else float(arm.transition.max())
-            out.append(f"arm {i}: transition entry out of [0,1]: {worst:.12g}")
-        if np.any(arm.cost < 0.0):
-            out.append(f"arm {i}: negative cost entry {float(arm.cost.min()):.12g}")
-        nz = np.argwhere(arm.cost[:, :, 0] != 0.0)
-        for k, s in nz:
-            out.append(
-                f"arm {i}: cost[{k}][{s}][0] = {arm.cost[k, s, 0]:.12g}, "
-                "action 0 must be cost-free")
-        if not np.all(np.isfinite(arm.reward)):
-            out.append(f"arm {i}: non-finite reward entry")
-        else:
-            r_here = float(np.max(np.abs(arm.reward)))
-            if r_here > instance.r_max:
-                out.append(
-                    f"arm {i}: |reward| up to {r_here:.12g} exceeds cached r_max "
-                    f"{instance.r_max:.12g}")
-            r_seen = max(r_seen, r_here)
-        c_seen = max(c_seen, float(np.max(arm.cost)))
-
-    if not out:
-        if r_seen != instance.r_max:
-            out.append(
-                f"instance: cached r_max {instance.r_max:.12g} != measured {r_seen:.12g}")
-        if c_seen != instance.c_max:
-            out.append(
-                f"instance: cached c_max {instance.c_max:.12g} != measured {c_seen:.12g}")
+    P, cost = instance.transition, instance.cost
+    for name in ("transition", "reward", "cost"):
+        finite = np.isfinite(getattr(instance, name)).reshape(N, -1).all(axis=1)
+        for i in np.flatnonzero(~finite):
+            out.append(f"arm {i}: non-finite {name} entry")
+    sums = P.sum(axis=3)
+    for i, s, a in np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL):
+        out.append(f"arm {i}: transition row ({s},{a}) sums to {sums[i, s, a]:.12g}")
+    lo, hi = P.min(axis=(1, 2, 3)), P.max(axis=(1, 2, 3))
+    for i in np.flatnonzero((lo < 0.0) | (hi > 1.0)):
+        worst = lo[i] if lo[i] < 0 else hi[i]
+        out.append(f"arm {i}: transition entry out of [0,1]: {worst:.12g}")
+    lowest = cost.min(axis=(1, 2, 3))
+    for i in np.flatnonzero(lowest < 0.0):
+        out.append(f"arm {i}: negative cost entry {lowest[i]:.12g}")
+    for i, k, s in np.argwhere(cost[:, :, :, 0] != 0.0):
+        out.append(f"arm {i}: cost[{k}][{s}][0] = {cost[i, k, s, 0]:.12g}, "
+                   "action 0 must be cost-free")
     return out

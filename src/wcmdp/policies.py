@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .lp_relax import SingleArmPolicy
-from .model import SystemState, WcmdpInstance
+from .model import WcmdpInstance
 from .reassign import ReassignmentResult
 
 ORACLE_MAX_PAIRS = 10 ** 6
@@ -61,12 +61,6 @@ class StepOutcome:
     step_costs: np.ndarray      # (K,)
 
 
-def _states_array(state) -> np.ndarray:
-    if isinstance(state, SystemState):
-        return state.states
-    return np.asarray(state, dtype=np.int64)
-
-
 def _sample_from_cdf(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     # inverse-CDF sampling; clip guards a final cumsum a hair below 1
     return np.minimum((cdf_rows <= u[:, None]).sum(axis=1),
@@ -83,12 +77,11 @@ class _RunnerBase:
         self.num_constraints = instance.num_constraints
         self.order = order
         self.budget = instance.alpha * n
-        transition = np.stack([arm.transition for arm in instance.arms])[order]
-        self.reward = np.stack([arm.reward for arm in instance.arms])[order]
-        cost = np.stack([arm.cost for arm in instance.arms])[order]
-        self.cost = np.ascontiguousarray(cost.transpose(0, 2, 3, 1))  # (N,S,A,K)
+        self.reward = instance.reward[order]
+        self.cost = np.ascontiguousarray(
+            instance.cost[order].transpose(0, 2, 3, 1))   # (N,S,A,K)
         self.pi_cdf = np.cumsum(policy.pi[order], axis=-1)
-        self.trans_cdf = np.cumsum(transition, axis=-1)
+        self.trans_cdf = np.cumsum(instance.transition[order], axis=-1)
         self._ar = np.arange(n)
 
     def sample_ideal(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -123,8 +116,7 @@ class IdPolicyRunner(_RunnerBase):
         super().__init__(instance, policy, reassignment.order())
         self.reassignment = reassignment
 
-    def step(self, states, rng: np.random.Generator) -> StepOutcome:
-        states = _states_array(states)
+    def step(self, states: np.ndarray, rng: np.random.Generator) -> StepOutcome:
         ideal = self.sample_ideal(states, rng)
         costs = self.cost[self._ar, states, ideal]        # (N, K)
         prefix = np.cumsum(costs, axis=0)
@@ -143,8 +135,7 @@ class ErcPolicyRunner(_RunnerBase):
         super().__init__(instance, policy, np.arange(instance.num_arms))
         self.index_table = policy.r_star                  # (N, S)
 
-    def step(self, states, rng: np.random.Generator) -> StepOutcome:
-        states = _states_array(states)
+    def step(self, states: np.ndarray, rng: np.random.Generator) -> StepOutcome:
         ideal = self.sample_ideal(states, rng)
         costs = self.cost[self._ar, states, ideal]        # (N, K)
         # indices recomputed from the current states every step
@@ -169,19 +160,6 @@ class ErcPolicyRunner(_RunnerBase):
         return self._outcome(states, actions, ideal, conforming)
 
 
-def id_policy_step(instance: WcmdpInstance, policy: SingleArmPolicy,
-                   reassignment: ReassignmentResult, state,
-                   rng: np.random.Generator) -> StepOutcome:
-    """One ID-policy step; state is indexed by reassigned ID."""
-    return IdPolicyRunner(instance, policy, reassignment).step(state, rng)
-
-
-def erc_policy_step(instance: WcmdpInstance, policy: SingleArmPolicy, state,
-                    rng: np.random.Generator) -> StepOutcome:
-    """One ERC-baseline step; state is indexed by original arm ID."""
-    return ErcPolicyRunner(instance, policy).step(state, rng)
-
-
 def exact_oracle(instance: WcmdpInstance, tol: float = 1e-6) -> float:
     """Optimal long-run average reward per arm of the hard-budget problem.
 
@@ -194,8 +172,7 @@ def exact_oracle(instance: WcmdpInstance, tol: float = 1e-6) -> float:
     the size guard, and OracleNumericalError when the returned solution
     violates its own constraints by more than tol.
     """
-    n, s, a, k = (instance.num_arms, instance.num_states,
-                  instance.num_actions, instance.num_constraints)
+    n, s, a = instance.num_arms, instance.num_states, instance.num_actions
     n_states = s ** n
     n_pairs = n_states * a ** n
     if n_pairs > ORACLE_MAX_PAIRS:
@@ -208,41 +185,32 @@ def exact_oracle(instance: WcmdpInstance, tol: float = 1e-6) -> float:
                              dtype=np.int64)
     budget = instance.alpha * n
 
-    rows_g = []
-    rows_gh = []
-    rhs_gh = []
-    weights = np.zeros(n_states)
+    arms = np.arange(n)
+    rows = []       # (joint state, P(.|s, a) - e_s, reward) per feasible pair
     for si, sv in enumerate(joint_states):
         for av in joint_actions:
-            cost = np.zeros(k)
-            reward = 0.0
-            trans = np.ones(1)
-            for i, arm in enumerate(instance.arms):
-                cost += arm.cost[:, sv[i], av[i]]
-                reward += arm.reward[sv[i], av[i]]
-                trans = np.kron(trans, arm.transition[sv[i], av[i]])
+            cost = instance.cost[arms, :, sv, av].sum(axis=0)
             if np.any(cost > budget):
                 continue
-            row = trans.copy()
-            row[si] -= 1.0
-            rows_g.append((si, row))
-            rows_gh.append((si, row))
-            rhs_gh.append(-reward)
-        weights[si] = 1.0 / n_states
-    if len(rows_g) * n_states > ORACLE_MAX_DENSE:
+            reward = instance.reward[arms, sv, av].sum()
+            trans = np.ones(1)
+            for p in instance.transition[arms, sv, av]:
+                trans = np.kron(trans, p)
+            trans[si] -= 1.0
+            rows.append((si, trans, reward))
+    if len(rows) * n_states > ORACLE_MAX_DENSE:
         raise OracleSizeError("feasible joint-action enumeration too large")
 
-    m = len(rows_g)
+    m = len(rows)
     a_ub = np.zeros((2 * m, 2 * n_states))
     b_ub = np.zeros(2 * m)
-    for r, (si, row) in enumerate(rows_g):
+    for r, (si, row, reward) in enumerate(rows):
         a_ub[r, :n_states] = row                       # P g - g(s) <= 0
-    for r, (si, row) in enumerate(rows_gh):
         a_ub[m + r, si] = -1.0                         # -g(s) + P h - h(s) <= -r
         a_ub[m + r, n_states:] = row
-        b_ub[m + r] = rhs_gh[r]
+        b_ub[m + r] = -reward
 
-    c = np.concatenate([weights, np.zeros(n_states)])
+    c = np.concatenate([np.full(n_states, 1.0 / n_states), np.zeros(n_states)])
     res = linprog(c=c, A_ub=sp.csr_matrix(a_ub), b_ub=b_ub,
                   bounds=(None, None), method="highs")
     if res.status != 0:

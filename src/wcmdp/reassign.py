@@ -64,26 +64,15 @@ def active_constraints(instance: WcmdpInstance,
                  if total[k] >= instance.alpha[k] * n / 2)
 
 
-def remaining_budget(instance: WcmdpInstance, policy: SingleArmPolicy,
-                     active_set, n: int, k: int) -> float:
-    """Slack beta_k([n]) of the first n arms, in the arm order of `policy`.
+def remaining_budget_curve(instance: WcmdpInstance, policy: SingleArmPolicy,
+                           active_set) -> np.ndarray:
+    """Slack beta_k([n]) of every prefix [n] (the first n arms in the arm
+    order of `policy`): array of shape (N+1, K) with row n for [n].
 
     Active types get alpha_k*N minus the prefix expected cost; inactive
     types additionally pay alpha_k/3 per arm so the slack still drains
     linearly. Callers working with reassigned IDs pass a permuted policy.
     """
-    if not 0 <= n <= instance.num_arms:
-        raise ValueError(f"prefix length {n} out of range [0, {instance.num_arms}]")
-    alpha_k = instance.alpha[k]
-    slack = alpha_k * instance.num_arms - float(policy.C_star[k, :n].sum())
-    if k not in active_set:
-        slack -= alpha_k / 3.0 * n
-    return slack
-
-
-def remaining_budget_curve(instance: WcmdpInstance, policy: SingleArmPolicy,
-                           active_set) -> np.ndarray:
-    """beta_k([n]) for all prefixes: array of shape (N+1, K)."""
     n_arms = instance.num_arms
     prefix = np.zeros((n_arms + 1, instance.num_constraints))
     prefix[1:] = np.cumsum(policy.C_star.T, axis=0)
@@ -191,13 +180,15 @@ def verify_slope(instance: WcmdpInstance, policy: SingleArmPolicy,
     worst = (1, 1, 0)
     idx = np.arange(n_arms + 1, dtype=np.float64)
     for k in range(instance.num_constraints):
-        f = curve[:, k] + result.eta_c * idx
-        # slack(n1, n2) = f[n1] - f[n2] + m_c, minimized over 1 <= n1 <= n2
-        diff = f[1:, None] - f[None, 1:] + result.m_c
-        mask = np.tril(np.ones_like(diff, dtype=bool)).T  # n1 <= n2
-        masked = np.where(mask, diff, math.inf)
-        pos = np.unravel_index(np.argmin(masked), masked.shape)
-        if masked[pos] < margin:
-            margin = float(masked[pos])
-            worst = (int(pos[0]) + 1, int(pos[1]) + 1, k)
+        f = (curve[:, k] + result.eta_c * idx)[1:]
+        # f[j] belongs to the prefix [j+1]: slack(n1, n2) = f[n1-1] - f[n2-1]
+        # + m_c over n1 <= n2. Rounding is monotone, so the suffix maximum of
+        # f gives each row's exact minimum, and the first row, then the
+        # first column, attaining it reproduces a row-major argmin
+        row_min = f - np.maximum.accumulate(f[::-1])[::-1] + result.m_c
+        i = int(np.argmin(row_min))
+        if row_min[i] < margin:
+            margin = float(row_min[i])
+            j = i + int(np.argmin(f[i] - f[i:] + result.m_c))
+            worst = (i + 1, j + 1, k)
     return SlopeReport(holds=margin >= 0.0, worst=worst, margin=margin)

@@ -6,8 +6,7 @@ every step, and reports a batch-means confidence interval together with the
 ratio of the achieved reward to the relaxation upper bound.
 
 Replication r of a run seeded with s uses its own generator seeded by
-(s, r), so results do not depend on the execution order or the number of
-worker threads, and a repeated run reproduces every statistic bit for bit.
+(s, r), so a repeated run reproduces every statistic bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -181,20 +179,15 @@ def make_runner(instance: WcmdpInstance, bundle: PolicyBundle, policy_kind: str)
     raise ValueError(f"unknown policy {policy_kind!r}")
 
 
-def simulate(instance: WcmdpInstance, bundle: PolicyBundle, config: SimConfig,
-             threads: int = 1) -> SimResult:
+def simulate(instance: WcmdpInstance, bundle: PolicyBundle,
+             config: SimConfig) -> SimResult:
     """Run the configured policy and aggregate across replications."""
     config.check()
     started = time.perf_counter()
     runner = make_runner(instance, bundle, config.policy)
 
-    reps = range(config.replications)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rep_results = list(pool.map(
-                lambda r: _run_replication(runner, instance, config, r), reps))
-    else:
-        rep_results = [_run_replication(runner, instance, config, r) for r in reps]
+    rep_results = [_run_replication(runner, instance, config, r)
+                   for r in range(config.replications)]
 
     n = instance.num_arms
     steps = config.horizon * config.replications
@@ -236,7 +229,7 @@ def simulate(instance: WcmdpInstance, bundle: PolicyBundle, config: SimConfig,
 
 
 def sweep(template: GeneratorConfig, n_values: Sequence[int], config: SimConfig,
-          policies: Sequence[str] = (POLICY_ID,), threads: int = 1) -> list[dict]:
+          policies: Sequence[str] = (POLICY_ID,)) -> list[dict]:
     """Simulate each policy at each system size; one CSV-schema row per pair.
 
     The instance at every size is generated from the template with the same
@@ -251,7 +244,7 @@ def sweep(template: GeneratorConfig, n_values: Sequence[int], config: SimConfig,
         bundle = PolicyBundle.prepare(instance, seed=config.seed)
         for policy_kind in policies:
             run_cfg = dataclasses.replace(config, policy=policy_kind)
-            result = simulate(instance, bundle, run_cfg, threads=threads)
+            result = simulate(instance, bundle, run_cfg)
             gap = result.r_rel - result.avg_reward_per_arm
             rows.append({
                 "family": template.family,

@@ -7,9 +7,11 @@ code paths it is used to check.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from wcmdp.model import ArmModel, GeneratorConfig, WcmdpInstance, generate
+from wcmdp.model import GeneratorConfig, WcmdpInstance, generate
 
 
 def rvi_average_reward(transition: np.ndarray, reward: np.ndarray,
@@ -37,23 +39,33 @@ def tiny_instance(seed: int, n: int = 4, s: int = 3, a: int = 2,
 
 def zero_cost_copy(instance: WcmdpInstance) -> WcmdpInstance:
     """Same rewards and dynamics, every cost table zeroed."""
-    arms = [ArmModel(transition=arm.transition, reward=arm.reward,
-                     cost=np.zeros_like(arm.cost)) for arm in instance.arms]
-    return WcmdpInstance.from_arms(arms, instance.alpha)
+    return dataclasses.replace(instance, cost=np.zeros_like(instance.cost))
 
 
-def single_state_arm(rewards, costs) -> ArmModel:
+def take_arms(instance: WcmdpInstance, index) -> WcmdpInstance:
+    """The arms at `index` (repeats allowed), with the same alpha."""
+    return dataclasses.replace(instance, transition=instance.transition[index],
+                               reward=instance.reward[index],
+                               cost=instance.cost[index])
+
+
+def stack_arms(arms, alpha) -> WcmdpInstance:
+    """Instance from per-arm (transition, reward, cost) tables of equal shape."""
+    transition, reward, cost = (np.stack(tables) for tables in zip(*arms))
+    return WcmdpInstance(transition=transition, reward=reward, cost=cost,
+                         alpha=np.asarray(alpha, dtype=np.float64))
+
+
+def single_state_arm(rewards, costs):
     """One-state arm: every action loops back to state 0."""
     rewards = np.asarray(rewards, dtype=np.float64)
     costs = np.atleast_2d(np.asarray(costs, dtype=np.float64))
     a = rewards.shape[0]
-    return ArmModel(transition=np.ones((1, a, 1)),
-                    reward=rewards.reshape(1, a),
-                    cost=costs.reshape(costs.shape[0], 1, a))
+    return (np.ones((1, a, 1)), rewards.reshape(1, a),
+            costs.reshape(costs.shape[0], 1, a))
 
 
-def two_cycle_arm(r0: float, r1: float, k: int = 1) -> ArmModel:
+def two_cycle_arm(r0: float, r1: float, k: int = 1):
     """Single-action arm deterministically alternating between two states."""
-    return ArmModel(transition=np.array([[[0.0, 1.0]], [[1.0, 0.0]]]),
-                    reward=np.array([[r0], [r1]]),
-                    cost=np.zeros((k, 2, 1)))
+    return (np.array([[[0.0, 1.0]], [[1.0, 0.0]]]), np.array([[r0], [r1]]),
+            np.zeros((k, 2, 1)))

@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wcmdp
 from wcmdp.cli import main, ratio_chart_svg
 from wcmdp.model import WcmdpInstance
 from wcmdp.simulator import CSV_COLUMNS
 
-from oracles import two_cycle_arm
+from oracles import single_state_arm, stack_arms, two_cycle_arm
 
 
 def run(argv):
@@ -35,8 +40,7 @@ class TestGenerate:
                     "--states", "3", "--actions", "2", "--out", str(out)])
         assert code == 0
         instance = WcmdpInstance.load(out)
-        for arm in instance.arms:
-            assert np.all(arm.cost == arm.cost[:, :1, :])
+        assert np.all(instance.cost == instance.cost[:, :, :1, :])
 
     def test_missing_required_flag_exits_2(self, capsys):
         assert run(["generate", "--out", "x.json"]) == 2
@@ -49,15 +53,47 @@ class TestGenerate:
         assert code == 2
 
     def test_invalid_instance_file_exits_3(self, tmp_path, capsys):
-        from oracles import single_state_arm
         arm = single_state_arm([0.0, 1.0], [[0.4, 1.0]])  # costed free action
-        instance = WcmdpInstance.from_arms([arm], [0.5])
+        instance = stack_arms([arm], [0.5])
         path = tmp_path / "bad.json"
         instance.save(path)
         code = run(["solve", "--instance", str(path),
                     "--out", str(tmp_path / "sol.json")])
         assert code == 3
         assert "cost" in capsys.readouterr().err
+
+
+def _instance_text(edit) -> str:
+    d = stack_arms([single_state_arm([0.0, 1.0], [[0.0, 1.0]])] * 2,
+                   [0.5]).to_json_dict()
+    edit(d)
+    return json.dumps(d)
+
+
+def _ragged(d):
+    d["arms"][1] = {"P": [[[1.0, 0.0]], [[0.0, 1.0]]], "r": [[0.0], [0.0]],
+                    "c": [[[0.0], [0.0]]]}
+
+
+@pytest.mark.parametrize("text, field", [
+    ("{\"N\": 1, \"alpha\": [0.5", "Expecting"),
+    (_instance_text(lambda d: d.pop("alpha")), "alpha"),
+    (_instance_text(lambda d: d.update(arms=[])), "arms"),
+    (_instance_text(_ragged), "arms[].P"),
+], ids=["malformed-json", "missing-alpha", "no-arms", "ragged-arms"])
+def test_bad_instance_file_exits_3_without_traceback(tmp_path, text, field):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    src = str(Path(wcmdp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wcmdp.cli", "solve", "--instance", str(path),
+         "--out", str(tmp_path / "sol.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert field in proc.stderr
 
 
 class TestPipelineCommands:
@@ -146,7 +182,7 @@ class TestDiagnose:
 
     def test_strict_exits_5_on_periodic_chain(self, tmp_path):
         # a single-action two-cycle arm induces a periodic chain
-        instance = WcmdpInstance.from_arms([two_cycle_arm(0.2, 0.8)], [0.3])
+        instance = stack_arms([two_cycle_arm(0.2, 0.8)], [0.3])
         inst = tmp_path / "periodic.json"
         instance.save(inst)
         out = tmp_path / "diag.json"
@@ -155,8 +191,7 @@ class TestDiagnose:
         assert code == 5
 
     def test_non_strict_still_reports(self, tmp_path):
-        instance = WcmdpInstance.from_arms(
-            [two_cycle_arm(0.2, 0.8)], [0.3])
+        instance = stack_arms([two_cycle_arm(0.2, 0.8)], [0.3])
         inst = tmp_path / "periodic.json"
         instance.save(inst)
         out = tmp_path / "diag.json"

@@ -3,9 +3,10 @@ import pytest
 
 from wcmdp.lp_relax import (LpSolution, build_lp, check_solution,
                             extract_policy, solve_lp)
-from wcmdp.model import GeneratorConfig, WcmdpInstance, generate
+from wcmdp.model import GeneratorConfig, generate
 
-from oracles import rvi_average_reward, single_state_arm, tiny_instance, zero_cost_copy
+from oracles import (rvi_average_reward, single_state_arm, stack_arms,
+                     take_arms, tiny_instance, zero_cost_copy)
 
 
 class TestBuildLp:
@@ -25,9 +26,9 @@ class TestBuildLp:
         instance = tiny_instance(seed=1, n=3, s=2, a=2, k=2)
         prob = build_lp(instance)
         dense = prob.budget.toarray()
-        for i, arm in enumerate(instance.arms):
+        for i in range(3):
             block = dense[:, i * 4:(i + 1) * 4]
-            assert np.allclose(block, arm.cost.reshape(2, 4) / 3.0)
+            assert np.allclose(block, instance.cost[i].reshape(2, 4) / 3.0)
         assert np.array_equal(prob.budget_rhs, instance.alpha)
 
 
@@ -35,13 +36,13 @@ class TestSolveLp:
     def test_zero_costs_match_per_arm_value_iteration(self):
         instance = zero_cost_copy(tiny_instance(seed=7, n=4, s=3, a=2, k=1))
         solution = solve_lp(build_lp(instance))
-        expected = np.mean([rvi_average_reward(a.transition, a.reward)
-                            for a in instance.arms])
+        expected = np.mean([rvi_average_reward(p, r) for p, r
+                            in zip(instance.transition, instance.reward)])
         assert solution.objective == pytest.approx(expected, abs=1e-7)
 
     def test_hand_solved_one_variable_lp(self):
         arm = single_state_arm([0.0, 0.7], [[0.0, 1.0]])
-        instance = WcmdpInstance.from_arms([arm], [0.5])
+        instance = stack_arms([arm], [0.5])
         solution = solve_lp(build_lp(instance))
         assert solution.objective == pytest.approx(0.35, abs=1e-9)
         assert solution.y[0, 0, 1] == pytest.approx(0.5, abs=1e-9)
@@ -50,14 +51,14 @@ class TestSolveLp:
         cfg = GeneratorConfig(seed=4, num_arms=6, num_states=3, num_actions=2,
                               num_constraints=1, family="typed", num_types=1)
         instance = generate(cfg)
-        single = WcmdpInstance.from_arms(instance.arms[:1], instance.alpha)
+        single = take_arms(instance, [0])
         many = solve_lp(build_lp(instance))
         one = solve_lp(build_lp(single))
         assert many.objective == pytest.approx(one.objective, abs=1e-7)
 
     def test_duplicating_arms_leaves_objective_unchanged(self):
         instance = tiny_instance(seed=11, n=5, s=3, a=2, k=2)
-        doubled = WcmdpInstance.from_arms(instance.arms * 2, instance.alpha)
+        doubled = take_arms(instance, np.tile(np.arange(5), 2))
         r1 = solve_lp(build_lp(instance)).objective
         r2 = solve_lp(build_lp(doubled)).objective
         assert r2 == pytest.approx(r1, abs=1e-7)
@@ -109,8 +110,7 @@ class TestExtractPolicy:
         assert np.allclose(policy.pi.sum(axis=2), 1.0, atol=1e-12)
         # induced chain is the policy-weighted kernel
         i = 7
-        manual = np.einsum("sat,sa->st", instance.arms[i].transition,
-                           policy.pi[i])
+        manual = np.einsum("sat,sa->st", instance.transition[i], policy.pi[i])
         assert np.allclose(policy.induced_P[i], manual)
         # stationary distributions match the y marginals and are invariant
         marg = solution.y.sum(axis=2)
@@ -120,10 +120,9 @@ class TestExtractPolicy:
                            - policy.mu_star[i]).sum() for i in range(n))
         assert drift <= 1e-7
         # expected costs/rewards match their defining sums
-        k0 = np.einsum("nsa,nsa->n", solution.y,
-                       np.stack([a.cost[0] for a in instance.arms]))
+        k0 = np.einsum("nsa,nsa->n", solution.y, instance.cost[:, 0])
         assert np.allclose(policy.C_star[0], k0, atol=1e-12)
-        r_manual = np.einsum("sa,sa->s", policy.pi[i], instance.arms[i].reward)
+        r_manual = np.einsum("sa,sa->s", policy.pi[i], instance.reward[i])
         assert np.allclose(policy.r_star[i], r_manual)
 
 
@@ -141,7 +140,7 @@ class TestCheckSolution:
 
     def test_exact_toy_has_zero_residuals_at_tol_zero(self):
         arm = single_state_arm([0.0, 0.7], [[0.0, 1.0]])
-        instance = WcmdpInstance.from_arms([arm], [0.5])
+        instance = stack_arms([arm], [0.5])
         y = np.array([[[0.5, 0.5]]])
         solution = LpSolution(y=y, objective=0.35, solver_status="manual",
                               duals=np.zeros(1))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcmdp.model import (ALPHA_GRID_STEP, COST_ACTION_ONLY, FULLY_HETEROGENEOUS,
-                         TYPED, ArmModel, GeneratorConfig, SystemState,
-                         WcmdpInstance, generate, generate_fully_heterogeneous,
-                         generate_typed, validate)
+                         TYPED, GeneratorConfig, WcmdpInstance, generate,
+                         generate_fully_heterogeneous, generate_typed, validate)
 
-from oracles import single_state_arm
+from oracles import single_state_arm, stack_arms
 
 
 def cfg(seed=0, n=6, s=3, a=2, k=2, **kw):
@@ -23,30 +23,40 @@ class TestValidate:
 
     def test_nonzero_cost_of_free_action_is_reported(self):
         arm = single_state_arm([0.0, 1.0], [[0.3, 1.0]])
-        instance = WcmdpInstance.from_arms([arm], [0.5])
+        instance = stack_arms([arm], [0.5])
         report = validate(instance)
         assert any("cost[0][0][0] = 0.3" in msg for msg in report)
 
     def test_bad_row_sum_is_reported_with_value(self):
-        arm = ArmModel(transition=np.array([[[0.49, 0.49], [0.5, 0.5]],
-                                            [[0.5, 0.5], [0.5, 0.5]]]),
-                       reward=np.zeros((2, 2)),
-                       cost=np.zeros((1, 2, 2)))
-        instance = WcmdpInstance.from_arms([arm], [0.5])
+        arm = (np.array([[[0.49, 0.49], [0.5, 0.5]],
+                         [[0.5, 0.5], [0.5, 0.5]]]),
+               np.zeros((2, 2)), np.zeros((1, 2, 2)))
+        instance = stack_arms([arm], [0.5])
         report = validate(instance)
         assert any("sums to 0.98" in msg for msg in report)
 
     def test_nonpositive_alpha_is_reported(self):
         instance = generate(cfg())
-        bad = WcmdpInstance(arms=instance.arms, alpha=np.array([0.2, 0.0]),
-                            r_max=instance.r_max, c_max=instance.c_max)
+        bad = dataclasses.replace(instance, alpha=np.array([0.2, 0.0]))
         assert any("alpha[1]" in msg for msg in validate(bad))
 
-    def test_stale_cached_maxima_are_reported(self):
+    @pytest.mark.parametrize("field, index, expected", [
+        ("transition", (2, 1, 0, 0), "arm 2: non-finite transition"),
+        ("reward", (3, 0, 1), "arm 3: non-finite reward"),
+        ("cost", (4, 1, 2, 1), "arm 4: non-finite cost"),
+        ("alpha", (0,), "alpha[0] = inf is not finite"),
+    ])
+    def test_non_finite_entry_is_reported(self, field, index, expected):
         instance = generate(cfg())
-        bad = WcmdpInstance(arms=instance.arms, alpha=instance.alpha,
-                            r_max=instance.r_max / 2, c_max=instance.c_max)
-        assert any("r_max" in msg for msg in validate(bad))
+        table = getattr(instance, field).copy()
+        table[index] = np.inf if field == "alpha" else np.nan
+        bad = dataclasses.replace(instance, **{field: table})
+        assert any(expected in msg for msg in validate(bad)), validate(bad)
+
+    def test_mismatched_shapes_are_reported(self):
+        instance = generate(cfg())
+        bad = dataclasses.replace(instance, alpha=np.array([0.2]))
+        assert any("cost has shape" in msg for msg in validate(bad))
 
 
 class TestGenerators:
@@ -58,19 +68,16 @@ class TestGenerators:
         steps = instance.alpha / ALPHA_GRID_STEP
         assert np.allclose(steps, np.round(steps))
         assert np.all((instance.alpha >= 0.05) & (instance.alpha <= 0.45))
-        for arm in instance.arms[:5]:
-            assert np.all(arm.reward[:, 0] == 0.0)
-            assert np.all(arm.cost[:, :, 0] == 0.0)
-            assert np.all((arm.reward[:, 1:] >= 0) & (arm.reward[:, 1:] <= 1))
+        assert np.all(instance.reward[:, :, 0] == 0.0)
+        assert np.all(instance.cost[:, :, :, 0] == 0.0)
+        assert np.all((instance.reward[:, :, 1:] >= 0)
+                      & (instance.reward[:, :, 1:] <= 1))
 
     def test_same_seed_is_bit_identical(self):
         a = generate(cfg(seed=42, n=12, s=4, a=3, k=2))
         b = generate(cfg(seed=42, n=12, s=4, a=3, k=2))
-        assert np.array_equal(a.alpha, b.alpha)
-        for x, y in zip(a.arms, b.arms):
-            assert np.array_equal(x.transition, y.transition)
-            assert np.array_equal(x.reward, y.reward)
-            assert np.array_equal(x.cost, y.cost)
+        for field in ("transition", "reward", "cost", "alpha"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_single_arm_degenerate_size(self):
         instance = generate(cfg(seed=5, n=1, s=2, a=2, k=1))
@@ -83,18 +90,17 @@ class TestGenerators:
         assert validate(instance) == []
         block = 10
         for t in range(10):
-            base = instance.arms[t * block]
+            base = instance.transition[t * block]
             for i in range(t * block, (t + 1) * block):
-                assert np.array_equal(instance.arms[i].transition, base.transition)
+                assert np.array_equal(instance.transition[i], base)
         # adjacent types differ
-        assert not np.array_equal(instance.arms[0].transition,
-                                  instance.arms[block].transition)
+        assert not np.array_equal(instance.transition[0],
+                                  instance.transition[block])
 
     def test_single_type_collapses_to_homogeneous(self):
         instance = generate_typed(
             cfg(seed=2, n=6, s=3, a=2, k=1, family=TYPED, num_types=1))
-        for arm in instance.arms:
-            assert np.array_equal(arm.reward, instance.arms[0].reward)
+        assert np.all(instance.reward == instance.reward[0])
 
     def test_divisibility_violation_raises(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -105,9 +111,8 @@ class TestGenerators:
         instance = generate_typed(
             cfg(seed=3, n=10, s=4, a=3, k=1, family=TYPED, num_types=5,
                 cost_mode=COST_ACTION_ONLY))
-        for arm in instance.arms:
-            assert np.all(arm.cost == arm.cost[:, :1, :])
-            assert np.all(arm.cost[:, :, 0] == 0.0)
+        assert np.all(instance.cost == instance.cost[:, :, :1, :])
+        assert np.all(instance.cost[:, :, :, 0] == 0.0)
 
     def test_validate_generated_over_many_seeds(self):
         for seed in range(100):
@@ -125,13 +130,8 @@ class TestSerialization:
                                 family=family, num_types=types))
         back = WcmdpInstance.from_json_dict(
             json.loads(instance.to_json()))
-        assert np.array_equal(back.alpha, instance.alpha)
-        assert back.r_max == instance.r_max
-        assert back.c_max == instance.c_max
-        for x, y in zip(back.arms, instance.arms):
-            assert np.array_equal(x.transition, y.transition)
-            assert np.array_equal(x.reward, y.reward)
-            assert np.array_equal(x.cost, y.cost)
+        for field in ("transition", "reward", "cost", "alpha"):
+            assert np.array_equal(getattr(back, field), getattr(instance, field))
 
     def test_file_round_trip(self, tmp_path):
         instance = generate(cfg(seed=9))
@@ -146,14 +146,18 @@ class TestSerialization:
         assert set(d["arms"][0]) == {"P", "r", "c"}
 
 
-class TestSystemState:
-    def test_one_hot_rows(self):
-        x = SystemState(np.array([2, 0, 1])).one_hot(3)
-        assert x.shape == (3, 3)
-        assert np.array_equal(x.sum(axis=1), np.ones(3))
-        assert x[0, 2] == 1.0 and x[1, 0] == 1.0 and x[2, 1] == 1.0
-
+class TestInstance:
     def test_arrays_are_immutable(self):
         instance = generate(cfg())
         with pytest.raises(ValueError):
-            instance.arms[0].reward[0, 0] = 5.0
+            instance.reward[0, 0, 0] = 5.0
+
+    def test_maxima_are_computed_from_the_arrays(self):
+        instance = generate(cfg(seed=4, n=9, s=3, a=3, k=2))
+        assert instance.r_max == float(np.abs(instance.reward).max())
+        assert instance.c_max == float(instance.cost.max())
+
+    def test_wrong_dimension_count_raises(self):
+        instance = generate(cfg())
+        with pytest.raises(ValueError, match="reward: expected 3 dimensions"):
+            dataclasses.replace(instance, reward=instance.reward[0])

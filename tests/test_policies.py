@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from wcmdp.lp_relax import SingleArmPolicy, build_lp, extract_policy, solve_lp
-from wcmdp.model import SystemState, WcmdpInstance
 from wcmdp.policies import (ErcPolicyRunner, IdPolicyRunner, OracleSizeError,
-                            erc_policy_step, exact_oracle, id_policy_step)
+                            exact_oracle)
 from wcmdp.reassign import ReassignmentResult, reassign
 
-from oracles import rvi_average_reward, single_state_arm, tiny_instance, zero_cost_copy
+from oracles import (rvi_average_reward, single_state_arm, stack_arms,
+                     tiny_instance, zero_cost_copy)
 
 
 def det_policy(instance, chosen_action):
@@ -16,12 +18,9 @@ def det_policy(instance, chosen_action):
     pi = np.zeros((n, s, a))
     for i, act in enumerate(chosen_action):
         pi[i, :, act] = 1.0
-    induced = np.einsum("nsat,nsa->nst",
-                        np.stack([arm.transition for arm in instance.arms]), pi)
-    c_star = np.einsum("nsa,nksa->kns", pi,
-                       np.stack([arm.cost for arm in instance.arms]))
-    r_star = np.einsum("nsa,nsa->ns", pi,
-                       np.stack([arm.reward for arm in instance.arms]))
+    induced = np.einsum("nsat,nsa->nst", instance.transition, pi)
+    c_star = np.einsum("nsa,nksa->kns", pi, instance.cost)
+    r_star = np.einsum("nsa,nsa->ns", pi, instance.reward)
     mu = np.full((n, s), 1.0 / s)
     return SingleArmPolicy(pi=pi, induced_P=induced, mu_star=mu,
                            C_star=c_star.sum(axis=2) / s, r_star=r_star,
@@ -37,24 +36,23 @@ def identity_reassignment(n):
 def two_arm_instance(costs, alpha, rewards=(1.0, 1.0)):
     arms = [single_state_arm([0.0, rewards[0]], [[0.0, costs[0]]]),
             single_state_arm([0.0, rewards[1]], [[0.0, costs[1]]])]
-    return WcmdpInstance.from_arms(arms, [alpha])
+    return stack_arms(arms, [alpha])
 
 
 class TestIdPolicyStep:
     def test_zero_costs_everyone_conforms(self):
         instance = zero_cost_copy(tiny_instance(seed=0, n=6, s=3, a=2, k=1))
         policy = extract_policy(instance, solve_lp(build_lp(instance)))
-        outcome = id_policy_step(instance, policy, identity_reassignment(6),
-                                 np.zeros(6, dtype=int),
-                                 np.random.default_rng(0))
+        runner = IdPolicyRunner(instance, policy, identity_reassignment(6))
+        outcome = runner.step(np.zeros(6, dtype=int), np.random.default_rng(0))
         assert outcome.conforming_count == 6
         assert np.array_equal(outcome.actions, outcome.ideal_actions)
 
     def test_prefix_fits_budget(self):
         instance = two_arm_instance(costs=(0.5, 0.0), alpha=0.4)
         policy = det_policy(instance, [1, 1])
-        outcome = id_policy_step(instance, policy, identity_reassignment(2),
-                                 [0, 0], np.random.default_rng(0))
+        runner = IdPolicyRunner(instance, policy, identity_reassignment(2))
+        outcome = runner.step(np.array([0, 0]), np.random.default_rng(0))
         assert outcome.conforming_count == 2
         assert outcome.actions.tolist() == [1, 1]
         assert outcome.step_costs[0] == pytest.approx(0.5)
@@ -63,8 +61,8 @@ class TestIdPolicyStep:
         # arm 1's free ideal action is also dropped once arm 0 overflows
         instance = two_arm_instance(costs=(0.5, 0.0), alpha=0.2)
         policy = det_policy(instance, [1, 1])
-        outcome = id_policy_step(instance, policy, identity_reassignment(2),
-                                 [0, 0], np.random.default_rng(0))
+        runner = IdPolicyRunner(instance, policy, identity_reassignment(2))
+        outcome = runner.step(np.array([0, 0]), np.random.default_rng(0))
         assert outcome.conforming_count == 0
         assert outcome.actions.tolist() == [0, 0]
         assert outcome.ideal_actions.tolist() == [1, 1]
@@ -84,38 +82,30 @@ class TestIdPolicyStep:
             assert np.all(outcome.actions[n_star:] == 0)
             states = runner.transition_step(states, outcome.actions, rng)
 
-    def test_accepts_system_state_objects(self):
-        instance = two_arm_instance(costs=(0.1, 0.1), alpha=0.5)
-        policy = det_policy(instance, [1, 1])
-        outcome = id_policy_step(instance, policy, identity_reassignment(2),
-                                 SystemState(np.array([0, 0])),
-                                 np.random.default_rng(0))
-        assert outcome.conforming_count == 2
-
 
 class TestErcPolicyStep:
     def test_ties_break_by_arm_id(self):
         # equal indices, budget fits exactly one unit-cost action
         instance = two_arm_instance(costs=(1.0, 1.0), alpha=0.5)
         policy = det_policy(instance, [1, 1])
-        outcome = erc_policy_step(instance, policy, [0, 0],
-                                  np.random.default_rng(0))
+        outcome = ErcPolicyRunner(instance, policy).step(
+            np.array([0, 0]), np.random.default_rng(0))
         assert outcome.actions.tolist() == [1, 0]
         assert outcome.conforming_count == 1
 
     def test_ample_budget_everyone_plays_ideal(self):
         instance = two_arm_instance(costs=(0.3, 0.3), alpha=5.0)
         policy = det_policy(instance, [1, 1])
-        outcome = erc_policy_step(instance, policy, [0, 0],
-                                  np.random.default_rng(0))
+        outcome = ErcPolicyRunner(instance, policy).step(
+            np.array([0, 0]), np.random.default_rng(0))
         assert np.array_equal(outcome.actions, outcome.ideal_actions)
 
     def test_high_index_arm_wins_the_budget(self):
         instance = two_arm_instance(costs=(1.0, 1.0), alpha=0.5,
                                     rewards=(0.1, 0.9))
         policy = det_policy(instance, [1, 1])
-        outcome = erc_policy_step(instance, policy, [0, 0],
-                                  np.random.default_rng(0))
+        outcome = ErcPolicyRunner(instance, policy).step(
+            np.array([0, 0]), np.random.default_rng(0))
         assert outcome.actions.tolist() == [0, 1]
 
     def test_rejected_arm_keeps_iteration_going(self):
@@ -123,10 +113,10 @@ class TestErcPolicyStep:
         arms = [single_state_arm([0.0, 0.9], [[0.0, 0.6]]),
                 single_state_arm([0.0, 0.5], [[0.0, 0.9]]),
                 single_state_arm([0.0, 0.2], [[0.0, 0.5]])]
-        instance = WcmdpInstance.from_arms(arms, [1.2 / 3])
+        instance = stack_arms(arms, [1.2 / 3])
         policy = det_policy(instance, [1, 1, 1])
-        outcome = erc_policy_step(instance, policy, [0, 0, 0],
-                                  np.random.default_rng(0))
+        outcome = ErcPolicyRunner(instance, policy).step(
+            np.array([0, 0, 0]), np.random.default_rng(0))
         # order by index: arm0 (0.9), arm1 (0.5), arm2 (0.2); budget 1.2
         assert outcome.actions.tolist() == [1, 0, 1]
 
@@ -152,10 +142,9 @@ class TestHardFeasibility:
         instance, _, policy = small_solved
         result = reassign(instance, policy, seed=0)
         states = np.zeros(instance.num_arms, dtype=int)
-        a = id_policy_step(instance, policy, result, states,
-                           np.random.default_rng(21))
-        b = id_policy_step(instance, policy, result, states,
-                           np.random.default_rng(21))
+        runner = IdPolicyRunner(instance, policy, result)
+        a = runner.step(states, np.random.default_rng(21))
+        b = runner.step(states, np.random.default_rng(21))
         assert np.array_equal(a.actions, b.actions)
         assert a.step_reward == b.step_reward
         assert np.array_equal(a.step_costs, b.step_costs)
@@ -164,16 +153,13 @@ class TestHardFeasibility:
 class TestExactOracle:
     def test_single_arm_unconstrained_matches_value_iteration(self):
         instance = zero_cost_copy(tiny_instance(seed=6, n=1, s=3, a=2, k=1))
-        expected = rvi_average_reward(instance.arms[0].transition,
-                                      instance.arms[0].reward)
+        expected = rvi_average_reward(instance.transition[0],
+                                      instance.reward[0])
         assert exact_oracle(instance) == pytest.approx(expected, abs=1e-6)
 
     def test_zero_rewards_give_zero(self):
         base = tiny_instance(seed=7, n=2, s=2, a=2, k=1)
-        arms = [type(a)(transition=a.transition,
-                        reward=np.zeros_like(a.reward), cost=a.cost)
-                for a in base.arms]
-        instance = WcmdpInstance.from_arms(arms, base.alpha)
+        instance = dataclasses.replace(base, reward=np.zeros_like(base.reward))
         assert exact_oracle(instance) == pytest.approx(0.0, abs=1e-9)
 
     def test_upper_bound_on_small_instances(self):
@@ -193,7 +179,7 @@ class TestExactOracle:
         # in spirit; optimal stationary feasible policy picks the best single
         # action with cost <= budget, here action 0 with reward 0
         arm = single_state_arm([0.0, 1.0], [[0.0, 1.0]])
-        instance = WcmdpInstance.from_arms([arm], [0.5])
+        instance = stack_arms([arm], [0.5])
         # budget 0.5 < cost 1.0, so the ideal action is never playable
         assert exact_oracle(instance) == pytest.approx(0.0, abs=1e-8)
         assert solve_lp(build_lp(instance)).objective == pytest.approx(0.5, abs=1e-9)

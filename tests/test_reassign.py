@@ -1,12 +1,14 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcmdp.lp_relax import SingleArmPolicy, build_lp, extract_policy, solve_lp
-from wcmdp.model import WcmdpInstance, generate, GeneratorConfig
+from wcmdp.model import generate, GeneratorConfig
 from wcmdp.reassign import (ReassignmentResult, active_constraints, reassign,
-                            remaining_budget, remaining_budget_curve,
-                            verify_slope)
+                            remaining_budget_curve, verify_slope)
 
 from oracles import tiny_instance, zero_cost_copy
 
@@ -22,6 +24,25 @@ def manual_policy(instance, C_star):
                            c_star=np.zeros((instance.num_constraints, n, s)))
 
 
+def dense_slope(instance, policy, result):
+    """Reference slope check over the full (n1, n2) table, O(N^2) memory:
+    (margin, worst) as verify_slope reports them."""
+    ordered = policy.permuted(result.order())
+    curve = remaining_budget_curve(instance, ordered, result.active_set)
+    margin, worst = math.inf, (1, 1, 0)
+    idx = np.arange(instance.num_arms + 1, dtype=np.float64)
+    for k in range(instance.num_constraints):
+        f = curve[:, k] + result.eta_c * idx
+        diff = f[1:, None] - f[None, 1:] + result.m_c
+        mask = np.tril(np.ones_like(diff, dtype=bool)).T  # n1 <= n2
+        masked = np.where(mask, diff, math.inf)
+        pos = np.unravel_index(np.argmin(masked), masked.shape)
+        if masked[pos] < margin:
+            margin = float(masked[pos])
+            worst = (int(pos[0]) + 1, int(pos[1]) + 1, k)
+    return margin, worst
+
+
 def solved_policy(instance):
     return extract_policy(instance, solve_lp(build_lp(instance)))
 
@@ -29,8 +50,7 @@ def solved_policy(instance):
 class TestActiveConstraints:
     def test_direct_threshold(self):
         instance = tiny_instance(seed=0, n=4, s=2, a=2, k=1)
-        instance = WcmdpInstance(arms=instance.arms, alpha=np.array([0.4]),
-                                 r_max=instance.r_max, c_max=instance.c_max)
+        instance = dataclasses.replace(instance, alpha=np.array([0.4]))
         policy = manual_policy(instance, [[0.3, 0.3, 0.3, 0.3]])
         assert active_constraints(instance, policy) == (0,)
 
@@ -41,8 +61,7 @@ class TestActiveConstraints:
 
     def test_boundary_is_inclusive(self):
         instance = tiny_instance(seed=2, n=4, s=2, a=2, k=1)
-        instance = WcmdpInstance(arms=instance.arms, alpha=np.array([0.4]),
-                                 r_max=instance.r_max, c_max=instance.c_max)
+        instance = dataclasses.replace(instance, alpha=np.array([0.4]))
         # total exactly alpha*N/2 = 0.8
         policy = manual_policy(instance, [[0.2, 0.2, 0.2, 0.2]])
         assert active_constraints(instance, policy) == (0,)
@@ -52,20 +71,14 @@ class TestRemainingBudget:
     def test_empty_prefix_active(self):
         instance = tiny_instance(seed=0, n=5, s=2, a=2, k=1)
         policy = manual_policy(instance, [[0.1] * 5])
-        assert remaining_budget(instance, policy, (0,), 0, 0) == pytest.approx(
-            instance.alpha[0] * 5)
+        curve = remaining_budget_curve(instance, policy, (0,))
+        assert curve[0, 0] == pytest.approx(instance.alpha[0] * 5)
 
     def test_inactive_full_prefix_with_zero_costs(self):
         instance = tiny_instance(seed=0, n=6, s=2, a=2, k=1)
         policy = manual_policy(instance, np.zeros((1, 6)))
-        got = remaining_budget(instance, policy, (), 6, 0)
-        assert got == pytest.approx(2.0 / 3.0 * instance.alpha[0] * 6)
-
-    def test_out_of_range_prefix_raises(self):
-        instance = tiny_instance(seed=0, n=5, s=2, a=2, k=1)
-        policy = manual_policy(instance, [[0.1] * 5])
-        with pytest.raises(ValueError):
-            remaining_budget(instance, policy, (0,), 6, 0)
+        curve = remaining_budget_curve(instance, policy, ())
+        assert curve[6, 0] == pytest.approx(2.0 / 3.0 * instance.alpha[0] * 6)
 
     def test_nonnegative_on_feasible_policies(self, small_solved):
         instance, _, policy = small_solved
@@ -175,6 +188,35 @@ class TestVerifySlope:
             fallback=True)
         with pytest.raises(ValueError, match="fallback"):
             verify_slope(instance, policy, flagged)
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_reference_on_random_curves(self, seed):
+        rng = np.random.default_rng(seed)
+        instance = tiny_instance(seed=seed, n=60, s=2, a=2, k=3)
+        policy = manual_policy(instance, rng.random((3, 60)) * 0.3)
+        result = ReassignmentResult(
+            new_id=rng.permutation(60), active_set=(0, 2), c_thr=0.01,
+            group_size=4, eta_c=rng.random() * 0.05, m_c=0.02, rng_seed=0)
+        report = verify_slope(instance, policy, result)
+        assert (report.margin, report.worst) == dense_slope(instance, policy,
+                                                            result)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_reference_with_forced_ties(self, seed):
+        # costs and slopes on a 1/4 grid make many (n1, n2, k) slacks equal
+        rng = np.random.default_rng(seed)
+        instance = dataclasses.replace(
+            tiny_instance(seed=seed, n=40, s=2, a=2, k=2),
+            alpha=np.array([0.5, 0.25]))
+        policy = manual_policy(instance, rng.integers(0, 3, (2, 40)) * 0.25)
+        result = ReassignmentResult(
+            new_id=np.arange(40), active_set=(0,) if seed % 2 else (),
+            c_thr=0.0625, group_size=None, eta_c=0.25 * (seed % 3),
+            m_c=0.125, rng_seed=0)
+        report = verify_slope(instance, policy, result)
+        assert (report.margin, report.worst) == dense_slope(instance, policy,
+                                                            result)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
