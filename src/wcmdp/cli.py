@@ -5,13 +5,15 @@ Every file-producing command writes a manifest next to its output recording
 the command, flags, seeds, component versions, and the instance hash, so a
 run can be replayed to identical data outputs (timestamps aside).
 
-Exit codes: 0 ok, 2 usage error, 3 validation failure, 4 feasibility
-assertion, 5 assumption failure under --strict.
+Exit codes: 0 ok, 2 usage error, 3 validation failure (also an instance
+file that cannot be read or parsed, and a relaxation the solver cannot
+certify), 4 feasibility assertion, 5 assumption failure under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,7 +25,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .lp_relax import build_lp, check_solution, extract_policy, solve_lp
+from .lp_relax import (LpSolveError, build_lp, check_solution, extract_policy,
+                       solve_lp)
 from .model import (COST_ACTION_ONLY, COST_STATE_ACTION, FULLY_HETEROGENEOUS,
                     TYPED, GeneratorConfig, WcmdpInstance, generate, validate)
 from .policies import OracleSizeError, exact_oracle
@@ -46,7 +49,10 @@ def _instance_hash(instance: WcmdpInstance) -> str:
 
 
 def write_manifest(out_path, command: str, flags: dict,
-                   instance_hash: str | None = None) -> None:
+                   instance_hash: str | None = None,
+                   solver: dict | None = None) -> None:
+    """Write <out_path>.manifest.json; `solver`, when given, records the
+    solver statistics and audit residuals of the run."""
     manifest = {
         "command": command,
         "flags": {k: v for k, v in flags.items() if not callable(v)},
@@ -59,6 +65,8 @@ def write_manifest(out_path, command: str, flags: dict,
         "instance_hash": instance_hash,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+    if solver is not None:
+        manifest["solver"] = solver
     path = Path(str(out_path) + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, default=str))
 
@@ -98,7 +106,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
 def _load_instance(path: str) -> WcmdpInstance:
     try:
         instance = WcmdpInstance.load(path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION) from None
     problems = validate(instance)
@@ -136,7 +144,10 @@ def cmd_solve(args) -> int:
         print(f"solution failed the feasibility audit: {report}", file=sys.stderr)
         return EXIT_VALIDATION
     Path(args.out).write_text(json.dumps(solution.to_json_dict()))
-    write_manifest(args.out, "solve", vars(args), _instance_hash(instance))
+    solver = {**dataclasses.asdict(solution.stats),
+              "audit": dataclasses.asdict(report)}
+    write_manifest(args.out, "solve", vars(args), _instance_hash(instance),
+                   solver=solver)
     print(f"R_rel = {solution.objective:.10f}")
     return EXIT_OK
 
@@ -403,6 +414,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except LpSolveError as exc:
+        print(f"relaxation solve failed: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

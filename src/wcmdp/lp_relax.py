@@ -11,9 +11,34 @@ policy; the induced chain, its stationary distribution, and the expected
 rewards/costs under that policy are what the execution policies and the
 diagnostics consume.
 
-Solving is delegated to scipy's HiGHS backend; check_solution re-evaluates
-every constraint family from the raw instance data so the solver never
-certifies itself.
+The constraint matrix is block-angular, so solve_lp uses Dantzig-Wolfe
+column generation instead of one LP over all N*S*A variables:
+
+- Master. One HiGHS LP over the K budget rows plus one convexity row per
+  arm. Each column is the stationary occupation measure of one arm under one
+  deterministic policy, scaled by 1/N as in build_lp. The first column of
+  every arm is its all-action-0 policy; action 0 is free, so the first
+  master is always feasible.
+- Pricing. With the master's budget duals lam, every arm maximizes the
+  long-run gain of the price r - lam.c. Howard policy iteration runs for all
+  arms at once: each sweep evaluates every policy with one batched
+  np.linalg.inv of (N, S, S) unichain systems, then improves it. Each round
+  starts from the previous round's policies and keeps the current action on
+  ties, so the iteration terminates.
+- Fallback. An arm whose evaluation system is singular is at a multichain
+  policy; it is priced by an LP over its own S*A occupation polytope.
+- Certificate. For any bias vector h, flow balance gives
+  sum y (r - lam.c) <= max_{s,a} [r - lam.c + P h - h(s)] for every y in the
+  arm's polytope. This bound, less N times the arm's convexity dual, is the
+  arm's reduced cost; the master objective plus the positive reduced costs
+  is a Lagrangian upper bound on the relaxation. Generation stops when no
+  arm's reduced cost exceeds REDUCED_COST_RTOL, and the remaining gap is
+  reported in SolveStats.
+
+check_solution re-evaluates every constraint family from the raw instance
+data, so the solver never certifies itself. The monolithic HiGHS LP over
+all N*S*A variables is kept only in the tests, as the oracle this solver is
+checked against.
 """
 
 from __future__ import annotations
@@ -28,8 +53,21 @@ from .model import WcmdpInstance
 
 # y entries below this are treated as an unvisited state-action pair
 ZERO_MARGINAL_THRESHOLD = 1e-12
-# negative y entries no larger than this in magnitude are clamped to 0
-NEGATIVE_CLAMP = 1e-12
+# an arm's reduced cost must exceed this, relative to its gain bound, for a
+# new column to enter the master
+REDUCED_COST_RTOL = 1e-12
+# policy iteration switches an action only when it gains more than this,
+# relative to the arm's largest action value
+TIE_RTOL = 1e-13
+# a certified solve leaves at most this Lagrangian gap, relative
+GAP_RTOL = 1e-9
+# an evaluation system whose infinity-norm condition number exceeds this is
+# treated as singular: its policy is multichain, or too close to it for the
+# bias to be accurate
+EVALUATION_COND_MAX = 1e8
+# iteration caps; reaching one raises LpSolveError
+MAX_MASTER_ROUNDS = 500
+MAX_POLICY_SWEEPS = 1000
 
 
 class LpSolveError(RuntimeError):
@@ -42,7 +80,9 @@ class LpProblem:
 
     Variables are y[i, s, a] flattened in C order. Rows: K budget
     inequalities (coefficients cost/N, right-hand side alpha), then N*S flow
-    balance equalities, then N normalization equalities.
+    balance equalities, then N normalization equalities. transition, reward
+    and cost are the instance's own read-only arrays, not copies; solve_lp
+    works from them.
     """
 
     num_arms: int
@@ -54,6 +94,9 @@ class LpProblem:
     budget_rhs: np.ndarray          # (K,)
     balance: sp.csr_matrix          # (N*S, N*S*A), rhs 0
     normalization: sp.csr_matrix    # (N, N*S*A), rhs 1
+    transition: np.ndarray          # (N, S, A, S)
+    reward: np.ndarray              # (N, S, A)
+    cost: np.ndarray                # (N, K, S, A)
 
     @property
     def num_variables(self) -> int:
@@ -67,6 +110,23 @@ class LpProblem:
 
 
 @dataclass(frozen=True)
+class SolveStats:
+    """Counters of one column-generation solve.
+
+    pricing_iterations counts batched policy-evaluation sweeps over all
+    rounds; fallback_arms counts the arms priced by a per-arm LP at least
+    once; lagrangian_gap is the Lagrangian bound minus the master objective
+    at the last round.
+    """
+
+    master_rounds: int
+    columns: int
+    pricing_iterations: int
+    fallback_arms: int
+    lagrangian_gap: float
+
+
+@dataclass(frozen=True)
 class LpSolution:
     """Optimal state-action frequencies and the per-arm reward upper bound."""
 
@@ -74,6 +134,7 @@ class LpSolution:
     objective: float        # optimal mean per-arm reward
     solver_status: str
     duals: np.ndarray       # (K,) multipliers of the budget rows (diagnostic)
+    stats: SolveStats | None = None   # None for a solution built by hand
 
     def to_json_dict(self) -> dict:
         return {"R_rel": self.objective,
@@ -143,28 +204,205 @@ def build_lp(instance: WcmdpInstance) -> LpProblem:
     return LpProblem(num_arms=N, num_states=S, num_actions=A,
                      num_constraints=K, reward_coeffs=reward_coeffs,
                      budget=budget, budget_rhs=instance.alpha.copy(),
-                     balance=balance, normalization=normalization)
+                     balance=balance, normalization=normalization,
+                     transition=instance.transition, reward=instance.reward,
+                     cost=instance.cost)
+
+
+def _require_finite(name: str, values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise LpSolveError(f"non-finite {name}")
+
+
+def _occupation(policy: np.ndarray, mu: np.ndarray, num_actions: int) -> np.ndarray:
+    """(n, S, A) occupation measures mu(s) 1{a = policy(s)}."""
+    x = np.zeros(policy.shape + (num_actions,))
+    np.put_along_axis(x, policy[:, :, None], mu[:, :, None], axis=2)
+    return x
+
+
+def _evaluate(transition: np.ndarray, price: np.ndarray, policy: np.ndarray):
+    """Bias and stationary distribution of deterministic policies.
+
+    Solves g + h(s) = r(s) + sum_t P(s, t) h(t) with h(0) = 0 per arm: the
+    matrix is I - P with its first column replaced by ones, its solution is
+    (g, h(1), ..., h(S-1)), and the first row of its inverse is the
+    stationary distribution. Returns h (n, S), mu (n, S) and a mask of the
+    arms whose matrix is singular (see EVALUATION_COND_MAX), i.e. whose
+    policy is multichain.
+    """
+    n, S = policy.shape
+    p_pi = np.take_along_axis(transition, policy[:, :, None, None], axis=2)[:, :, 0]
+    r_pi = np.take_along_axis(price, policy[:, :, None], axis=2)[:, :, 0]
+    m = np.eye(S) - p_pi
+    m[:, :, 0] = 1.0
+    try:
+        inverse = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        inverse = np.full_like(m, np.nan)
+        for i in range(n):
+            try:
+                inverse[i] = np.linalg.inv(m[i])
+            except np.linalg.LinAlgError:
+                pass
+    cond = (np.abs(m).sum(axis=2).max(axis=1)
+            * np.abs(inverse).sum(axis=2).max(axis=1))
+    singular = ~(cond <= EVALUATION_COND_MAX)
+    h = np.einsum("nst,nt->ns", inverse, r_pi)
+    h[:, 0] = 0.0
+    return h, np.maximum(inverse[:, 0, :], 0.0), singular
+
+
+def _policy_iteration(transition: np.ndarray, price: np.ndarray,
+                      policy: np.ndarray):
+    """Howard policy iteration for every arm, from the given policies.
+
+    Returns the final policies, their stationary distributions, a gain
+    bound per arm (max over (s, a) of price + P h - h(s) at the final
+    bias h), a mask of arms that reached a multichain policy (left for the
+    fallback; their other outputs are meaningless) and the number of
+    evaluation sweeps.
+    """
+    policy = policy.copy()
+    n, S = policy.shape
+    mu = np.zeros((n, S))
+    bound = np.full(n, np.nan)
+    multichain = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    sweeps = 0
+    while active.size:
+        if sweeps == MAX_POLICY_SWEEPS:
+            raise LpSolveError(f"policy iteration did not converge in "
+                               f"{MAX_POLICY_SWEEPS} sweeps")
+        sweeps += 1
+        h, mu_a, singular = _evaluate(transition[active], price[active],
+                                         policy[active])
+        multichain[active[singular]] = True
+        ok = ~singular
+        mu[active[ok]] = mu_a[ok]
+        active, h = active[ok], h[ok]
+        _require_finite("bias in policy iteration", h)
+        q = price[active] + np.einsum("nsat,nt->nsa", transition[active], h)
+        current = np.take_along_axis(q, policy[active][:, :, None], axis=2)[:, :, 0]
+        tie = TIE_RTOL * np.maximum(1.0, np.abs(q).max(axis=(1, 2)))
+        improve = q.max(axis=2) > current + tie[:, None]
+        changed = improve.any(axis=1)
+        done = ~changed
+        bound[active[done]] = (q[done] - h[done][:, :, None]).max(axis=(1, 2))
+        policy[active] = np.where(improve, q.argmax(axis=2), policy[active])
+        active = active[changed]
+    return policy, mu, bound, multichain, sweeps
+
+
+def _arm_lp(transition: np.ndarray, price: np.ndarray):
+    """Best occupation measure of one arm under `price` over its own S*A
+    polytope (flow balance, normalization, y >= 0), and its value."""
+    S, A = price.shape
+    balance = (transition.transpose(2, 0, 1).reshape(S, S * A)
+               - np.kron(np.eye(S), np.ones(A)))
+    res = linprog(c=-price.ravel(),
+                  A_eq=np.vstack([balance, np.ones(S * A)]),
+                  b_eq=np.append(np.zeros(S), 1.0),
+                  bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise LpSolveError(f"per-arm linprog status {res.status}: {res.message}")
+    return np.maximum(res.x.reshape(S, A), 0.0), float(-res.fun)
+
+
+def _solve_master(arm: np.ndarray, reward: np.ndarray, cost: np.ndarray,
+                  alpha: np.ndarray, num_arms: int):
+    """HiGHS over the columns: max sum w R / N subject to
+    sum w C / N <= alpha and sum_{j of arm i} w_j = 1 for every arm."""
+    m = arm.size
+    convexity = sp.csr_matrix((np.ones(m), (arm, np.arange(m))),
+                              shape=(num_arms, m))
+    res = linprog(c=-reward / num_arms, A_ub=cost.T / num_arms, b_ub=alpha,
+                  A_eq=convexity, b_eq=np.ones(num_arms),
+                  bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise LpSolveError(f"master linprog status {res.status}: {res.message}")
+    return res
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve the relaxation; raise LpSolveError unless the solver certifies
-    optimality. Tiny negative frequencies are clamped to zero on extraction."""
-    a_eq = sp.vstack([problem.balance, problem.normalization], format="csr")
-    b_eq = np.concatenate([
-        np.zeros(problem.balance.shape[0]), np.ones(problem.num_arms)])
-    res = linprog(
-        c=-problem.reward_coeffs,
-        A_ub=problem.budget, b_ub=problem.budget_rhs,
-        A_eq=a_eq, b_eq=b_eq,
-        bounds=(0, None), method="highs",
-    )
-    if res.status != 0:
-        raise LpSolveError(f"linprog status {res.status}: {res.message}")
-    y = res.x.reshape(problem.num_arms, problem.num_states, problem.num_actions)
-    y = np.where((y < 0) & (y >= -NEGATIVE_CLAMP), 0.0, y)
-    duals = np.asarray(res.ineqlin.marginals, dtype=np.float64)
-    return LpSolution(y=y, objective=float(-res.fun),
-                      solver_status=str(res.message), duals=duals)
+    """Solve the relaxation by column generation; raise LpSolveError unless
+    the Lagrangian gap certifies optimality within GAP_RTOL. y is the
+    master's convex combination of its columns, nonnegative by construction."""
+    transition, reward, cost = problem.transition, problem.reward, problem.cost
+    alpha = problem.budget_rhs
+    N, S, A = problem.num_arms, problem.num_states, problem.num_actions
+    for name in ("transition", "reward", "cost", "budget_rhs"):
+        _require_finite(name, getattr(problem, name))
+
+    # columns: arm index, occupation measure, reward and cost coefficients.
+    # A column already in the master may price slightly positive within
+    # HiGHS's dual tolerance; `seen` keeps it from entering again, which
+    # would change nothing and repeat the round.
+    arms, occupations, rewards, costs = [], [], [], []
+    seen = set()
+
+    def add_columns(index: np.ndarray, x: np.ndarray) -> None:
+        arms.append(index)
+        occupations.append(x)
+        rewards.append(np.einsum("nsa,nsa->n", x, reward[index]))
+        costs.append(np.einsum("nsa,nksa->nk", x, cost[index]))
+        seen.update(zip(index.tolist(), (c.round(12).tobytes() for c in x)))
+
+    policy = np.zeros((N, S), dtype=np.intp)
+    _, mu, singular = _evaluate(transition, reward, policy)
+    x = _occupation(policy, mu, A)
+    for i in np.flatnonzero(singular):
+        # any zero-cost vertex of a multichain arm's polytope is feasible
+        x[i], _ = _arm_lp(transition[i], -cost[i].sum(axis=0))
+    add_columns(np.arange(N), x)
+
+    sweeps = 0
+    fallback = np.zeros(N, dtype=bool)
+    for rounds in range(1, MAX_MASTER_ROUNDS + 1):
+        arm = np.concatenate(arms)
+        res = _solve_master(arm, np.concatenate(rewards),
+                            np.concatenate(costs), alpha, N)
+        lam = -np.asarray(res.ineqlin.marginals)
+        sigma = -np.asarray(res.eqlin.marginals)
+        price = reward - np.einsum("k,nksa->nsa", lam, cost)
+        _require_finite("price", price)
+
+        policy, mu, bound, multichain, n_sweeps = _policy_iteration(
+            transition, price, policy)
+        sweeps += n_sweeps
+        x = _occupation(policy, mu, A)
+        for i in np.flatnonzero(multichain):
+            x[i], bound[i] = _arm_lp(transition[i], price[i])
+        fallback |= multichain
+
+        reduced = bound - N * sigma
+        gap = float(np.maximum(reduced, 0.0).sum() / N)
+        improving = reduced > REDUCED_COST_RTOL * np.maximum(1.0, np.abs(bound))
+        new = np.array([i for i in np.flatnonzero(improving)
+                        if (i, x[i].round(12).tobytes()) not in seen],
+                       dtype=np.intp)
+        if new.size == 0:
+            break
+        add_columns(new, x[new])
+    else:
+        raise LpSolveError(f"column generation did not converge in "
+                           f"{MAX_MASTER_ROUNDS} master rounds")
+
+    objective = float(-res.fun)
+    if not gap <= GAP_RTOL * max(1.0, abs(objective)):
+        raise LpSolveError(f"column generation stalled with Lagrangian gap "
+                           f"{gap:.3e} after {rounds} master rounds")
+    y = np.zeros((N, S, A))
+    used = np.flatnonzero(res.x > 0.0)
+    np.add.at(y, arm[used],
+              res.x[used, None, None] * np.concatenate(occupations)[used])
+    stats = SolveStats(master_rounds=rounds, columns=int(arm.size),
+                       pricing_iterations=sweeps,
+                       fallback_arms=int(fallback.sum()), lagrangian_gap=gap)
+    return LpSolution(y=y, objective=objective,
+                      solver_status=f"optimal after {rounds} master rounds",
+                      duals=np.asarray(res.ineqlin.marginals, dtype=np.float64),
+                      stats=stats)
 
 
 def extract_policy(instance: WcmdpInstance, solution: LpSolution) -> SingleArmPolicy:

@@ -38,6 +38,9 @@ COST_ACTION_ONLY = "action_only"
 # integer in [1, 9] per constraint, times the grid step.
 ALPHA_GRID_STEP = 0.05
 
+# the simulator stores state traces as int16
+MAX_STATES = int(np.iinfo(np.int16).max)
+
 _NDIM = {"transition": 4, "reward": 3, "cost": 4, "alpha": 1}
 
 
@@ -271,12 +274,17 @@ def validate(instance: WcmdpInstance) -> list[str]:
                   instance.num_actions, instance.num_constraints)
     if N == 0:
         return ["instance: no arms"]
+    out = [f"instance: no {name}" for name, size in
+           (("states", S), ("actions", A), ("constraints", K)) if size == 0]
+    if S > MAX_STATES:
+        out.append(f"instance: S = {S} exceeds {MAX_STATES}, the largest "
+                   "state count the int16 state trace holds")
     expected = {"transition": (N, S, A, S), "reward": (N, S, A),
                 "cost": (N, K, S, A)}
-    out = [f"instance: {name} has shape {getattr(instance, name).shape}, "
-           f"expected {shape}"
-           for name, shape in expected.items()
-           if getattr(instance, name).shape != shape]
+    out += [f"instance: {name} has shape {getattr(instance, name).shape}, "
+            f"expected {shape}"
+            for name, shape in expected.items()
+            if getattr(instance, name).shape != shape]
     if out:
         return out
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
+from wcmdp.lp_relax import LpProblem, LpSolution, LpSolveError
 from wcmdp.model import GeneratorConfig, WcmdpInstance, generate
 
 
@@ -29,6 +32,28 @@ def rvi_average_reward(transition: np.ndarray, reward: np.ndarray,
             return float((delta.max() + delta.min()) / 2.0)
         v = v_new - v_new.min()
     raise RuntimeError("relative value iteration did not converge")
+
+
+def solve_lp_highs(problem: LpProblem) -> LpSolution:
+    """The relaxation as one HiGHS LP over all N*S*A variables: the solver
+    that column generation replaced, kept as its reference. Negative
+    frequencies no larger than 1e-12 in magnitude are clamped to zero."""
+    a_eq = sp.vstack([problem.balance, problem.normalization], format="csr")
+    b_eq = np.concatenate([
+        np.zeros(problem.balance.shape[0]), np.ones(problem.num_arms)])
+    res = linprog(
+        c=-problem.reward_coeffs,
+        A_ub=problem.budget, b_ub=problem.budget_rhs,
+        A_eq=a_eq, b_eq=b_eq,
+        bounds=(0, None), method="highs",
+    )
+    if res.status != 0:
+        raise LpSolveError(f"linprog status {res.status}: {res.message}")
+    y = res.x.reshape(problem.num_arms, problem.num_states, problem.num_actions)
+    y = np.where((y < 0) & (y >= -1e-12), 0.0, y)
+    duals = np.asarray(res.ineqlin.marginals, dtype=np.float64)
+    return LpSolution(y=y, objective=float(-res.fun),
+                      solver_status=str(res.message), duals=duals)
 
 
 def tiny_instance(seed: int, n: int = 4, s: int = 3, a: int = 2,

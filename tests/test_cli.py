@@ -1,18 +1,21 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wcmdp
 from wcmdp.cli import main, ratio_chart_svg
 from wcmdp.model import WcmdpInstance
 from wcmdp.simulator import CSV_COLUMNS
 
-from oracles import single_state_arm, stack_arms, two_cycle_arm
+from oracles import single_state_arm, stack_arms, tiny_instance, two_cycle_arm
 
 
 def run(argv):
@@ -80,10 +83,13 @@ def _ragged(d):
     (_instance_text(lambda d: d.pop("alpha")), "alpha"),
     (_instance_text(lambda d: d.update(arms=[])), "arms"),
     (_instance_text(_ragged), "arms[].P"),
-], ids=["malformed-json", "missing-alpha", "no-arms", "ragged-arms"])
+    (None, "No such file"),
+], ids=["malformed-json", "missing-alpha", "no-arms", "ragged-arms",
+        "missing-path"])
 def test_bad_instance_file_exits_3_without_traceback(tmp_path, text, field):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    if text is not None:
+        path.write_text(text)
     src = str(Path(wcmdp.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -94,6 +100,60 @@ def test_bad_instance_file_exits_3_without_traceback(tmp_path, text, field):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert field in proc.stderr
+
+
+_ODD_VALUES = [float("nan"), float("inf"), float("-inf"), -1.0, -1e-3, 0.0,
+               2.0, 1e300, "x", "0.5", None, True, [], {}, [[1.0]]]
+
+
+def _swap_type(node):
+    if isinstance(node, list):
+        return {str(i): v for i, v in enumerate(node)}
+    if isinstance(node, dict):
+        return list(node.values())
+    if isinstance(node, str):
+        return 0.0
+    return str(node)
+
+
+@st.composite
+def mutated_instance_json(draw):
+    """A valid small instance document with one to three mutations: a field
+    or element deleted, a value replaced (NaN, inf, negative, huge, wrong
+    type), a list made ragged, or a node swapped for another JSON type."""
+    doc = tiny_instance(seed=draw(st.integers(0, 3)), n=draw(st.integers(1, 4)),
+                        s=draw(st.integers(1, 3)), a=draw(st.integers(1, 3)),
+                        k=draw(st.integers(1, 2))).to_json_dict()
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while (isinstance(node, (dict, list)) and node
+               and (parent is None or draw(st.booleans()))):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            key = draw(st.sampled_from(list(keys)))
+            parent, node = node, node[key]
+        if parent is None:
+            return json.dumps(draw(st.sampled_from(_ODD_VALUES)))
+        kind = draw(st.sampled_from(["delete", "value", "ragged", "swap"]))
+        if kind == "delete":
+            del parent[key]
+        elif kind == "value":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+        elif kind == "ragged" and isinstance(node, list) and node:
+            node.append(node[0]) if draw(st.booleans()) else node.pop()
+        else:
+            parent[key] = _swap_type(node)
+    return json.dumps(doc)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(text=mutated_instance_json())
+def test_mutated_instance_exits_with_documented_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(text)
+        code = main(["solve", "--instance", str(path),
+                     "--out", str(Path(tmp) / "sol.json")])
+    assert code in {0, 2, 3, 4, 5}
 
 
 class TestPipelineCommands:
@@ -111,6 +171,21 @@ class TestPipelineCommands:
         sol = json.loads(out.read_text())
         assert set(sol) == {"R_rel", "y", "duals"}
         assert "R_rel" in capsys.readouterr().out
+
+    def test_solve_manifest_records_solver_statistics(self, instance_file,
+                                                      tmp_path):
+        out = tmp_path / "sol.json"
+        assert run(["solve", "--instance", str(instance_file),
+                    "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "sol.json.manifest.json").read_text())
+        solver = manifest["solver"]
+        assert set(solver) == {"master_rounds", "columns",
+                               "pricing_iterations", "fallback_arms",
+                               "lagrangian_gap", "audit"}
+        assert solver["master_rounds"] >= 1
+        assert 0.0 <= solver["lagrangian_gap"] <= 1e-9
+        assert solver["audit"]["tol"] == 1e-8
+        assert max(v for k, v in solver["audit"].items() if k != "tol") <= 1e-8
 
     def test_simulate_writes_csv_row(self, instance_file, tmp_path):
         out = tmp_path / "sim.csv"

@@ -24,9 +24,9 @@ SWEEP = ["sweep", "--family", "typed", "--types", "4", "--n", "8",
 
 DIGESTS = {
     "instance": "432900a5f2378f7d2fb942ab0ec1175549511c24766249848c6b12051d224bd3",
-    "solve": "5f6d17a0c2117da3af1256d90bca8fd46701adf0ffc55761c85e12b8c163a9d0",
-    "diagnose": "afbb3264ed476eefb891584d0ff1316c22e4af154bcfa9ab7cff2aadccdc5808",
-    "sweep": "55778ccca4985d7aa82829065ecc20629d07df5ce15a3e58f5cedcc0bc6cc442",
+    "solve": "e863a629b641540452943fca62665741db949e9217f99cea3d6984f48dc4392b",
+    "diagnose": "9ffae3b5d23c0a71337b72a827b48015803b6468076688a2bde64bdf6fd21146",
+    "sweep": "4a148d65f32017d224fff9c686052ab633e67b24f13b42f1bf9214e75c1a6acd",
 }
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from wcmdp.lp_relax import (LpSolution, build_lp, check_solution,
-                            extract_policy, solve_lp)
-from wcmdp.model import GeneratorConfig, generate
+from wcmdp import lp_relax
+from wcmdp.lp_relax import (LpSolution, LpSolveError, build_lp,
+                            check_solution, extract_policy, solve_lp)
+from wcmdp.model import TYPED, GeneratorConfig, generate
 
-from oracles import (rvi_average_reward, single_state_arm, stack_arms,
-                     take_arms, tiny_instance, zero_cost_copy)
+from oracles import (rvi_average_reward, single_state_arm, solve_lp_highs,
+                     stack_arms, take_arms, tiny_instance, zero_cost_copy)
 
 
 class TestBuildLp:
@@ -75,6 +76,79 @@ class TestSolveLp:
         _, solution, _ = small_solved
         d = solution.to_json_dict()
         assert set(d) == {"R_rel", "y", "duals"}
+
+
+def multichain_arm(num_states: int):
+    """Action 0 splits the states into two closed classes, so the
+    all-action-0 policy is multichain; action 1 mixes uniformly and costs 1.
+    With two states action 0 is absorbing and the evaluation system is
+    exactly singular; with four it is singular only up to rounding."""
+    if num_states == 2:
+        stay = np.eye(2)
+    else:   # classes {0, 2} and {1, 3}
+        weights = np.array([[2.0, 0.0, 5.0, 0.0], [0.0, 1.0, 0.0, 2.0],
+                            [4.0, 0.0, 3.0, 0.0], [0.0, 3.0, 0.0, 4.0]])
+        stay = weights / weights.sum(axis=1, keepdims=True)
+    transition = np.stack([stay, np.full((num_states, num_states),
+                                         1.0 / num_states)], axis=1)
+    reward = np.column_stack([np.linspace(0.1, 0.6, num_states),
+                              np.full(num_states, 0.9)])
+    cost = np.zeros((1, num_states, 2))
+    cost[0, :, 1] = 1.0
+    return transition, reward, cost
+
+
+class TestColumnGenerationAgainstHighs:
+    """solve_lp against the monolithic HiGHS LP over all N*S*A variables."""
+
+    @pytest.mark.parametrize("family", ["fully-het", "typed"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("a", [1, 2, 4])
+    def test_matches_monolithic_lp(self, family, k, a):
+        for seed in range(3):
+            typed = dict(family=TYPED, num_types=3) if family == "typed" else {}
+            instance = tiny_instance(seed=seed, n=12, s=3, a=a, k=k, **typed)
+            problem = build_lp(instance)
+            solution = solve_lp(problem)
+            reference = solve_lp_highs(problem)
+            assert solution.objective == pytest.approx(reference.objective,
+                                                       abs=1e-9)
+            # the fully heterogeneous relaxation has a unique optimum; the
+            # typed one is degenerate and may end at another optimal vertex
+            if family == "fully-het":
+                assert np.max(np.abs(solution.y - reference.y)) <= 1e-9
+            assert check_solution(instance, solution).ok
+            assert np.all(solution.duals <= 0.0)
+            assert np.allclose(solution.duals, reference.duals, atol=1e-9)
+
+    def test_stats_certify_the_solve(self, small_solved):
+        _, solution, _ = small_solved
+        stats = solution.stats
+        assert stats.master_rounds >= 1
+        assert stats.columns >= 30
+        assert stats.pricing_iterations >= stats.master_rounds
+        assert stats.fallback_arms == 0
+        assert 0.0 <= stats.lagrangian_gap <= 1e-9
+
+    @pytest.mark.parametrize("num_states", [2, 4])
+    def test_multichain_arm_is_priced_by_fallback_lp(self, num_states):
+        base = tiny_instance(seed=5, n=3, s=num_states, a=2, k=1)
+        arms = [multichain_arm(num_states)] + list(zip(
+            base.transition, base.reward, base.cost))
+        instance = stack_arms(arms, [0.3])
+        problem = build_lp(instance)
+        solution = solve_lp(problem)
+        assert solution.stats.fallback_arms == 1
+        assert solution.objective == pytest.approx(
+            solve_lp_highs(problem).objective, abs=1e-9)
+        assert check_solution(instance, solution).ok
+
+    @pytest.mark.parametrize("cap", ["MAX_MASTER_ROUNDS", "MAX_POLICY_SWEEPS"])
+    def test_iteration_cap_raises(self, monkeypatch, cap):
+        monkeypatch.setattr(lp_relax, cap, 1)
+        instance = tiny_instance(seed=0, n=20, s=4, a=3, k=2)
+        with pytest.raises(LpSolveError, match="did not converge"):
+            solve_lp(build_lp(instance))
 
 
 class TestExtractPolicy:

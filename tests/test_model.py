@@ -53,6 +53,29 @@ class TestValidate:
         bad = dataclasses.replace(instance, **{field: table})
         assert any(expected in msg for msg in validate(bad)), validate(bad)
 
+    @pytest.mark.parametrize("states, reported", [(32767, False), (32768, True)])
+    def test_state_count_beyond_int16_trace_is_reported(self, states, reported):
+        # zero actions keep the arrays empty at any state count
+        instance = WcmdpInstance(transition=np.zeros((1, states, 0, states)),
+                                 reward=np.zeros((1, states, 0)),
+                                 cost=np.zeros((1, 1, states, 0)),
+                                 alpha=np.array([0.5]))
+        report = validate(instance)
+        assert "instance: no actions" in report
+        assert any("exceeds 32767" in msg for msg in report) == reported, report
+
+    @pytest.mark.parametrize("s, a, k, expected", [
+        (0, 2, 1, "instance: no states"),
+        (2, 0, 1, "instance: no actions"),
+        (2, 2, 0, "instance: no constraints"),
+    ])
+    def test_empty_axis_is_reported(self, s, a, k, expected):
+        instance = WcmdpInstance(transition=np.zeros((1, s, a, s)),
+                                 reward=np.zeros((1, s, a)),
+                                 cost=np.zeros((1, k, s, a)),
+                                 alpha=np.full(k, 0.5))
+        assert expected in validate(instance)
+
     def test_mismatched_shapes_are_reported(self):
         instance = generate(cfg())
         bad = dataclasses.replace(instance, alpha=np.array([0.2]))
