@@ -94,3 +94,14 @@ def two_cycle_arm(r0: float, r1: float, k: int = 1):
     """Single-action arm deterministically alternating between two states."""
     return (np.array([[[0.0, 1.0]], [[1.0, 0.0]]]), np.array([[r0], [r1]]),
             np.zeros((k, 2, 1)))
+
+
+def iid_pair_arm(r0: float, r1: float, k: int = 1):
+    """Single-action two-state arm that jumps to either state with 1/2."""
+    return np.full((2, 1, 2), 0.5), np.array([[r0], [r1]]), np.zeros((k, 2, 1))
+
+
+def absorbing_pair_arm(r0: float, r1: float, k: int = 1):
+    """Single-action arm with two absorbing states (two closed classes)."""
+    return (np.array([[[1.0, 0.0]], [[0.0, 1.0]]]), np.array([[r0], [r1]]),
+            np.zeros((k, 2, 1)))

@@ -15,7 +15,8 @@ from wcmdp.cli import main, ratio_chart_svg
 from wcmdp.model import WcmdpInstance
 from wcmdp.simulator import CSV_COLUMNS
 
-from oracles import single_state_arm, stack_arms, tiny_instance, two_cycle_arm
+from oracles import (absorbing_pair_arm, iid_pair_arm, single_state_arm,
+                     stack_arms, tiny_instance, two_cycle_arm)
 
 
 def run(argv):
@@ -275,6 +276,36 @@ class TestDiagnose:
         payload = json.loads(out.read_text())
         assert payload["assumption_ok"] is False
         assert payload["tau"][0] is None
+
+
+_NULL_CONSTANTS = {"gamma": None, "C_tau": None, "L_h": None, "C_h": None}
+
+
+@pytest.mark.parametrize("arms, payload", [
+    ([two_cycle_arm(0.2, 0.8), iid_pair_arm(0.1, 0.6), iid_pair_arm(0.5, 0.3)],
+     {"tau": [None, 1, 1], **_NULL_CONSTANTS,
+      "unichain": [True, True, True], "aperiodic": [False, True, True],
+      "assumption_ok": False}),
+    ([iid_pair_arm(0.1, 0.6), absorbing_pair_arm(0.2, 0.9),
+      iid_pair_arm(0.5, 0.3)],
+     {"tau": [1, None, 1], **_NULL_CONSTANTS,
+      "unichain": [True, False, True], "aperiodic": [True, True, True],
+      "assumption_ok": False}),
+    ([two_cycle_arm(0.2, 0.8)],
+     {"tau": [None], **_NULL_CONSTANTS, "unichain": [True],
+      "aperiodic": [False], "assumption_ok": False}),
+    ([iid_pair_arm(0.1, 0.6), iid_pair_arm(0.5, 0.3)],
+     {"tau": [1, 1], "gamma": 0.6065306597126334,
+      "C_tau": 27.633988726783887, "L_h": 33.160786472140664,
+      "C_h": 33.160786472140664, "unichain": [True, True],
+      "aperiodic": [True, True], "assumption_ok": True}),
+], ids=["periodic-among-healthy", "multichain", "lone-two-cycle", "healthy"])
+def test_diagnose_payload_is_pinned(tmp_path, arms, payload):
+    inst = tmp_path / "inst.json"
+    stack_arms(arms, [0.3]).save(inst)
+    out = tmp_path / "diag.json"
+    assert run(["diagnose", "--instance", str(inst), "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == payload
 
 
 class TestSvgChart:

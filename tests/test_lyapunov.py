@@ -69,6 +69,46 @@ class TestChainStructure:
         P = np.array([[0.5, 0.5], [0.0, 1.0]])
         assert chain_structure(P) == (True, True)
 
+    def test_finite_mixing_time_implies_aperiodic_unichain(self):
+        # a second closed class or a period d >= 2 keeps some row of P^t at
+        # l1 distance >= 1 from mu, so a finite tau rules both out
+        rng = np.random.default_rng(0)
+        seen = {}
+        for _ in range(1200):
+            s = int(rng.integers(1, 6))
+            if rng.random() < 0.2:
+                # a permutation, often with cycles of length >= 2
+                P = np.eye(s)[rng.permutation(s)]
+            else:
+                support = rng.random((s, s)) < 0.35
+                support[np.arange(s), rng.integers(0, s, s)] = True
+                P = np.where(support, rng.random((s, s)) + 0.05, 0.0)
+                P /= P.sum(axis=1, keepdims=True)
+            mu = _some_stationary_distribution(P)
+            structure = chain_structure(P)
+            tau = mixing_time(P, mu, t_cap=300)
+            seen[structure] = seen.get(structure, 0) + 1
+            if tau != UNBOUNDED:
+                assert structure == (True, True), P
+        # periodic and multichain chains were drawn, not just healthy ones
+        assert seen.get((True, False), 0) >= 50
+        assert seen.get((False, True), 0) + seen.get((False, False), 0) >= 50
+        assert seen.get((True, True), 0) >= 300
+
+
+def _some_stationary_distribution(P: np.ndarray) -> np.ndarray:
+    """A stationary distribution of P: the limit of the uniform start under
+    the lazy chain (I + P) / 2, which has the same stationary set as P and
+    no period; repeated squaring reaches it."""
+    Q = (np.eye(P.shape[0]) + P) / 2.0
+    for _ in range(60):
+        Q = Q @ Q
+        Q /= Q.sum(axis=1, keepdims=True)
+    mu = Q.mean(axis=0)
+    mu /= mu.sum()
+    assert np.abs(mu @ P - mu).sum() <= 1e-9
+    return mu
+
 
 class TestChainDiagnostics:
     def test_constants_match_closed_forms(self, small_solved):
