@@ -10,11 +10,10 @@ from .reassign import (ReassignmentResult, SlopeReport, active_constraints,
                        reassign, remaining_budget_curve, verify_slope)
 from .policies import ErcPolicyRunner, IdPolicyRunner, StepOutcome, exact_oracle
 from .simulator import (PolicyBundle, SimConfig, SimResult, batch_means_ci,
-                        simulate, sweep, write_results_csv)
-from .lyapunov import (AssumptionReport, ChainDiagnostics, DriftProbeResult,
-                       LyapunovReport, build_report, chain_diagnostics,
-                       check_assumption, drift_probe, focus_m, h_id,
-                       lyapunov_value, mixing_time, prefix_h, subset_h)
+                        results_row, simulate, sweep, write_results_csv)
+from .lyapunov import (ChainDiagnostics, DriftProbeResult, LyapunovReport,
+                       build_report, chain_diagnostics, drift_probe,
+                       mixing_time, subset_h)
 
 __all__ = [
     "GeneratorConfig", "WcmdpInstance",
@@ -24,10 +23,8 @@ __all__ = [
     "ReassignmentResult", "SlopeReport", "active_constraints", "reassign",
     "remaining_budget_curve", "verify_slope",
     "ErcPolicyRunner", "IdPolicyRunner", "StepOutcome", "exact_oracle",
-    "PolicyBundle", "SimConfig", "SimResult", "batch_means_ci", "simulate",
-    "sweep", "write_results_csv",
-    "AssumptionReport", "ChainDiagnostics", "DriftProbeResult",
-    "LyapunovReport", "build_report", "chain_diagnostics", "check_assumption",
-    "drift_probe", "focus_m", "h_id", "lyapunov_value", "mixing_time",
-    "prefix_h", "subset_h",
+    "PolicyBundle", "SimConfig", "SimResult", "batch_means_ci", "results_row",
+    "simulate", "sweep", "write_results_csv",
+    "ChainDiagnostics", "DriftProbeResult", "LyapunovReport", "build_report",
+    "chain_diagnostics", "drift_probe", "mixing_time", "subset_h",
 ]

@@ -5,14 +5,17 @@ Every file-producing command writes a manifest next to its output recording
 the command, flags, seeds, component versions, and the instance hash, so a
 run can be replayed to identical data outputs (timestamps aside).
 
-Exit codes: 0 ok, 2 usage error, 3 validation failure (also an instance
+Exit codes: 0 ok, 2 usage error (a flag value the command cannot run
+with, reported on one `error:` line), 3 validation failure (also an instance
 file that cannot be read or parsed, and a relaxation the solver cannot
-certify), 4 feasibility assertion, 5 assumption failure under --strict.
+certify), 4 feasibility assertion, 5 under `diagnose --strict` when an arm
+does not mix within --t-cap steps.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -30,7 +33,7 @@ from .lp_relax import (LpSolveError, build_lp, check_solution, extract_policy,
 from .model import (COST_ACTION_ONLY, COST_STATE_ACTION, FULLY_HETEROGENEOUS,
                     TYPED, GeneratorConfig, WcmdpInstance, generate, validate)
 from .policies import OracleSizeError, exact_oracle
-from .simulator import (PolicyBundle, SimConfig, simulate, sweep,
+from .simulator import (PolicyBundle, SimConfig, results_row, simulate, sweep,
                         write_results_csv)
 from . import lyapunov
 
@@ -71,10 +74,21 @@ def write_manifest(out_path, command: str, flags: dict,
     path.write_text(json.dumps(manifest, indent=2, default=str))
 
 
-def _generator_config(args) -> GeneratorConfig:
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a ValueError from checking the flags as one `error:` line and
+    exit with the usage code."""
+    try:
+        yield
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
+
+
+def _generator_config(args, num_arms: int) -> GeneratorConfig:
     return GeneratorConfig(
         seed=args.seed,
-        num_arms=args.n,
+        num_arms=num_arms,
         num_states=args.states,
         num_actions=args.actions,
         num_constraints=args.k,
@@ -84,9 +98,17 @@ def _generator_config(args) -> GeneratorConfig:
     )
 
 
+def _sim_config(args, policy: str) -> SimConfig:
+    config = SimConfig(horizon=args.horizon, replications=args.reps,
+                       batch_size=args.batch_size, seed=args.sim_seed,
+                       policy=policy)
+    with _usage_errors():
+        config.check()
+    return config
+
+
 def _add_generation_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=sorted(_FAMILY_FLAGS), default="fully-het")
-    p.add_argument("--n", type=int, required=True, help="number of arms")
     p.add_argument("--states", type=int, default=10)
     p.add_argument("--actions", type=int, default=4)
     p.add_argument("--k", type=int, default=4, help="number of budget constraints")
@@ -118,12 +140,8 @@ def _load_instance(path: str) -> WcmdpInstance:
 
 
 def cmd_generate(args) -> int:
-    try:
-        cfg = _generator_config(args)
-        instance = generate(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with _usage_errors():
+        instance = generate(_generator_config(args, args.n))
     problems = validate(instance)
     if problems:
         for msg in problems:
@@ -154,25 +172,14 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     instance = _load_instance(args.instance)
+    config = _sim_config(args, args.policy)
     bundle = PolicyBundle.prepare(instance, seed=args.sim_seed)
-    config = SimConfig(horizon=args.horizon, replications=args.reps,
-                       batch_size=args.batch_size, seed=args.sim_seed,
-                       policy=args.policy)
     result = simulate(instance, bundle, config)
     if result.feasibility_violations:
         print(f"feasibility violations: {result.feasibility_violations}",
               file=sys.stderr)
         return EXIT_FEASIBILITY
-    gap = result.r_rel - result.avg_reward_per_arm
-    rows = [{
-        "family": "file", "seed": args.sim_seed, "N": instance.num_arms,
-        "policy": args.policy, "T": args.horizon, "reps": args.reps,
-        "R_rel": result.r_rel, "avg_reward": result.avg_reward_per_arm,
-        "ratio": result.optimality_ratio, "ci_halfwidth": result.ci_halfwidth,
-        "gap": gap, "gap_sqrtN": gap * math.sqrt(instance.num_arms),
-        "conforming_frac": result.mean_conforming_fraction,
-        "violations": result.feasibility_violations,
-    }]
+    rows = [results_row(result, "file", args.sim_seed, instance.num_arms)]
     write_results_csv(rows, args.out)
     write_manifest(args.out, "simulate", vars(args), _instance_hash(instance))
     print(f"{args.policy}: avg={result.avg_reward_per_arm:.6f} "
@@ -181,17 +188,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
+    policies = args.policies.split(",")
+    with _usage_errors():
         n_values = [int(v) for v in args.n_list.split(",")]
-        policies = args.policies.split(",")
-        template = _generator_config(
-            argparse.Namespace(**{**vars(args), "n": n_values[0]}))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    config = SimConfig(horizon=args.horizon, replications=args.reps,
-                       batch_size=args.batch_size, seed=args.sim_seed)
-    rows = sweep(template, n_values, config, policies=policies)
+        if n_values != sorted(n_values):
+            raise ValueError(f"--n-list {args.n_list} is not ascending")
+        for n in n_values:
+            _generator_config(args, n).check()
+    configs = [_sim_config(args, policy) for policy in policies]
+    rows = sweep(_generator_config(args, n_values[0]), n_values, configs[0],
+                 policies=policies)
     if any(r["violations"] for r in rows):
         print("budget violation detected during sweep", file=sys.stderr)
         return EXIT_FEASIBILITY
@@ -207,30 +213,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.probe_drift and args.samples < 0:
+        print(f"error: --samples {args.samples} is negative", file=sys.stderr)
+        return EXIT_USAGE
     instance = _load_instance(args.instance)
     solution = solve_lp(build_lp(instance))
     policy = extract_policy(instance, solution)
-    report = lyapunov.check_assumption(policy)
-    if not report.ok and args.strict:
-        print(f"assumption failure: arms {report.failing_arms()} are not "
-              "aperiodic unichains", file=sys.stderr)
+    diag = lyapunov.chain_diagnostics(instance, policy, t_cap=args.t_cap,
+                                      require_bounded=False)
+    if not diag.ok and args.strict:
+        print(f"assumption failure: arms {diag.failing_arms()} do not mix "
+              f"within {args.t_cap} steps", file=sys.stderr)
         return EXIT_ASSUMPTION
-    if report.ok:
-        diag = lyapunov.chain_diagnostics(instance, policy, t_cap=args.t_cap)
-        payload = diag.to_json_dict()
-    else:
-        diag = None
-        taus = [lyapunov.mixing_time(policy.induced_P[i], policy.mu_star[i],
-                                     args.t_cap)
-                for i in range(instance.num_arms)]
-        payload = {
-            "tau": [None if math.isinf(t) else int(t) for t in taus],
-            "gamma": None, "C_tau": None, "L_h": None, "C_h": None,
-            "unichain": report.unichain.tolist(),
-            "aperiodic": report.aperiodic.tolist(),
-        }
-    payload["assumption_ok"] = report.ok
-    if args.probe_drift and diag is not None:
+    payload = diag.to_json_dict()
+    if args.probe_drift and diag.ok:
         rng = np.random.default_rng(args.sim_seed)
         probe = lyapunov.drift_probe(instance, policy, diag,
                                      np.arange(instance.num_arms),
@@ -241,27 +237,25 @@ def cmd_diagnose(args) -> int:
         }]
     Path(args.out).write_text(json.dumps(payload, indent=2))
     write_manifest(args.out, "diagnose", vars(args), _instance_hash(instance))
-    if diag is not None:
+    if diag.ok:
         print(f"tau_max={diag.tau_max:.0f} gamma={diag.gamma:.6f} "
-              f"assumption_ok={report.ok}")
+              "assumption_ok=True")
     else:
-        print(f"assumption_ok={report.ok}")
+        print("assumption_ok=False")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     instance = _load_instance(args.instance)
+    configs = [_sim_config(args, kind) for kind in ("id", "erc")]
     bundle = PolicyBundle.prepare(instance, seed=args.sim_seed)
     print(f"{'policy':>6} {'avg':>12} {'ratio':>8} {'ci':>10}")
-    for kind in ("id", "erc"):
-        config = SimConfig(horizon=args.horizon, replications=args.reps,
-                           batch_size=args.batch_size, seed=args.sim_seed,
-                           policy=kind)
+    for config in configs:
         result = simulate(instance, bundle, config)
         if result.feasibility_violations:
             print("budget violation detected", file=sys.stderr)
             return EXIT_FEASIBILITY
-        print(f"{kind:>6} {result.avg_reward_per_arm:12.6f} "
+        print(f"{config.policy:>6} {result.avg_reward_per_arm:12.6f} "
               f"{result.optimality_ratio:8.4f} {result.ci_halfwidth:10.2e}")
     return EXIT_OK
 
@@ -272,7 +266,8 @@ def cmd_oracle_check(args) -> int:
         cfg = GeneratorConfig(seed=seed, num_arms=args.n,
                               num_states=args.states, num_actions=args.actions,
                               num_constraints=args.k)
-        instance = generate(cfg)
+        with _usage_errors():
+            instance = generate(cfg)
         solution = solve_lp(build_lp(instance))
         try:
             r_star = exact_oracle(instance)
@@ -356,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a random instance file")
+    p.add_argument("--n", type=int, required=True, help="number of arms")
     _add_generation_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)

@@ -1,10 +1,19 @@
 """Mixing-time and drift diagnostics for the single-armed policies.
 
-The central object is a deviation functional over a set of arms D: project
-each arm's deviation from its stationary distribution onto the expected
-reward and cost profiles, push it through the arm's induced chain for every
-look-ahead horizon, inflate horizon ell by gamma^-ell, and take the worst
-absolute total over the profiles and horizons:
+One entry point per quantity:
+
+- chain_diagnostics: per-arm mixing times, the unichain/aperiodic flags,
+  and the constants derived from the largest mixing time;
+- subset_h: the deviation functional h(x, D) of any arm set D;
+- build_report: h on every ID prefix, the envelope h_ID, the focus
+  fraction m(x) and the potential V(x) at one state;
+- drift_probe: the sampled one-step drift of h against its bound.
+
+The deviation functional projects each arm's deviation from its stationary
+distribution onto the expected reward and cost profiles, pushes it through
+the arm's induced chain for every look-ahead horizon, inflates horizon ell
+by gamma^-ell, and takes the worst absolute total over the profiles and
+horizons:
 
     h(x, D) = max_g sup_ell | sum_{i in D} <(x_i - mu_i) P_i^ell, g_i> / gamma^ell |
 
@@ -16,11 +25,17 @@ tolerance. The certificate uses the actual iterate norms: they contract by
 at least exp(-1/2) every tau horizons, so the running maximum over the last
 tau horizons dominates the entire tail.
 
-h_id takes the upper envelope over ID prefixes, the focus fraction m(x) is
-the largest grid point whose envelope value is still covered by the worst
-remaining budget, and the composite potential is
+h_ID(x, m) = max_{m' <= m} h(x, [N m']) is the upper envelope over ID
+prefixes, the focus fraction m(x) is the largest grid point whose envelope
+value is still covered by the worst remaining budget, and the composite
+potential is
 
-    V(x) = h_id(x, m(x)) + L_h * N * (1 - m(x)).
+    V(x) = h_ID(x, m(x)) + L_h * N * (1 - m(x)).
+
+A finite mixing time certifies the assumption on its own: a second closed
+class, or a period d >= 2, keeps some row of P^t at l1 distance >= 1 from mu
+for every t, above the 1/e threshold. The support-graph structure check
+therefore runs only on the arms that do not mix, to say how they fail.
 """
 
 from __future__ import annotations
@@ -34,6 +49,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .lp_relax import SingleArmPolicy
 from .model import WcmdpInstance
+from .policies import sample_from_cdf
 from .reassign import ReassignmentResult, remaining_budget_curve
 
 UNBOUNDED = math.inf
@@ -122,42 +138,30 @@ def _class_period(P: np.ndarray, members: np.ndarray) -> int:
 
 
 @dataclass(frozen=True)
-class AssumptionReport:
-    """Per-arm unichain/aperiodicity of the induced chains."""
+class ChainDiagnostics:
+    """Mixing times of the induced chains, the structure of the chains that
+    do not mix, and the constants derived from the largest mixing time:
+    gamma = exp(-1/(2*tau)), the geometric-tail constant c_tau, the
+    set-Lipschitz constant l_h, and the one-step drift constant c_h. The
+    constants are None unless every arm mixes (ok)."""
 
-    unichain: np.ndarray    # (N,) bool
-    aperiodic: np.ndarray   # (N,) bool
+    tau: np.ndarray         # (N,) float; UNBOUNDED where mixing never hits 1/e
+    tau_max: float | None
+    gamma: float | None
+    c_tau: float | None
+    l_h: float | None
+    c_h: float | None
+    unichain: np.ndarray    # (N,) bool; True wherever tau is finite
+    aperiodic: np.ndarray   # (N,) bool; True wherever tau is finite
 
     @property
     def ok(self) -> bool:
-        return bool(np.all(self.unichain) and np.all(self.aperiodic))
+        """Every arm mixes, hence every induced chain is an aperiodic
+        unichain."""
+        return bool(np.all(np.isfinite(self.tau)))
 
     def failing_arms(self) -> list[int]:
-        return [int(i) for i in
-                np.flatnonzero(~(self.unichain & self.aperiodic))]
-
-
-def check_assumption(policy: SingleArmPolicy) -> AssumptionReport:
-    pairs = [chain_structure(policy.induced_P[i])
-             for i in range(policy.num_arms)]
-    return AssumptionReport(unichain=np.array([p[0] for p in pairs]),
-                            aperiodic=np.array([p[1] for p in pairs]))
-
-
-@dataclass(frozen=True)
-class ChainDiagnostics:
-    """Mixing times of the induced chains and the constants derived from
-    them: gamma = exp(-1/(2*tau)), the geometric-tail constant c_tau, the
-    set-Lipschitz constant l_h, and the one-step drift constant c_h."""
-
-    tau: np.ndarray         # (N,) float; UNBOUNDED where mixing never hits 1/e
-    tau_max: float
-    gamma: float
-    c_tau: float
-    l_h: float
-    c_h: float
-    unichain: np.ndarray
-    aperiodic: np.ndarray
+        return [int(i) for i in np.flatnonzero(np.isinf(self.tau))]
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,37 +172,46 @@ class ChainDiagnostics:
             "C_h": self.c_h,
             "unichain": self.unichain.tolist(),
             "aperiodic": self.aperiodic.tolist(),
+            "assumption_ok": self.ok,
         }
 
 
 def chain_diagnostics(instance: WcmdpInstance, policy: SingleArmPolicy,
                       t_cap: int = DEFAULT_T_CAP,
                       require_bounded: bool = True) -> ChainDiagnostics:
-    """Compute per-arm mixing times and the derived constants.
+    """Per-arm mixing times, the unichain/aperiodic flags, and the derived
+    constants.
 
-    By default an arm with unbounded mixing time raises AssumptionError;
-    with require_bounded=False the constants use the largest finite mixing
-    time and the offending arms stay flagged in the tau vector.
+    chain_structure runs only on the arms whose mixing time reaches t_cap;
+    every other arm is an aperiodic unichain. By default such an arm raises
+    AssumptionError; with require_bounded=False the result is returned with
+    ok False and no constants.
     """
-    report = check_assumption(policy)
+    n = policy.num_arms
     tau = np.array([mixing_time(policy.induced_P[i], policy.mu_star[i], t_cap)
-                    for i in range(policy.num_arms)], dtype=np.float64)
-    unbounded = np.flatnonzero(np.isinf(tau))
-    if unbounded.size and require_bounded:
-        raise AssumptionError(
-            f"arm(s) {unbounded.tolist()} have unbounded mixing time; "
-            "the induced chain is not an aperiodic unichain")
-    finite = tau[np.isfinite(tau)]
-    if finite.size == 0:
-        raise AssumptionError("no arm has a finite mixing time")
-    tau_max = float(max(finite.max(), 1.0))
+                    for i in range(n)], dtype=np.float64)
+    unichain = np.ones(n, dtype=bool)
+    aperiodic = np.ones(n, dtype=bool)
+    failing = np.flatnonzero(np.isinf(tau))
+    for i in failing:
+        unichain[i], aperiodic[i] = chain_structure(policy.induced_P[i])
+    if failing.size:
+        if require_bounded:
+            raise AssumptionError(
+                f"arm(s) {failing.tolist()} do not mix within {t_cap} steps "
+                f"(unichain {unichain[failing].tolist()}, aperiodic "
+                f"{aperiodic[failing].tolist()})")
+        return ChainDiagnostics(tau=tau, tau_max=None, gamma=None, c_tau=None,
+                                l_h=None, c_h=None, unichain=unichain,
+                                aperiodic=aperiodic)
+    tau_max = float(max(tau.max(), 1.0))
     gamma = math.exp(-1.0 / (2.0 * tau_max))
     c_tau = C_TAU_COEFF * tau_max
     l_h = 2.0 * max(instance.c_max, instance.r_max) * c_tau
     c_h = 2.0 * (instance.num_constraints * instance.c_max + instance.r_max) * c_tau
     return ChainDiagnostics(tau=tau, tau_max=tau_max, gamma=gamma, c_tau=c_tau,
-                            l_h=l_h, c_h=c_h, unichain=report.unichain,
-                            aperiodic=report.aperiodic)
+                            l_h=l_h, c_h=c_h, unichain=unichain,
+                            aperiodic=aperiodic)
 
 
 def _deviation_series(diff: np.ndarray, P: np.ndarray, mu: np.ndarray,
@@ -249,6 +262,10 @@ def _weights_for(policy: SingleArmPolicy, idx: np.ndarray) -> np.ndarray:
 
 
 def _tau_window(diag: ChainDiagnostics) -> int:
+    if not diag.ok:
+        raise AssumptionError(
+            f"arm(s) {diag.failing_arms()} do not mix; the diagnostics carry "
+            "no constants")
     return max(1, int(math.ceil(diag.tau_max)))
 
 
@@ -271,80 +288,6 @@ def subset_h(x: np.ndarray, D, policy: SingleArmPolicy,
         policy.mu_star[idx], _weights_for(policy, idx), diag.gamma, tol,
         _tau_window(diag), min_terms=min_terms)
     return float(value)
-
-
-def prefix_h(x: np.ndarray, policy: SingleArmPolicy, diag: ChainDiagnostics,
-             tol: float = 1e-6):
-    """h(x, [n]) for every prefix n = 0..N in one series pass."""
-    values, _, _ = _prefix_h_detailed(x, policy, diag, tol)
-    return values
-
-
-def _prefix_h_detailed(x, policy, diag, tol):
-    x = np.asarray(x, dtype=np.float64)
-    _check_rows(x)
-    idx = np.arange(policy.num_arms)
-    return _deviation_series(
-        x - policy.mu_star, policy.induced_P, policy.mu_star,
-        _weights_for(policy, idx), diag.gamma, tol, _tau_window(diag),
-        prefixes=True)
-
-
-def _grid_count(m: float, n: int) -> int:
-    scaled = m * n
-    if abs(scaled - round(scaled)) > 1e-9:
-        raise ValueError(f"m={m} is not a multiple of 1/{n}")
-    return int(round(scaled))
-
-
-def h_id(x: np.ndarray, m: float, policy: SingleArmPolicy,
-         diag: ChainDiagnostics, tol: float = 1e-6) -> float:
-    """Upper envelope max_{m' <= m} h(x, [N m']) over the 1/N grid."""
-    n_m = _grid_count(m, policy.num_arms)
-    values = prefix_h(x, policy, diag, tol)
-    return float(values[:n_m + 1].max())
-
-
-def _focus_scan(instance, x, policy, reassignment, diag, tol, allow_large):
-    """Prefix values h(x, [n]) in reassigned order, their envelope, the focus
-    fraction m, and the series truncation level and certified tail; x is in
-    original arm order."""
-    if instance.num_arms > FOCUS_SIZE_GUARD and not allow_large:
-        raise ValueError(
-            f"N={instance.num_arms} exceeds the diagnostic guard "
-            f"{FOCUS_SIZE_GUARD}; pass allow_large=True to override")
-    order = reassignment.order()
-    ordered = policy.permuted(order)
-    values, level, tail = _prefix_h_detailed(
-        np.asarray(x, dtype=np.float64)[order], ordered, diag, tol)
-    envelope = np.maximum.accumulate(values)
-    beta = remaining_budget_curve(instance, ordered, reassignment.active_set)
-    min_beta = beta.min(axis=1)
-    m = 0.0
-    for n in range(instance.num_arms, -1, -1):
-        if envelope[n] <= min_beta[n]:
-            m = n / instance.num_arms
-            break
-    return values, envelope, m, level, tail
-
-
-def focus_m(instance: WcmdpInstance, x: np.ndarray, policy: SingleArmPolicy,
-            reassignment: ReassignmentResult, diag: ChainDiagnostics,
-            tol: float = 1e-6, allow_large: bool = False) -> float:
-    """Largest grid fraction m with h_id(x, m) covered by the worst remaining
-    budget of the prefix [Nm]. x is given in original arm order."""
-    return _focus_scan(instance, x, policy, reassignment, diag, tol,
-                       allow_large)[2]
-
-
-def lyapunov_value(instance: WcmdpInstance, x: np.ndarray,
-                   policy: SingleArmPolicy, reassignment: ReassignmentResult,
-                   diag: ChainDiagnostics, tol: float = 1e-6,
-                   allow_large: bool = False) -> tuple[float, float, float]:
-    """(V(x), m(x), h_id(x, m(x))) with V = h_id + l_h * N * (1 - m)."""
-    report = build_report(instance, x, policy, reassignment, diag, tol,
-                          allow_large)
-    return report.v, report.focus_m, report.h_id[report.focus_m]
 
 
 @dataclass(frozen=True)
@@ -370,16 +313,36 @@ def build_report(instance: WcmdpInstance, x: np.ndarray,
                  policy: SingleArmPolicy, reassignment: ReassignmentResult,
                  diag: ChainDiagnostics, tol: float = 1e-6,
                  allow_large: bool = False) -> LyapunovReport:
-    """Evaluate prefixes, envelope, focus fraction, and V at one state."""
-    values, envelope, m, level, tail = _focus_scan(
-        instance, x, policy, reassignment, diag, tol, allow_large)
+    """h on every ID prefix, the envelope h_ID, the focus fraction m and V at
+    one state x, given in original arm order.
+
+    The prefix values come from one series pass over the arms in reassigned
+    order. m is the largest grid fraction n/N whose envelope value is covered
+    by the worst remaining budget of the prefix [n], or 0.
+    """
     n_arms = instance.num_arms
-    h_at_m = float(envelope[int(round(m * n_arms))])
+    if n_arms > FOCUS_SIZE_GUARD and not allow_large:
+        raise ValueError(
+            f"N={n_arms} exceeds the diagnostic guard "
+            f"{FOCUS_SIZE_GUARD}; pass allow_large=True to override")
+    order = reassignment.order()
+    ordered = policy.permuted(order)
+    x = np.asarray(x, dtype=np.float64)[order]
+    _check_rows(x)
+    values, level, tail = _deviation_series(
+        x - ordered.mu_star, ordered.induced_P, ordered.mu_star,
+        _weights_for(ordered, np.arange(n_arms)), diag.gamma, tol,
+        _tau_window(diag), prefixes=True)
+    envelope = np.maximum.accumulate(values)
+    beta = remaining_budget_curve(instance, ordered, reassignment.active_set)
+    covered = np.flatnonzero(envelope <= beta.min(axis=1))
+    n_m = int(covered[-1]) if covered.size else 0
+    m = n_m / n_arms
     return LyapunovReport(
         h_values={f"prefix:{n}": float(values[n]) for n in range(n_arms + 1)},
         h_id={n / n_arms: float(envelope[n]) for n in range(n_arms + 1)},
         focus_m=m,
-        v=h_at_m + diag.l_h * n_arms * (1.0 - m),
+        v=float(envelope[n_m]) + diag.l_h * n_arms * (1.0 - m),
         truncation_level=level,
         tail_bound=tail,
     )
@@ -406,6 +369,7 @@ def drift_probe(instance: WcmdpInstance, policy: SingleArmPolicy,
                 tol: float = 1e-6) -> DriftProbeResult:
     """Sample E[(h(X_{t+1}, D) - gamma * h(X_t, D))^+] with every arm in D
     run under its single-armed policy, against the c_h * sqrt(N) bound."""
+    window = _tau_window(diag)
     idx = np.asarray(D, dtype=np.int64)
     bound = diag.c_h * math.sqrt(instance.num_arms)
     if idx.size == 0 or num_samples == 0:
@@ -418,7 +382,6 @@ def drift_probe(instance: WcmdpInstance, policy: SingleArmPolicy,
     P = policy.induced_P[idx]
     weights = _weights_for(policy, idx)
     cdf = np.cumsum(P, axis=-1)
-    window = _tau_window(diag)
     ar = np.arange(n)
 
     def h_of(states: np.ndarray) -> float:
@@ -428,19 +391,14 @@ def drift_probe(instance: WcmdpInstance, policy: SingleArmPolicy,
                                         tol, window)
         return float(value)
 
-    def advance(states: np.ndarray) -> np.ndarray:
-        u = rng.random(n)
-        rows = cdf[ar, states]
-        return np.minimum((rows <= u[:, None]).sum(axis=1), s - 1)
-
     states = rng.integers(0, s, size=n)
     for _ in range(burn_in):
-        states = advance(states)
+        states = sample_from_cdf(cdf[ar, states], rng.random(n))
 
     stats = np.empty(num_samples)
     h_prev = h_of(states)
     for j in range(num_samples):
-        states = advance(states)
+        states = sample_from_cdf(cdf[ar, states], rng.random(n))
         h_next = h_of(states)
         stats[j] = max(h_next - diag.gamma * h_prev, 0.0)
         h_prev = h_next

@@ -116,7 +116,8 @@ class WcmdpInstance:
     @classmethod
     def from_json_dict(cls, d: dict) -> "WcmdpInstance":
         """Inverse of to_json_dict. A missing, empty, ragged or non-numeric
-        field raises ValueError naming it."""
+        field (a string, boolean or null where a number belongs included)
+        raises ValueError naming it."""
         arms = _field(d, "arms")
         if not isinstance(arms, list) or not arms:
             raise ValueError("arms: expected a non-empty list of arm objects")
@@ -147,9 +148,19 @@ def _field(d, key: str):
 
 
 def _float_array(value, name: str) -> np.ndarray:
+    # checked before conversion: float() also takes "0.5", true and null
     try:
-        return np.array(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        cells = np.array(value, dtype=object)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    wrong = sorted(k.__name__ for k in set(map(type, cells.flat))
+                   if issubclass(k, bool) or not issubclass(k, (int, float)))
+    if wrong:
+        raise ValueError(f"{name}: expected an array of numbers, found "
+                         f"{', '.join(wrong)}")
+    try:
+        return cells.astype(np.float64)
+    except OverflowError as exc:
         raise ValueError(f"{name}: {exc}") from None
 
 

@@ -61,8 +61,9 @@ class StepOutcome:
     step_costs: np.ndarray      # (K,)
 
 
-def _sample_from_cdf(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # inverse-CDF sampling; clip guards a final cumsum a hair below 1
+def sample_from_cdf(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One index per row of cdf_rows by inverse-CDF sampling with uniforms u."""
+    # clip guards a final cumsum a hair below 1
     return np.minimum((cdf_rows <= u[:, None]).sum(axis=1),
                       cdf_rows.shape[1] - 1)
 
@@ -86,14 +87,14 @@ class _RunnerBase:
 
     def sample_ideal(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(self.num_arms)
-        return _sample_from_cdf(self.pi_cdf[self._ar, states], u)
+        return sample_from_cdf(self.pi_cdf[self._ar, states], u)
 
     def transition_step(self, states: np.ndarray, actions: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
         """Sample every arm's next state, one uniform per arm in ID order."""
         u = rng.random(self.num_arms)
         rows = self.trans_cdf[self._ar, states, actions]
-        return _sample_from_cdf(rows, u)
+        return sample_from_cdf(rows, u)
 
     def _outcome(self, states, actions, ideal, conforming) -> StepOutcome:
         step_reward = float(self.reward[self._ar, states, actions].sum())

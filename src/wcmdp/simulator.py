@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -245,24 +246,31 @@ def sweep(template: GeneratorConfig, n_values: Sequence[int], config: SimConfig,
         for policy_kind in policies:
             run_cfg = dataclasses.replace(config, policy=policy_kind)
             result = simulate(instance, bundle, run_cfg)
-            gap = result.r_rel - result.avg_reward_per_arm
-            rows.append({
-                "family": template.family,
-                "seed": template.seed,
-                "N": int(n),
-                "policy": policy_kind,
-                "T": config.horizon,
-                "reps": config.replications,
-                "R_rel": result.r_rel,
-                "avg_reward": result.avg_reward_per_arm,
-                "ratio": result.optimality_ratio,
-                "ci_halfwidth": result.ci_halfwidth,
-                "gap": gap,
-                "gap_sqrtN": gap * np.sqrt(n),
-                "conforming_frac": result.mean_conforming_fraction,
-                "violations": result.feasibility_violations,
-            })
+            rows.append(results_row(result, template.family, template.seed,
+                                    int(n)))
     return rows
+
+
+def results_row(result: SimResult, family: str, seed: int,
+                num_arms: int) -> dict:
+    """The CSV_COLUMNS row of one simulation run."""
+    gap = result.r_rel - result.avg_reward_per_arm
+    return {
+        "family": family,
+        "seed": seed,
+        "N": num_arms,
+        "policy": result.policy,
+        "T": result.horizon,
+        "reps": result.replications,
+        "R_rel": result.r_rel,
+        "avg_reward": result.avg_reward_per_arm,
+        "ratio": result.optimality_ratio,
+        "ci_halfwidth": result.ci_halfwidth,
+        "gap": gap,
+        "gap_sqrtN": gap * math.sqrt(num_arms),
+        "conforming_frac": result.mean_conforming_fraction,
+        "violations": result.feasibility_violations,
+    }
 
 
 def write_results_csv(rows: Sequence[dict], path) -> None:

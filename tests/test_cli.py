@@ -79,28 +79,78 @@ def _ragged(d):
                     "c": [[[0.0], [0.0]]]}
 
 
+def _true_reward(d):
+    d["arms"][0]["r"][0][1] = True
+
+
+def _run_cli(argv):
+    """Run `python -m wcmdp.cli argv` in a fresh process."""
+    src = str(Path(wcmdp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "wcmdp.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("text, field", [
     ("{\"N\": 1, \"alpha\": [0.5", "Expecting"),
     (_instance_text(lambda d: d.pop("alpha")), "alpha"),
     (_instance_text(lambda d: d.update(arms=[])), "arms"),
     (_instance_text(_ragged), "arms[].P"),
     (None, "No such file"),
+    (_instance_text(lambda d: d.update(alpha=["0.5"])), "alpha"),
+    (_instance_text(_true_reward), "arms[].r"),
 ], ids=["malformed-json", "missing-alpha", "no-arms", "ragged-arms",
-        "missing-path"])
+        "missing-path", "string-alpha", "boolean-reward"])
 def test_bad_instance_file_exits_3_without_traceback(tmp_path, text, field):
     path = tmp_path / "bad.json"
     if text is not None:
         path.write_text(text)
-    src = str(Path(wcmdp.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "wcmdp.cli", "solve", "--instance", str(path),
-         "--out", str(tmp_path / "sol.json")],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_cli(["solve", "--instance", str(path),
+                     "--out", str(tmp_path / "sol.json")])
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert field in proc.stderr
+
+
+_SIM_FLAGS = ["--horizon", "200", "--reps", "1", "--batch-size", "100"]
+_SWEEP = ["sweep", "--states", "3", "--actions", "2", "--k", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--instance", "{inst}", "--horizon", "0", "--out", "{out}"],
+    ["simulate", "--instance", "{inst}", "--horizon", "200",
+     "--batch-size", "150", "--out", "{out}"],
+    ["simulate", "--instance", "{inst}", *_SIM_FLAGS, "--sim-seed", "-1",
+     "--out", "{out}"],
+    ["compare", "--instance", "{inst}", "--horizon", "0"],
+    ["compare", "--instance", "{inst}", "--horizon", "200",
+     "--batch-size", "150"],
+    ["compare", "--instance", "{inst}", *_SIM_FLAGS, "--sim-seed", "-1"],
+    [*_SWEEP, "--n-list", "8,4", *_SIM_FLAGS, "--out", "{out}"],
+    [*_SWEEP, "--n-list", "0", *_SIM_FLAGS, "--out", "{out}"],
+    [*_SWEEP, "--n-list", "4,8", "--policies", "id,whittle", *_SIM_FLAGS,
+     "--out", "{out}"],
+    [*_SWEEP, "--family", "typed", "--types", "4", "--n-list", "8,10",
+     *_SIM_FLAGS, "--out", "{out}"],
+    ["oracle-check", "--n", "0"],
+    ["diagnose", "--instance", "{inst}", "--probe-drift", "--samples", "-1",
+     "--out", "{out}"],
+], ids=["simulate-horizon-0", "simulate-batch-size", "simulate-seed",
+        "compare-horizon-0", "compare-batch-size", "compare-seed",
+        "sweep-descending", "sweep-zero-size", "sweep-unknown-policy",
+        "sweep-types-divide", "oracle-check-zero-arms",
+        "diagnose-negative-samples"])
+def test_bad_flag_value_exits_2_without_traceback(tmp_path, argv):
+    inst = tmp_path / "inst.json"
+    tiny_instance(seed=0).save(inst)
+    out = tmp_path / "out"
+    proc = _run_cli([a.format(inst=inst, out=out) for a in argv])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines()
+            if line.startswith("error:")], proc.stderr
+    assert not out.exists()
 
 
 _ODD_VALUES = [float("nan"), float("inf"), float("-inf"), -1.0, -1e-3, 0.0,
@@ -200,7 +250,7 @@ class TestPipelineCommands:
     def test_sweep_csv_and_svg(self, tmp_path):
         out = tmp_path / "sweep.csv"
         svg = tmp_path / "sweep.svg"
-        code = run(["sweep", "--n", "8", "--states", "3", "--actions", "2",
+        code = run(["sweep", "--states", "3", "--actions", "2",
                     "--k", "1", "--seed", "0", "--n-list", "8,16",
                     "--policies", "id,erc", "--horizon", "200", "--reps", "1",
                     "--batch-size", "100", "--out", str(out),
@@ -213,7 +263,7 @@ class TestPipelineCommands:
         assert (tmp_path / "sweep.csv.manifest.json").exists()
 
     def test_sweep_rerun_reproduces_csv(self, tmp_path):
-        args = ["sweep", "--n", "8", "--states", "3", "--actions", "2",
+        args = ["sweep", "--states", "3", "--actions", "2",
                 "--k", "1", "--seed", "0", "--n-list", "8", "--horizon",
                 "200", "--reps", "1", "--batch-size", "100"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -265,6 +315,22 @@ class TestDiagnose:
         code = run(["diagnose", "--instance", str(inst), "--strict",
                     "--out", str(out)])
         assert code == 5
+
+    def test_t_cap_zero_reports_null_constants(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        run(["generate", "--n", "6", "--states", "3", "--actions", "2",
+             "--k", "1", "--seed", "2", "--out", str(inst)])
+        out = tmp_path / "diag.json"
+        argv = ["diagnose", "--instance", str(inst), "--t-cap", "0",
+                "--probe-drift", "--out", str(out)]
+        assert run(argv) == 0
+        payload = json.loads(out.read_text())
+        assert payload["tau"] == [None] * 6
+        assert payload["gamma"] is None and payload["C_h"] is None
+        assert payload["unichain"] == [True] * 6
+        assert payload["assumption_ok"] is False
+        assert "probes" not in payload
+        assert run(argv + ["--strict"]) == 5
 
     def test_non_strict_still_reports(self, tmp_path):
         instance = stack_arms([two_cycle_arm(0.2, 0.8)], [0.3])

@@ -17,10 +17,10 @@ from wcmdp.cli import main
 
 GENERATE = ["generate", "--family", "fully-het", "--n", "12", "--states", "4",
             "--actions", "3", "--k", "2", "--seed", "7"]
-SWEEP = ["sweep", "--family", "typed", "--types", "4", "--n", "8",
-         "--states", "3", "--actions", "3", "--k", "2", "--seed", "3",
-         "--n-list", "8,16", "--policies", "id,erc", "--horizon", "400",
-         "--reps", "2", "--batch-size", "100", "--sim-seed", "5"]
+SWEEP = ["sweep", "--family", "typed", "--types", "4", "--states", "3",
+         "--actions", "3", "--k", "2", "--seed", "3", "--n-list", "8,16",
+         "--policies", "id,erc", "--horizon", "400", "--reps", "2",
+         "--batch-size", "100", "--sim-seed", "5"]
 
 DIGESTS = {
     "instance": "432900a5f2378f7d2fb942ab0ec1175549511c24766249848c6b12051d224bd3",

@@ -5,9 +5,9 @@ import pytest
 
 from wcmdp.lp_relax import SingleArmPolicy
 from wcmdp.lyapunov import (AssumptionError, C_TAU_COEFF, ChainDiagnostics,
-                            UNBOUNDED, chain_diagnostics, chain_structure,
-                            check_assumption, drift_probe, focus_m, h_id,
-                            lyapunov_value, mixing_time, prefix_h, subset_h)
+                            UNBOUNDED, build_report, chain_diagnostics,
+                            chain_structure, drift_probe, mixing_time,
+                            subset_h)
 from wcmdp.model import GeneratorConfig, generate
 from wcmdp.reassign import verify_slope
 from wcmdp.simulator import PolicyBundle, SimConfig, simulate
@@ -134,9 +134,41 @@ class TestChainDiagnostics:
 
     def test_assumption_report_flags_arms(self):
         policy = one_arm_policy(CYCLE2, HALF, [1.0, 0.0])
-        report = check_assumption(policy)
-        assert not report.ok
-        assert report.failing_arms() == [0]
+        instance = tiny_instance(seed=0, n=1, s=2, a=1, k=1)
+        diag = chain_diagnostics(instance, policy, t_cap=200,
+                                 require_bounded=False)
+        assert not diag.ok
+        assert diag.failing_arms() == [0]
+        assert (diag.unichain.tolist(), diag.aperiodic.tolist()) == (
+            [True], [False])
+        assert diag.gamma is None and diag.c_h is None
+        # a diagnostics object without constants evaluates nothing
+        with pytest.raises(AssumptionError):
+            drift_probe(instance, policy, diag, [0], 5,
+                        np.random.default_rng(0))
+
+    def test_slow_mixing_arm_fails_without_structure_defect(self, small_solved):
+        # t_cap=0: no arm mixes, yet every induced chain is an aperiodic
+        # unichain, so the structure check clears them all
+        instance, _, policy = small_solved
+        diag = chain_diagnostics(instance, policy, t_cap=0,
+                                 require_bounded=False)
+        assert not diag.ok
+        assert diag.failing_arms() == list(range(instance.num_arms))
+        assert np.all(diag.unichain) and np.all(diag.aperiodic)
+        assert diag.to_json_dict()["L_h"] is None
+        with pytest.raises(AssumptionError, match="do not mix"):
+            chain_diagnostics(instance, policy, t_cap=0)
+
+    def test_structure_runs_only_on_arms_that_do_not_mix(self, small_solved,
+                                                          monkeypatch):
+        import wcmdp.lyapunov as lyapunov
+        instance, _, policy = small_solved
+        calls = []
+        monkeypatch.setattr(lyapunov, "chain_structure",
+                            lambda P: calls.append(P) or (True, True))
+        assert chain_diagnostics(instance, policy).ok
+        assert calls == []
 
 
 class TestSubsetH:
@@ -210,80 +242,76 @@ class TestSubsetH:
             subset_h(bad, [0, 1], policy, diag)
 
 
+def _random_state(instance, seed):
+    rng = np.random.default_rng(seed)
+    states = rng.integers(0, instance.num_states, instance.num_arms)
+    x = np.zeros((instance.num_arms, instance.num_states))
+    x[np.arange(instance.num_arms), states] = 1.0
+    return x
+
+
 class TestHIdAndFocus:
     def test_empty_prefix_is_zero_and_envelope_monotone(self, small_solved):
         instance, _, policy = small_solved
+        bundle = PolicyBundle.prepare(instance, seed=0)
         diag = chain_diagnostics(instance, policy)
-        rng = np.random.default_rng(3)
-        states = rng.integers(0, instance.num_states, instance.num_arms)
-        x = np.zeros((instance.num_arms, instance.num_states))
-        x[np.arange(instance.num_arms), states] = 1.0
+        report = build_report(instance, _random_state(instance, 3),
+                              bundle.policy, bundle.reassignment, diag)
         n = instance.num_arms
-        assert h_id(x, 0.0, policy, diag) == 0.0
-        values = [h_id(x, m / n, policy, diag) for m in range(0, n + 1, 5)]
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+        assert report.h_id[0.0] == 0.0
+        values = [report.h_id[m / n] for m in range(n + 1)]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert values[-1] == max(report.h_values.values())
 
     def test_h_id_lipschitz_in_m(self, small_solved):
         instance, _, policy = small_solved
+        bundle = PolicyBundle.prepare(instance, seed=0)
         diag = chain_diagnostics(instance, policy)
         n = instance.num_arms
+        report = build_report(instance, _random_state(instance, 4),
+                              bundle.policy, bundle.reassignment, diag,
+                              tol=1e-8)
+        env = [report.h_id[m / n] for m in range(n + 1)]
         rng = np.random.default_rng(4)
-        states = rng.integers(0, instance.num_states, n)
-        x = np.zeros((n, instance.num_states))
-        x[np.arange(n), states] = 1.0
-        env = np.maximum.accumulate(prefix_h(x, policy, diag, tol=1e-8))
         for _ in range(50):
             m1, m2 = sorted(rng.integers(0, n + 1, size=2))
             assert abs(env[m2] - env[m1]) <= diag.l_h * (m2 - m1) + 1e-6
-
-    def test_off_grid_m_rejected(self, small_solved):
-        instance, _, policy = small_solved
-        diag = chain_diagnostics(instance, policy)
-        with pytest.raises(ValueError, match="multiple"):
-            h_id(policy.mu_star, 0.123456, policy, diag)
 
     def test_focus_is_full_when_budgets_never_bind(self):
         instance = zero_cost_copy(tiny_instance(seed=5, n=20, s=3, a=2, k=1))
         bundle = PolicyBundle.prepare(instance, seed=0)
         diag = chain_diagnostics(instance, bundle.policy)
-        m = focus_m(instance, bundle.policy.mu_star, bundle.policy,
-                    bundle.reassignment, diag)
-        assert m == 1.0
+        report = build_report(instance, bundle.policy.mu_star, bundle.policy,
+                              bundle.reassignment, diag)
+        assert report.focus_m == 1.0
 
-    def test_focus_guard_on_large_systems(self, small_solved):
-        instance, _, policy = small_solved
-        diag = chain_diagnostics(instance, policy)
+    def test_focus_guard_on_large_systems(self):
         big = generate(GeneratorConfig(seed=0, num_arms=201, num_states=2,
                                        num_actions=2, num_constraints=1))
         bundle = PolicyBundle.prepare(big, seed=0)
         big_diag = chain_diagnostics(big, bundle.policy)
         x = bundle.policy.mu_star
         with pytest.raises(ValueError, match="guard"):
-            focus_m(big, x, bundle.policy, bundle.reassignment, big_diag)
+            build_report(big, x, bundle.policy, bundle.reassignment, big_diag)
         # allow_large overrides
-        focus_m(big, x, bundle.policy, bundle.reassignment, big_diag,
-                allow_large=True)
+        build_report(big, x, bundle.policy, bundle.reassignment, big_diag,
+                     allow_large=True)
 
     def test_build_report_consistency(self, small_solved):
-        from wcmdp.lyapunov import build_report
         instance, _, policy = small_solved
         bundle = PolicyBundle.prepare(instance, seed=0)
         diag = chain_diagnostics(instance, policy)
-        rng = np.random.default_rng(7)
-        states = rng.integers(0, instance.num_states, instance.num_arms)
-        x = np.zeros((instance.num_arms, instance.num_states))
-        x[np.arange(instance.num_arms), states] = 1.0
+        x = _random_state(instance, 7)
         report = build_report(instance, x, bundle.policy,
                               bundle.reassignment, diag)
         n = instance.num_arms
         assert len(report.h_values) == n + 1
         assert report.h_values["prefix:0"] == 0.0
-        env = [report.h_id[m / n] for m in range(n + 1)]
-        assert all(b >= a for a, b in zip(env, env[1:]))
-        v, m, h_at_m = lyapunov_value(instance, x, bundle.policy,
-                                      bundle.reassignment, diag)
-        assert report.focus_m == m
-        assert report.v == pytest.approx(v, rel=1e-12)
+        # prefix values are h over the first arms in reassigned order
+        order = bundle.reassignment.order()
+        for size in (1, n // 2, n):
+            assert report.h_values[f"prefix:{size}"] == pytest.approx(
+                subset_h(x, order[:size], policy, diag), abs=2e-6)
         assert report.tail_bound <= 1e-6
         payload = report.to_json_dict()
         assert set(payload) == {"h_values", "h_id", "focus_m", "V",
@@ -293,15 +321,13 @@ class TestHIdAndFocus:
         instance, _, policy = small_solved
         bundle = PolicyBundle.prepare(instance, seed=0)
         diag = chain_diagnostics(instance, policy)
-        rng = np.random.default_rng(6)
-        states = rng.integers(0, instance.num_states, instance.num_arms)
-        x = np.zeros((instance.num_arms, instance.num_states))
-        x[np.arange(instance.num_arms), states] = 1.0
-        v, m, h_at_m = lyapunov_value(instance, x, bundle.policy,
-                                      bundle.reassignment, diag)
+        report = build_report(instance, _random_state(instance, 6),
+                              bundle.policy, bundle.reassignment, diag)
+        m = report.focus_m
         assert m >= 0.0
-        assert v == pytest.approx(
-            h_at_m + diag.l_h * instance.num_arms * (1 - m), rel=1e-12)
+        assert report.v == pytest.approx(
+            report.h_id[m] + diag.l_h * instance.num_arms * (1 - m),
+            rel=1e-12)
 
 
 class TestDriftProbe:
@@ -357,9 +383,9 @@ def trajectories():
             original[order] = runner_states
             x = np.zeros((n, instance.num_states))
             x[np.arange(n), original] = 1.0
-            _, m, h_at_m = lyapunov_value(instance, x, bundle.policy,
-                                          bundle.reassignment, diag)
-            ms.append((m, h_at_m))
+            report = build_report(instance, x, bundle.policy,
+                                  bundle.reassignment, diag)
+            ms.append((report.focus_m, report.h_id[report.focus_m]))
         n_star = trace["conforming"][0][list(window)]
         data[n] = (instance, bundle, diag, ms, n_star)
     return data
