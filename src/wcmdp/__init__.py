@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .model import (GeneratorConfig, WcmdpInstance, generate,
-                    generate_fully_heterogeneous, generate_typed, validate)
+from .model import GeneratorConfig, WcmdpInstance, generate, validate
 from .lp_relax import (LpProblem, LpSolution, SingleArmPolicy, build_lp,
                        check_solution, extract_policy, solve_lp)
 from .reassign import (ReassignmentResult, SlopeReport, active_constraints,
@@ -17,7 +16,7 @@ from .lyapunov import (ChainDiagnostics, DriftProbeResult, LyapunovReport,
 
 __all__ = [
     "GeneratorConfig", "WcmdpInstance",
-    "generate", "generate_fully_heterogeneous", "generate_typed", "validate",
+    "generate", "validate",
     "LpProblem", "LpSolution", "SingleArmPolicy", "build_lp",
     "check_solution", "extract_policy", "solve_lp",
     "ReassignmentResult", "SlopeReport", "active_constraints", "reassign",

@@ -33,8 +33,8 @@ from .lp_relax import (LpSolveError, build_lp, check_solution, extract_policy,
 from .model import (COST_ACTION_ONLY, COST_STATE_ACTION, FULLY_HETEROGENEOUS,
                     TYPED, GeneratorConfig, WcmdpInstance, generate, validate)
 from .policies import OracleSizeError, exact_oracle
-from .simulator import (PolicyBundle, SimConfig, results_row, simulate, sweep,
-                        write_results_csv)
+from .simulator import (PolicyBundle, SimConfig, _check_sweep, results_row,
+                        simulate, sweep, write_results_csv)
 from . import lyapunov
 
 EXIT_OK = 0
@@ -189,15 +189,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     policies = args.policies.split(",")
+    config = _sim_config(args, policies[0])
     with _usage_errors():
         n_values = [int(v) for v in args.n_list.split(",")]
-        if n_values != sorted(n_values):
-            raise ValueError(f"--n-list {args.n_list} is not ascending")
-        for n in n_values:
-            _generator_config(args, n).check()
-    configs = [_sim_config(args, policy) for policy in policies]
-    rows = sweep(_generator_config(args, n_values[0]), n_values, configs[0],
-                 policies=policies)
+        template = _generator_config(args, n_values[0])
+        _check_sweep(template, n_values, config, policies)
+    rows = sweep(template, n_values, config, policies=policies)
     if any(r["violations"] for r in rows):
         print("budget violation detected during sweep", file=sys.stderr)
         return EXIT_FEASIBILITY

@@ -130,9 +130,8 @@ class SolveStats:
 class LpSolution:
     """Optimal state-action frequencies and the per-arm reward upper bound."""
 
-    y: np.ndarray           # (N, S, A), nonnegative after clamping
+    y: np.ndarray           # (N, S, A), nonnegative
     objective: float        # optimal mean per-arm reward
-    solver_status: str
     duals: np.ndarray       # (K,) multipliers of the budget rows (diagnostic)
     stats: SolveStats | None = None   # None for a solution built by hand
 
@@ -400,7 +399,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
                        pricing_iterations=sweeps,
                        fallback_arms=int(fallback.sum()), lagrangian_gap=gap)
     return LpSolution(y=y, objective=objective,
-                      solver_status=f"optimal after {rounds} master rounds",
                       duals=np.asarray(res.ineqlin.marginals, dtype=np.float64),
                       stats=stats)
 

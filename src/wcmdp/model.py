@@ -38,7 +38,7 @@ COST_ACTION_ONLY = "action_only"
 # integer in [1, 9] per constraint, times the grid step.
 ALPHA_GRID_STEP = 0.05
 
-# the simulator stores state traces as int16
+# largest state count validate() accepts (the int16 range)
 MAX_STATES = int(np.iinfo(np.int16).max)
 
 _NDIM = {"transition": 4, "reward": 3, "cost": 4, "alpha": 1}
@@ -166,7 +166,7 @@ def _float_array(value, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Parameters of the random instance generators.
+    """Parameters of the random instance generator.
 
     family selects the sampling scheme; num_types is only meaningful for the
     typed family and must divide num_arms. cost_mode = action_only makes each
@@ -233,46 +233,26 @@ def _sample_alpha(rng: np.random.Generator, k: int) -> np.ndarray:
     return rng.integers(1, 10, size=k).astype(np.float64) * ALPHA_GRID_STEP
 
 
-def generate_fully_heterogeneous(cfg: GeneratorConfig) -> WcmdpInstance:
-    """Instance with every arm sampled independently.
+def generate(cfg: GeneratorConfig) -> WcmdpInstance:
+    """Random instance of the configured family.
 
-    Per arm: rewards of action 0 are 0 and other rewards are U[0,1];
+    Per sampled arm: rewards of action 0 are 0 and other rewards are U[0,1];
     transition rows are uniform on the simplex; costs of action 0 are 0 and
     other costs are U[0,1]. Budget coefficients come from the 0.05 grid.
-    Deterministic given cfg.seed: alpha is drawn first, then the arms in
-    index order (reward table, transition tensor, cost tensor).
+    A typed instance samples num_types arms and copies each verbatim to a
+    contiguous block of num_arms // num_types arms; a fully heterogeneous
+    instance is the typed one with one arm per type. Deterministic given
+    cfg.seed: alpha is drawn first, then the sampled arms in index order
+    (reward table, transition tensor, cost tensor).
     """
     cfg.check()
-    if cfg.family != FULLY_HETEROGENEOUS:
-        raise ValueError("config family is not fully_heterogeneous")
     rng = np.random.default_rng(cfg.seed)
     alpha = _sample_alpha(rng, cfg.num_constraints)
-    transition, reward, cost = _sample_arms(rng, cfg, cfg.num_arms)
+    count = cfg.num_types if cfg.family == TYPED else cfg.num_arms
+    transition, reward, cost = (np.repeat(a, cfg.num_arms // count, axis=0)
+                                for a in _sample_arms(rng, cfg, count))
     return WcmdpInstance(transition=transition, reward=reward, cost=cost,
                          alpha=alpha)
-
-
-def generate_typed(cfg: GeneratorConfig) -> WcmdpInstance:
-    """Instance with num_types parameter sets, equal-size contiguous blocks.
-
-    Each type is sampled like a fully heterogeneous arm and copied verbatim
-    to all arms of that type. Requires num_arms divisible by num_types.
-    """
-    cfg.check()
-    if cfg.family != TYPED:
-        raise ValueError("config family is not typed")
-    rng = np.random.default_rng(cfg.seed)
-    alpha = _sample_alpha(rng, cfg.num_constraints)
-    transition, reward, cost = _sample_arms(rng, cfg, cfg.num_types)
-    type_of = np.arange(cfg.num_arms) // (cfg.num_arms // cfg.num_types)
-    return WcmdpInstance(transition=transition[type_of], reward=reward[type_of],
-                         cost=cost[type_of], alpha=alpha)
-
-
-def generate(cfg: GeneratorConfig) -> WcmdpInstance:
-    if cfg.family == TYPED:
-        return generate_typed(cfg)
-    return generate_fully_heterogeneous(cfg)
 
 
 def validate(instance: WcmdpInstance) -> list[str]:
@@ -289,7 +269,7 @@ def validate(instance: WcmdpInstance) -> list[str]:
            (("states", S), ("actions", A), ("constraints", K)) if size == 0]
     if S > MAX_STATES:
         out.append(f"instance: S = {S} exceeds {MAX_STATES}, the largest "
-                   "state count the int16 state trace holds")
+                   "supported state count")
     expected = {"transition": (N, S, A, S), "reward": (N, S, A),
                 "cost": (N, K, S, A)}
     out += [f"instance: {name} has shape {getattr(instance, name).shape}, "

@@ -14,10 +14,11 @@ single-armed policy and then enforce the hard budgets:
 Feasibility is structural: action 0 costs nothing, so the emitted system
 action always satisfies every budget.
 
-RNG discipline: each step draws one uniform per arm for ideal actions (arms
-in the runner's ID order), and state transitions later draw one uniform per
-arm in the same order. Identical inputs and generator state reproduce the
-step exactly.
+RNG discipline: the states passed to a runner are indexed in its ID order
+(the simulator draws them uniformly from the replication's generator before
+the first step). Each step draws one uniform per arm for ideal actions, in
+that order, and state transitions later draw one uniform per arm in the same
+order. Identical inputs and generator state reproduce the step exactly.
 """
 
 from __future__ import annotations
@@ -102,11 +103,6 @@ class _RunnerBase:
         return StepOutcome(actions=actions, ideal_actions=ideal,
                            conforming_count=int(conforming),
                            step_reward=step_reward, step_costs=step_costs)
-
-    def to_original_order(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty_like(values)
-        out[self.order] = values
-        return out
 
 
 class IdPolicyRunner(_RunnerBase):

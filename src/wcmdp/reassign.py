@@ -50,10 +50,6 @@ class ReassignmentResult:
         """Inverse permutation: order()[new] is the old index of that slot."""
         return np.argsort(self.new_id)
 
-    def to_json_list(self) -> list[int]:
-        """Permutation as a plain integer list (new ID per old index)."""
-        return [int(v) for v in self.new_id]
-
 
 def active_constraints(instance: WcmdpInstance,
                        policy: SingleArmPolicy) -> tuple[int, ...]:

@@ -6,7 +6,10 @@ every step, and reports a batch-means confidence interval together with the
 ratio of the achieved reward to the relaxation upper bound.
 
 Replication r of a run seeded with s uses its own generator seeded by
-(s, r), so a repeated run reproduces every statistic bit for bit.
+(s, r): it first draws every arm's start state uniformly from the state
+space, then runs the policy. A repeated run reproduces every statistic bit
+for bit. The long-run average reward per arm does not depend on the start
+state, and the statistics are running sums, so no trajectory is stored.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,9 +29,6 @@ from .reassign import ReassignmentResult, reassign
 
 POLICY_ID = "id"
 POLICY_ERC = "erc"
-
-INITIAL_UNIFORM = "uniform"
-INITIAL_ALL_STATE0 = "all0"
 
 # slack for the accumulated floating-point error of a prefix cost sum
 FEASIBILITY_SLACK = 1e-9
@@ -48,8 +47,6 @@ class SimConfig:
     batch_size: int = 4000
     seed: int = 0
     policy: str = POLICY_ID
-    initial_state: str | Sequence[int] = INITIAL_UNIFORM
-    record_trace: bool = False
 
     def check(self) -> None:
         if self.horizon < 1:
@@ -67,7 +64,7 @@ class SimConfig:
 
 @dataclass
 class SimResult:
-    """Aggregated statistics of one simulation run."""
+    """Aggregated statistics of one simulation run, and the config it ran."""
 
     avg_reward_per_arm: float
     optimality_ratio: float
@@ -75,14 +72,8 @@ class SimResult:
     per_batch_means: list
     feasibility_violations: int
     mean_conforming_fraction: float
-    runtime: float
-    policy: str
-    horizon: int
-    replications: int
-    seed: int
     r_rel: float
-    initial_state: str | Sequence[int]
-    trace: dict | None = None
+    config: SimConfig
 
 
 @dataclass(frozen=True)
@@ -91,7 +82,7 @@ class PolicyBundle:
 
     solution: LpSolution
     policy: SingleArmPolicy
-    reassignment: ReassignmentResult | None = None
+    reassignment: ReassignmentResult
 
     @classmethod
     def prepare(cls, instance: WcmdpInstance, seed: int = 0) -> "PolicyBundle":
@@ -113,25 +104,12 @@ def batch_means_ci(batch_means) -> tuple[float, float]:
     return mean, half
 
 
-def _initial_states(config: SimConfig, runner, num_states: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    if isinstance(config.initial_state, str):
-        if config.initial_state == INITIAL_UNIFORM:
-            return rng.integers(0, num_states, size=runner.num_arms)
-        if config.initial_state == INITIAL_ALL_STATE0:
-            return np.zeros(runner.num_arms, dtype=np.int64)
-        raise ValueError(f"unknown initial_state {config.initial_state!r}")
-    explicit = np.asarray(config.initial_state, dtype=np.int64)
-    if explicit.shape != (runner.num_arms,):
-        raise ValueError("explicit initial state has wrong length")
-    # explicit states are given in original arm order
-    return explicit[runner.order]
-
-
 def _run_replication(runner, instance: WcmdpInstance, config: SimConfig,
-                     rep: int) -> dict:
+                     rep: int) -> tuple[float, list[float], int, int]:
+    """Total reward, batch means, violating steps and conforming arm-steps
+    of replication `rep`."""
     rng = np.random.default_rng([config.seed, rep])
-    states = _initial_states(config, runner, instance.num_states, rng)
+    states = rng.integers(0, instance.num_states, size=runner.num_arms)
     budget = instance.alpha * instance.num_arms
 
     total_reward = 0.0
@@ -139,13 +117,6 @@ def _run_replication(runner, instance: WcmdpInstance, config: SimConfig,
     batch_means: list[float] = []
     violations = 0
     conforming = 0
-    trace_states = None
-    trace_conforming = None
-    if config.record_trace:
-        trace_states = np.empty((config.horizon + 1, runner.num_arms), dtype=np.int16)
-        trace_states[0] = states
-        trace_conforming = np.empty(config.horizon, dtype=np.int64)
-
     denom = config.batch_size * runner.num_arms
     for t in range(config.horizon):
         outcome = runner.step(states, rng)
@@ -158,22 +129,11 @@ def _run_replication(runner, instance: WcmdpInstance, config: SimConfig,
             batch_means.append(batch_sum / denom)
             batch_sum = 0.0
         states = runner.transition_step(states, outcome.actions, rng)
-        if config.record_trace:
-            trace_states[t + 1] = states
-            trace_conforming[t] = outcome.conforming_count
-
-    out = {"total_reward": total_reward, "batch_means": batch_means,
-           "violations": violations, "conforming": conforming}
-    if config.record_trace:
-        out["trace_states"] = trace_states
-        out["trace_conforming"] = trace_conforming
-    return out
+    return total_reward, batch_means, violations, conforming
 
 
 def make_runner(instance: WcmdpInstance, bundle: PolicyBundle, policy_kind: str):
     if policy_kind == POLICY_ID:
-        if bundle.reassignment is None:
-            raise ValueError("ID policy requires a reassignment in the bundle")
         return IdPolicyRunner(instance, bundle.policy, bundle.reassignment)
     if policy_kind == POLICY_ERC:
         return ErcPolicyRunner(instance, bundle.policy)
@@ -184,49 +144,38 @@ def simulate(instance: WcmdpInstance, bundle: PolicyBundle,
              config: SimConfig) -> SimResult:
     """Run the configured policy and aggregate across replications."""
     config.check()
-    started = time.perf_counter()
     runner = make_runner(instance, bundle, config.policy)
+    totals, batches, violations, conforming = zip(
+        *(_run_replication(runner, instance, config, r)
+          for r in range(config.replications)))
 
-    rep_results = [_run_replication(runner, instance, config, r)
-                   for r in range(config.replications)]
-
-    n = instance.num_arms
-    steps = config.horizon * config.replications
-    total = sum(r["total_reward"] for r in rep_results)
-    avg_reward = total / (steps * n)
-    pooled = [m for r in rep_results for m in r["batch_means"]]
-    if len(pooled) >= 2:
-        _, half = batch_means_ci(pooled)
-    else:
-        half = float("nan")
-    violations = sum(r["violations"] for r in rep_results)
-    conforming_frac = sum(r["conforming"] for r in rep_results) / (steps * n)
-
-    trace = None
-    if config.record_trace:
-        trace = {
-            "states": [r["trace_states"] for r in rep_results],
-            "conforming": [r["trace_conforming"] for r in rep_results],
-            "order": runner.order,
-        }
-
+    arm_steps = config.horizon * config.replications * instance.num_arms
+    avg_reward = sum(totals) / arm_steps
+    pooled = [m for means in batches for m in means]
+    half = batch_means_ci(pooled)[1] if len(pooled) >= 2 else float("nan")
     r_rel = bundle.solution.objective
     return SimResult(
         avg_reward_per_arm=avg_reward,
         optimality_ratio=avg_reward / r_rel,
         ci_halfwidth=half,
         per_batch_means=pooled,
-        feasibility_violations=violations,
-        mean_conforming_fraction=conforming_frac,
-        runtime=time.perf_counter() - started,
-        policy=config.policy,
-        horizon=config.horizon,
-        replications=config.replications,
-        seed=config.seed,
+        feasibility_violations=sum(violations),
+        mean_conforming_fraction=sum(conforming) / arm_steps,
         r_rel=r_rel,
-        initial_state=config.initial_state,
-        trace=trace,
+        config=config,
     )
+
+
+def _check_sweep(template: GeneratorConfig, n_values: Sequence[int],
+                 config: SimConfig, policies: Sequence[str]) -> None:
+    """Raise ValueError for the first sweep input that cannot run, before
+    any size is generated."""
+    if list(n_values) != sorted(n_values):
+        raise ValueError(f"sizes {list(n_values)} are not ascending")
+    for n in n_values:
+        dataclasses.replace(template, num_arms=int(n)).check()
+    for policy_kind in policies:
+        dataclasses.replace(config, policy=policy_kind).check()
 
 
 def sweep(template: GeneratorConfig, n_values: Sequence[int], config: SimConfig,
@@ -234,10 +183,10 @@ def sweep(template: GeneratorConfig, n_values: Sequence[int], config: SimConfig,
     """Simulate each policy at each system size; one CSV-schema row per pair.
 
     The instance at every size is generated from the template with the same
-    seed, and the relaxation is solved once per size.
+    seed, and the relaxation is solved once per size. Every input is checked
+    before the first size runs.
     """
-    if list(n_values) != sorted(n_values):
-        raise ValueError("n_values must be ascending")
+    _check_sweep(template, n_values, config, policies)
     rows = []
     for n in n_values:
         cfg_n = dataclasses.replace(template, num_arms=int(n))
@@ -255,13 +204,14 @@ def results_row(result: SimResult, family: str, seed: int,
                 num_arms: int) -> dict:
     """The CSV_COLUMNS row of one simulation run."""
     gap = result.r_rel - result.avg_reward_per_arm
+    config = result.config
     return {
         "family": family,
         "seed": seed,
         "N": num_arms,
-        "policy": result.policy,
-        "T": result.horizon,
-        "reps": result.replications,
+        "policy": config.policy,
+        "T": config.horizon,
+        "reps": config.replications,
         "R_rel": result.r_rel,
         "avg_reward": result.avg_reward_per_arm,
         "ratio": result.optimality_ratio,

@@ -52,8 +52,7 @@ def solve_lp_highs(problem: LpProblem) -> LpSolution:
     y = res.x.reshape(problem.num_arms, problem.num_states, problem.num_actions)
     y = np.where((y < 0) & (y >= -1e-12), 0.0, y)
     duals = np.asarray(res.ineqlin.marginals, dtype=np.float64)
-    return LpSolution(y=y, objective=float(-res.fun),
-                      solver_status=str(res.message), duals=duals)
+    return LpSolution(y=y, objective=float(-res.fun), duals=duals)
 
 
 def tiny_instance(seed: int, n: int = 4, s: int = 3, a: int = 2,

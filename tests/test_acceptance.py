@@ -5,6 +5,7 @@ The full module takes a few minutes; the dominant cost is the size sweep at
 horizon 2e4 with 4 replications for both policies.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -187,17 +188,17 @@ def test_criterion_8_mixing_closed_forms():
             f"|C_tau-ref|={abs(diag.c_tau - c_tau_ref):.1e}")
 
 
-def test_criterion_9_finite_time_bound():
-    cfg = GeneratorConfig(seed=0, num_arms=200, num_states=10, num_actions=4,
-                          num_constraints=4)
-    instance = generate(cfg)
-    bundle = PolicyBundle.prepare(instance, seed=0)
-    short = simulate(instance, bundle, SIM)
+def test_criterion_9_finite_time_bound(figure1_rows):
+    # the short run is the N=200 id row of the sweep: same instance, bundle
+    # seed and SIM config
+    short = next(r for r in figure1_rows
+                 if r["N"] == 200 and r["policy"] == "id")
+    instance = generate(dataclasses.replace(FIGURE1, num_arms=200))
+    bundle = PolicyBundle.prepare(instance, seed=SIM.seed)
     long = simulate(instance, bundle,
-                    SimConfig(horizon=40_000, replications=4,
-                              batch_size=4000, seed=0))
-    diff = abs(short.avg_reward_per_arm - long.avg_reward_per_arm)
-    combined = math.hypot(short.ci_halfwidth, long.ci_halfwidth)
+                    dataclasses.replace(SIM, horizon=40_000))
+    diff = abs(short["avg_reward"] - long.avg_reward_per_arm)
+    combined = math.hypot(short["ci_halfwidth"], long.ci_halfwidth)
     _report(9, diff <= 3 * combined,
             f"|avg(2e4)-avg(4e4)| = {diff:.3e} vs 3*combined CI "
             f"{3 * combined:.3e}")

@@ -156,8 +156,7 @@ class TestExtractPolicy:
         # frequencies 0.2/0.1 on one state normalize to 2/3 and 1/3
         arm_inst = tiny_instance(seed=2, n=1, s=2, a=2, k=1)
         y = np.array([[[0.2, 0.1], [0.35, 0.35]]])
-        solution = LpSolution(y=y, objective=0.0, solver_status="manual",
-                              duals=np.zeros(1))
+        solution = LpSolution(y=y, objective=0.0, duals=np.zeros(1))
         policy = extract_policy(arm_inst, solution)
         assert policy.pi[0, 0] == pytest.approx([2 / 3, 1 / 3])
         assert policy.pi[0, 1] == pytest.approx([0.5, 0.5])
@@ -166,8 +165,7 @@ class TestExtractPolicy:
         arm_inst = tiny_instance(seed=2, n=1, s=2, a=4, k=1)
         y = np.zeros((1, 2, 4))
         y[0, 0] = [0.5, 0.5, 0.0, 0.0]
-        solution = LpSolution(y=y, objective=0.0, solver_status="manual",
-                              duals=np.zeros(1))
+        solution = LpSolution(y=y, objective=0.0, duals=np.zeros(1))
         policy = extract_policy(arm_inst, solution)
         assert policy.pi[0, 1] == pytest.approx([0.25, 0.25, 0.25, 0.25])
 
@@ -206,7 +204,7 @@ class TestCheckSolution:
         y = solution.y.copy()
         y[0, 0, 0] += 1e-3
         bad = LpSolution(y=y, objective=solution.objective,
-                         solver_status="perturbed", duals=solution.duals)
+                         duals=solution.duals)
         report = check_solution(instance, bad)
         assert report.max_normalization_residual == pytest.approx(1e-3, abs=1e-10)
         assert 1e-4 <= report.max_balance_residual <= 1e-3 + 1e-9
@@ -216,8 +214,7 @@ class TestCheckSolution:
         arm = single_state_arm([0.0, 0.7], [[0.0, 1.0]])
         instance = stack_arms([arm], [0.5])
         y = np.array([[[0.5, 0.5]]])
-        solution = LpSolution(y=y, objective=0.35, solver_status="manual",
-                              duals=np.zeros(1))
+        solution = LpSolution(y=y, objective=0.35, duals=np.zeros(1))
         report = check_solution(instance, solution, tol=0.0)
         assert report.max_normalization_residual == 0.0
         assert report.max_balance_residual == 0.0

@@ -9,8 +9,9 @@ from wcmdp.lyapunov import (AssumptionError, C_TAU_COEFF, ChainDiagnostics,
                             chain_structure, drift_probe, mixing_time,
                             subset_h)
 from wcmdp.model import GeneratorConfig, generate
+from wcmdp.policies import IdPolicyRunner
 from wcmdp.reassign import verify_slope
-from wcmdp.simulator import PolicyBundle, SimConfig, simulate
+from wcmdp.simulator import PolicyBundle
 
 from oracles import tiny_instance, zero_cost_copy
 
@@ -369,25 +370,22 @@ def trajectories():
         instance = generate(cfg)
         bundle = PolicyBundle.prepare(instance, seed=0)
         diag = chain_diagnostics(instance, bundle.policy)
-        sim = simulate(instance, bundle,
-                       SimConfig(horizon=140, replications=1,
-                                 batch_size=140, seed=0,
-                                 record_trace=True))
-        trace = sim.trace
-        order = trace["order"]
-        window = range(100, 140)
-        ms = []
-        for t in list(window) + [140]:
-            runner_states = trace["states"][0][t].astype(np.int64)
-            original = np.empty_like(runner_states)
-            original[order] = runner_states
-            x = np.zeros((n, instance.num_states))
-            x[np.arange(n), original] = 1.0
-            report = build_report(instance, x, bundle.policy,
-                                  bundle.reassignment, diag)
-            ms.append((report.focus_m, report.h_id[report.focus_m]))
-        n_star = trace["conforming"][0][list(window)]
-        data[n] = (instance, bundle, diag, ms, n_star)
+        # the simulator's replication 0 of seed 0, observed at times 100..140
+        runner = IdPolicyRunner(instance, bundle.policy, bundle.reassignment)
+        rng = np.random.default_rng([0, 0])
+        states = rng.integers(0, instance.num_states, size=n)
+        ms, n_star = [], []
+        for t in range(141):
+            if t >= 100:
+                x = np.zeros((n, instance.num_states))
+                x[runner.order, states] = 1.0
+                report = build_report(instance, x, bundle.policy,
+                                      bundle.reassignment, diag)
+                ms.append((report.focus_m, report.h_id[report.focus_m]))
+            outcome = runner.step(states, rng)
+            n_star.append(outcome.conforming_count)
+            states = runner.transition_step(states, outcome.actions, rng)
+        data[n] = (instance, bundle, diag, ms, n_star[100:140])
     return data
 
 

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcmdp.model import (ALPHA_GRID_STEP, COST_ACTION_ONLY, FULLY_HETEROGENEOUS,
-                         TYPED, GeneratorConfig, WcmdpInstance, generate,
-                         generate_fully_heterogeneous, generate_typed, validate)
+                         TYPED, GeneratorConfig, WcmdpInstance, generate, validate)
 
 from oracles import single_state_arm, stack_arms
 
@@ -84,8 +83,7 @@ class TestValidate:
 
 class TestGenerators:
     def test_fully_heterogeneous_matches_sampling_contract(self):
-        instance = generate_fully_heterogeneous(
-            cfg(seed=0, n=100, s=10, a=4, k=4))
+        instance = generate(cfg(seed=0, n=100, s=10, a=4, k=4))
         assert validate(instance) == []
         # alpha on the 0.05 grid inside (0, 0.5)
         steps = instance.alpha / ALPHA_GRID_STEP
@@ -108,7 +106,7 @@ class TestGenerators:
         assert instance.num_arms == 1
 
     def test_typed_shares_tables_within_type(self):
-        instance = generate_typed(
+        instance = generate(
             cfg(seed=1, n=100, s=4, a=3, k=1, family=TYPED, num_types=10))
         assert validate(instance) == []
         block = 10
@@ -121,17 +119,17 @@ class TestGenerators:
                                   instance.transition[block])
 
     def test_single_type_collapses_to_homogeneous(self):
-        instance = generate_typed(
+        instance = generate(
             cfg(seed=2, n=6, s=3, a=2, k=1, family=TYPED, num_types=1))
         assert np.all(instance.reward == instance.reward[0])
 
     def test_divisibility_violation_raises(self):
         with pytest.raises(ValueError, match="divisible"):
-            generate_typed(cfg(seed=0, n=15, s=3, a=2, k=1,
-                               family=TYPED, num_types=10))
+            generate(cfg(seed=0, n=15, s=3, a=2, k=1,
+                         family=TYPED, num_types=10))
 
     def test_action_only_cost_is_state_independent(self):
-        instance = generate_typed(
+        instance = generate(
             cfg(seed=3, n=10, s=4, a=3, k=1, family=TYPED, num_types=5,
                 cost_mode=COST_ACTION_ONLY))
         assert np.all(instance.cost == instance.cost[:, :, :1, :])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wcmdp import simulator
 from wcmdp.model import GeneratorConfig
 from wcmdp.simulator import (CSV_COLUMNS, PolicyBundle, SimConfig,
                              batch_means_ci, simulate, sweep,
@@ -52,13 +53,13 @@ class TestSimConfig:
 
 class TestSimulate:
     def test_deterministic_two_cycle_hits_exact_average(self):
-        # single action, alternating rewards 0.3/0.7: even-horizon average
-        # from the all-zero start is exactly 0.5
+        # single action, alternating rewards 0.3/0.7: the even-horizon
+        # average is exactly 0.5 from either start state
         arms = [two_cycle_arm(0.3, 0.7) for _ in range(3)]
         instance = stack_arms(arms, [0.2])
         bundle = PolicyBundle.prepare(instance, seed=0)
         config = SimConfig(horizon=2000, replications=2, batch_size=500,
-                           seed=0, initial_state="all0")
+                           seed=0)
         result = simulate(instance, bundle, config)
         assert result.avg_reward_per_arm == pytest.approx(0.5, abs=1e-12)
         assert result.optimality_ratio == pytest.approx(1.0, abs=1e-9)
@@ -84,14 +85,6 @@ class TestSimulate:
         assert len(result.per_batch_means) == 6
         assert 0.0 <= result.mean_conforming_fraction <= 1.0
 
-    def test_trace_shapes(self, bundle_30):
-        instance, bundle = bundle_30
-        config = SimConfig(horizon=50, replications=1, batch_size=25, seed=0,
-                           record_trace=True)
-        result = simulate(instance, bundle, config)
-        assert result.trace["states"][0].shape == (51, instance.num_arms)
-        assert result.trace["conforming"][0].shape == (50,)
-
 
 class TestSweep:
     def test_single_point_smoke(self):
@@ -111,6 +104,17 @@ class TestSweep:
         config = SimConfig(horizon=100, replications=1, batch_size=100, seed=0)
         with pytest.raises(ValueError, match="ascending"):
             sweep(template, [20, 10], config)
+
+    def test_every_input_is_checked_before_the_first_size(self, monkeypatch):
+        def fail(cfg):
+            raise AssertionError(f"generated N={cfg.num_arms} before checking")
+
+        monkeypatch.setattr(simulator, "generate", fail)
+        template = GeneratorConfig(seed=0, num_arms=4, num_states=3,
+                                   num_actions=2, num_constraints=1)
+        config = SimConfig(horizon=100, replications=1, batch_size=50, seed=0)
+        with pytest.raises(ValueError, match="whittle"):
+            sweep(template, [4, 64], config, policies=["id", "whittle"])
 
 
 class TestCsv:
