@@ -2,14 +2,14 @@
 diagnostics as composable subcommands.
 
 Every file-producing command writes a manifest next to its output recording
-the command, flags, seeds, component versions, and the instance hash, so a
-run can be replayed to identical data outputs (timestamps aside).
+the command, flags, seeds, component versions, and the instance file's
+sha256, so a run can be replayed to identical data outputs (timestamps aside).
 
 Exit codes: 0 ok, 2 usage error (a flag value the command cannot run
-with, reported on one `error:` line), 3 validation failure (also an instance
-file that cannot be read or parsed, and a relaxation the solver cannot
-certify), 4 feasibility assertion, 5 under `diagnose --strict` when an arm
-does not mix within --t-cap steps.
+with, or an output that cannot be written, reported on one `error:` line),
+3 validation failure (also an instance file that cannot be read or parsed,
+and a relaxation the solver cannot certify), 4 feasibility assertion, 5
+under `diagnose --strict` when an arm does not mix within --t-cap steps.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ EXIT_ASSUMPTION = 5
 
 _FAMILY_FLAGS = {"fully-het": FULLY_HETEROGENEOUS, "typed": TYPED}
 _COST_FLAGS = {"state-action": COST_STATE_ACTION, "action-only": COST_ACTION_ONLY}
-
-
-def _instance_hash(instance: WcmdpInstance) -> str:
-    return hashlib.sha256(instance.to_json().encode()).hexdigest()
 
 
 def write_manifest(out_path, command: str, flags: dict,
@@ -102,9 +98,16 @@ def _sim_config(args, policy: str) -> SimConfig:
     config = SimConfig(horizon=args.horizon, replications=args.reps,
                        batch_size=args.batch_size, seed=args.sim_seed,
                        policy=policy)
-    with _usage_errors():
-        config.check()
+    config.check()
     return config
+
+
+def _check_outputs(*paths) -> None:
+    """Raise ValueError for an output path whose directory does not exist."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValueError(f"cannot write {path}: no directory "
+                             f"{Path(path).parent}")
 
 
 def _add_generation_flags(p: argparse.ArgumentParser) -> None:
@@ -125,9 +128,11 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sim-seed", type=int, default=0)
 
 
-def _load_instance(path: str) -> WcmdpInstance:
+def _load_instance(path: str) -> tuple[WcmdpInstance, str]:
+    """The validated instance in the file and the sha256 of the file."""
     try:
-        instance = WcmdpInstance.load(path)
+        data = Path(path).read_bytes()
+        instance = WcmdpInstance.from_json_dict(json.loads(data))
     except (OSError, ValueError) as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION) from None
@@ -136,26 +141,31 @@ def _load_instance(path: str) -> WcmdpInstance:
         for msg in problems:
             print(f"invalid instance: {msg}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
-    return instance
+    return instance, hashlib.sha256(data).hexdigest()
 
 
 def cmd_generate(args) -> int:
     with _usage_errors():
+        _check_outputs(args.out)
         instance = generate(_generator_config(args, args.n))
     problems = validate(instance)
     if problems:
         for msg in problems:
             print(f"validation: {msg}", file=sys.stderr)
         return EXIT_VALIDATION
-    instance.save(args.out)
-    write_manifest(args.out, "generate", vars(args), _instance_hash(instance))
+    text = instance.to_json()
+    Path(args.out).write_text(text)
+    write_manifest(args.out, "generate", vars(args),
+                   hashlib.sha256(text.encode()).hexdigest())
     print(f"wrote {args.out}: N={instance.num_arms} S={instance.num_states} "
           f"A={instance.num_actions} K={instance.num_constraints}")
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    instance = _load_instance(args.instance)
+    with _usage_errors():
+        _check_outputs(args.out)
+    instance, instance_hash = _load_instance(args.instance)
     solution = solve_lp(build_lp(instance))
     report = check_solution(instance, solution)
     if not report.ok:
@@ -164,33 +174,36 @@ def cmd_solve(args) -> int:
     Path(args.out).write_text(json.dumps(solution.to_json_dict()))
     solver = {**dataclasses.asdict(solution.stats),
               "audit": dataclasses.asdict(report)}
-    write_manifest(args.out, "solve", vars(args), _instance_hash(instance),
-                   solver=solver)
+    write_manifest(args.out, "solve", vars(args), instance_hash, solver=solver)
     print(f"R_rel = {solution.objective:.10f}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    instance = _load_instance(args.instance)
-    config = _sim_config(args, args.policy)
+    with _usage_errors():
+        _check_outputs(args.out)
+        configs = [_sim_config(args, p) for p in args.policies.split(",")]
+    instance, instance_hash = _load_instance(args.instance)
     bundle = PolicyBundle.prepare(instance, seed=args.sim_seed)
-    result = simulate(instance, bundle, config)
-    if result.feasibility_violations:
-        print(f"feasibility violations: {result.feasibility_violations}",
-              file=sys.stderr)
+    results = [simulate(instance, bundle, config) for config in configs]
+    rows = [results_row(r, "file", args.sim_seed, instance.num_arms)
+            for r in results]
+    if any(row["violations"] for row in rows):
+        print("budget violation detected", file=sys.stderr)
         return EXIT_FEASIBILITY
-    rows = [results_row(result, "file", args.sim_seed, instance.num_arms)]
     write_results_csv(rows, args.out)
-    write_manifest(args.out, "simulate", vars(args), _instance_hash(instance))
-    print(f"{args.policy}: avg={result.avg_reward_per_arm:.6f} "
-          f"ratio={result.optimality_ratio:.4f} ci={result.ci_halfwidth:.2e}")
+    write_manifest(args.out, "simulate", vars(args), instance_hash)
+    for r in results:
+        print(f"{r.config.policy}: avg={r.avg_reward_per_arm:.6f} "
+              f"ratio={r.optimality_ratio:.4f} ci={r.ci_halfwidth:.2e}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     policies = args.policies.split(",")
-    config = _sim_config(args, policies[0])
     with _usage_errors():
+        _check_outputs(args.out, args.svg)
+        config = _sim_config(args, policies[0])
         n_values = [int(v) for v in args.n_list.split(",")]
         template = _generator_config(args, n_values[0])
         _check_sweep(template, n_values, config, policies)
@@ -210,14 +223,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    if args.probe_drift and args.samples < 0:
-        print(f"error: --samples {args.samples} is negative", file=sys.stderr)
-        return EXIT_USAGE
-    instance = _load_instance(args.instance)
+    with _usage_errors():
+        _check_outputs(args.out)
+        if args.probe_drift and args.samples < 0:
+            raise ValueError(f"--samples {args.samples} is negative")
+        if args.t_cap < 0:
+            raise ValueError(f"--t-cap {args.t_cap} is negative")
+    instance, instance_hash = _load_instance(args.instance)
     solution = solve_lp(build_lp(instance))
     policy = extract_policy(instance, solution)
-    diag = lyapunov.chain_diagnostics(instance, policy, t_cap=args.t_cap,
-                                      require_bounded=False)
+    diag = lyapunov.chain_diagnostics(instance, policy, t_cap=args.t_cap)
     if not diag.ok and args.strict:
         print(f"assumption failure: arms {diag.failing_arms()} do not mix "
               f"within {args.t_cap} steps", file=sys.stderr)
@@ -233,7 +248,7 @@ def cmd_diagnose(args) -> int:
             "num_samples": probe.num_samples, "within_bound": probe.within_bound,
         }]
     Path(args.out).write_text(json.dumps(payload, indent=2))
-    write_manifest(args.out, "diagnose", vars(args), _instance_hash(instance))
+    write_manifest(args.out, "diagnose", vars(args), instance_hash)
     if diag.ok:
         print(f"tau_max={diag.tau_max:.0f} gamma={diag.gamma:.6f} "
               "assumption_ok=True")
@@ -242,22 +257,10 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    instance = _load_instance(args.instance)
-    configs = [_sim_config(args, kind) for kind in ("id", "erc")]
-    bundle = PolicyBundle.prepare(instance, seed=args.sim_seed)
-    print(f"{'policy':>6} {'avg':>12} {'ratio':>8} {'ci':>10}")
-    for config in configs:
-        result = simulate(instance, bundle, config)
-        if result.feasibility_violations:
-            print("budget violation detected", file=sys.stderr)
-            return EXIT_FEASIBILITY
-        print(f"{config.policy:>6} {result.avg_reward_per_arm:12.6f} "
-              f"{result.optimality_ratio:8.4f} {result.ci_halfwidth:10.2e}")
-    return EXIT_OK
-
-
 def cmd_oracle_check(args) -> int:
+    with _usage_errors():
+        if args.seeds < 1:
+            raise ValueError(f"--seeds {args.seeds} checks no instance")
     worst = -math.inf
     for seed in range(args.seeds):
         cfg = GeneratorConfig(seed=seed, num_arms=args.n,
@@ -358,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("simulate", help="simulate one policy on an instance")
+    p = sub.add_parser("simulate", help="simulate policies on one instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--policy", choices=["id", "erc"], default="id")
+    p.add_argument("--policies", default="id", help="comma-separated policies")
     _add_sim_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -384,11 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("compare", help="run both policies on one instance")
-    p.add_argument("--instance", required=True)
-    _add_sim_flags(p)
-    p.set_defaults(func=cmd_compare)
-
     p = sub.add_parser("oracle-check",
                        help="exact small-instance optimum vs the LP bound")
     p.add_argument("--n", type=int, default=2)
@@ -410,6 +408,9 @@ def main(argv=None) -> int:
     except LpSolveError as exc:
         print(f"relaxation solve failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

@@ -58,6 +58,7 @@ C_TAU_COEFF = 4.0 * math.e / (1.0 - 1.0 / math.sqrt(math.e))
 DEFAULT_T_CAP = 10_000
 SERIES_MAX_TERMS = 10_000
 FOCUS_SIZE_GUARD = 200
+BURN_IN = 100
 
 
 class AssumptionError(RuntimeError):
@@ -177,15 +178,13 @@ class ChainDiagnostics:
 
 
 def chain_diagnostics(instance: WcmdpInstance, policy: SingleArmPolicy,
-                      t_cap: int = DEFAULT_T_CAP,
-                      require_bounded: bool = True) -> ChainDiagnostics:
+                      t_cap: int = DEFAULT_T_CAP) -> ChainDiagnostics:
     """Per-arm mixing times, the unichain/aperiodic flags, and the derived
     constants.
 
     chain_structure runs only on the arms whose mixing time reaches t_cap;
-    every other arm is an aperiodic unichain. By default such an arm raises
-    AssumptionError; with require_bounded=False the result is returned with
-    ok False and no constants.
+    every other arm is an aperiodic unichain. When any arm does not mix the
+    result has ok False and constants of None.
     """
     n = policy.num_arms
     tau = np.array([mixing_time(policy.induced_P[i], policy.mu_star[i], t_cap)
@@ -196,11 +195,6 @@ def chain_diagnostics(instance: WcmdpInstance, policy: SingleArmPolicy,
     for i in failing:
         unichain[i], aperiodic[i] = chain_structure(policy.induced_P[i])
     if failing.size:
-        if require_bounded:
-            raise AssumptionError(
-                f"arm(s) {failing.tolist()} do not mix within {t_cap} steps "
-                f"(unichain {unichain[failing].tolist()}, aperiodic "
-                f"{aperiodic[failing].tolist()})")
         return ChainDiagnostics(tau=tau, tau_max=None, gamma=None, c_tau=None,
                                 l_h=None, c_h=None, unichain=unichain,
                                 aperiodic=aperiodic)
@@ -224,6 +218,8 @@ def _deviation_series(diff: np.ndarray, P: np.ndarray, mu: np.ndarray,
     (value, terms_used, certified_tail) where value is a scalar, or an
     (n+1,) array over prefixes of the rows when prefixes=True. The iterate
     carries the 1/gamma^ell scaling, so no separate power is formed.
+    min_terms forces a longer horizon than the certificate needs, to audit
+    the truncation itself.
     """
     n = diff.shape[0]
     best: np.ndarray | float = np.zeros(n + 1) if prefixes else 0.0
@@ -270,13 +266,10 @@ def _tau_window(diag: ChainDiagnostics) -> int:
 
 
 def subset_h(x: np.ndarray, D, policy: SingleArmPolicy,
-             diag: ChainDiagnostics, tol: float = 1e-6,
-             min_terms: int = 0) -> float:
+             diag: ChainDiagnostics, tol: float = 1e-6) -> float:
     """Deviation value h(x, D) within tol, rows of x in the policy's order.
 
-    Rows may be one-hot states or any probability distributions. min_terms
-    forces a longer horizon than the certificate needs (used to audit the
-    truncation itself).
+    Rows may be one-hot states or any probability distributions.
     """
     idx = np.asarray(D, dtype=np.int64)
     x = np.asarray(x, dtype=np.float64)
@@ -286,27 +279,21 @@ def subset_h(x: np.ndarray, D, policy: SingleArmPolicy,
     value, _, _ = _deviation_series(
         x[idx] - policy.mu_star[idx], policy.induced_P[idx],
         policy.mu_star[idx], _weights_for(policy, idx), diag.gamma, tol,
-        _tau_window(diag), min_terms=min_terms)
+        _tau_window(diag))
     return float(value)
 
 
 @dataclass(frozen=True)
 class LyapunovReport:
-    """Snapshot of the diagnostics at one system state."""
+    """Snapshot of the diagnostics at one system state. Both arrays are
+    indexed by prefix size n = 0..N, over the arms in ID order."""
 
-    h_values: dict          # subset descriptor -> h(x, D)
-    h_id: dict              # grid fraction m -> envelope value
+    prefix_h: np.ndarray    # (N+1,) h(x, [n])
+    h_id: np.ndarray        # (N+1,) h_ID(x, n/N), the running max of prefix_h
     focus_m: float
     v: float
     truncation_level: int
     tail_bound: float
-
-    def to_json_dict(self) -> dict:
-        return {"h_values": self.h_values,
-                "h_id": {str(k): v for k, v in self.h_id.items()},
-                "focus_m": self.focus_m, "V": self.v,
-                "truncation_level": self.truncation_level,
-                "tail_bound": self.tail_bound}
 
 
 def build_report(instance: WcmdpInstance, x: np.ndarray,
@@ -339,8 +326,8 @@ def build_report(instance: WcmdpInstance, x: np.ndarray,
     n_m = int(covered[-1]) if covered.size else 0
     m = n_m / n_arms
     return LyapunovReport(
-        h_values={f"prefix:{n}": float(values[n]) for n in range(n_arms + 1)},
-        h_id={n / n_arms: float(envelope[n]) for n in range(n_arms + 1)},
+        prefix_h=values,
+        h_id=envelope,
         focus_m=m,
         v=float(envelope[n_m]) + diag.l_h * n_arms * (1.0 - m),
         truncation_level=level,
@@ -356,7 +343,6 @@ class DriftProbeResult:
     stderr: float
     bound: float
     num_samples: int
-    gamma: float
 
     @property
     def within_bound(self) -> bool:
@@ -365,16 +351,16 @@ class DriftProbeResult:
 
 def drift_probe(instance: WcmdpInstance, policy: SingleArmPolicy,
                 diag: ChainDiagnostics, D, num_samples: int,
-                rng: np.random.Generator, burn_in: int = 100,
-                tol: float = 1e-6) -> DriftProbeResult:
+                rng: np.random.Generator, tol: float = 1e-6) -> DriftProbeResult:
     """Sample E[(h(X_{t+1}, D) - gamma * h(X_t, D))^+] with every arm in D
-    run under its single-armed policy, against the c_h * sqrt(N) bound."""
+    run under its single-armed policy from a uniform start advanced BURN_IN
+    steps, against the c_h * sqrt(N) bound."""
     window = _tau_window(diag)
     idx = np.asarray(D, dtype=np.int64)
     bound = diag.c_h * math.sqrt(instance.num_arms)
     if idx.size == 0 or num_samples == 0:
         return DriftProbeResult(mean=0.0, stderr=0.0, bound=bound,
-                                num_samples=num_samples, gamma=diag.gamma)
+                                num_samples=num_samples)
 
     n = idx.size
     s = instance.num_states
@@ -392,7 +378,7 @@ def drift_probe(instance: WcmdpInstance, policy: SingleArmPolicy,
         return float(value)
 
     states = rng.integers(0, s, size=n)
-    for _ in range(burn_in):
+    for _ in range(BURN_IN):
         states = sample_from_cdf(cdf[ar, states], rng.random(n))
 
     stats = np.empty(num_samples)
@@ -406,5 +392,4 @@ def drift_probe(instance: WcmdpInstance, policy: SingleArmPolicy,
     stderr = float(stats.std(ddof=1) / math.sqrt(num_samples)) \
         if num_samples > 1 else 0.0
     return DriftProbeResult(mean=float(stats.mean()), stderr=stderr,
-                            bound=bound, num_samples=num_samples,
-                            gamma=diag.gamma)
+                            bound=bound, num_samples=num_samples)

@@ -116,8 +116,9 @@ class WcmdpInstance:
     @classmethod
     def from_json_dict(cls, d: dict) -> "WcmdpInstance":
         """Inverse of to_json_dict. A missing, empty, ragged or non-numeric
-        field (a string, boolean or null where a number belongs included)
-        raises ValueError naming it."""
+        field (a string, boolean or null where a number belongs included),
+        or an N/S/A/K header that disagrees with the arrays, raises
+        ValueError naming it."""
         arms = _field(d, "arms")
         if not isinstance(arms, list) or not arms:
             raise ValueError("arms: expected a non-empty list of arm objects")
@@ -125,9 +126,17 @@ class WcmdpInstance:
         def stacked(key: str) -> np.ndarray:
             return _float_array([_field(a, key) for a in arms], f"arms[].{key}")
 
-        return cls(transition=stacked("P"), reward=stacked("r"),
-                   cost=stacked("c"),
-                   alpha=_float_array(_field(d, "alpha"), "alpha"))
+        instance = cls(transition=stacked("P"), reward=stacked("r"),
+                       cost=stacked("c"),
+                       alpha=_float_array(_field(d, "alpha"), "alpha"))
+        for key, size in (("N", instance.num_arms), ("S", instance.num_states),
+                          ("A", instance.num_actions),
+                          ("K", instance.num_constraints)):
+            value = _field(d, key)
+            if type(value) is not int or value != size:
+                raise ValueError(f"{key}: header says {value!r}, the arrays "
+                                 f"have {size}")
+        return instance
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())

@@ -195,8 +195,10 @@ def exact_oracle(instance: WcmdpInstance, tol: float = 1e-6) -> float:
                 trans = np.kron(trans, p)
             trans[si] -= 1.0
             rows.append((si, trans, reward))
-    if len(rows) * n_states > ORACLE_MAX_DENSE:
-        raise OracleSizeError("feasible joint-action enumeration too large")
+            # a_ub below holds (2m) x (2 n_states) float64 entries
+            if 4 * len(rows) * n_states > ORACLE_MAX_DENSE:
+                raise OracleSizeError(
+                    f"dense matrix exceeds {ORACLE_MAX_DENSE} entries")
 
     m = len(rows)
     a_ub = np.zeros((2 * m, 2 * n_states))

@@ -153,8 +153,10 @@ def test_criterion_7_h_unit_truths():
         x - policy.mu_star, policy.induced_P, policy.mu_star,
         _weights_for(policy, np.arange(n)), diag.gamma, 1e-7,
         _tau_window(diag))
-    doubled = subset_h(x, np.arange(n), policy, diag, tol=1e-7,
-                       min_terms=2 * used)
+    doubled, _, _ = _deviation_series(
+        x - policy.mu_star, policy.induced_P, policy.mu_star,
+        _weights_for(policy, np.arange(n)), diag.gamma, 1e-7,
+        _tau_window(diag), min_terms=2 * used)
     parts.append(("doubled horizon within 1e-7",
                   abs(doubled - value) <= 1e-7))
 

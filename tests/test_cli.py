@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -35,7 +36,8 @@ class TestGenerate:
         manifest = json.loads((tmp_path / "inst.json.manifest.json").read_text())
         assert manifest["command"] == "generate"
         assert manifest["flags"]["seed"] == 0
-        assert len(manifest["instance_hash"]) == 64
+        assert manifest["instance_hash"] == hashlib.sha256(
+            out.read_bytes()).hexdigest()
 
     def test_typed_action_only(self, tmp_path):
         out = tmp_path / "typed.json"
@@ -83,6 +85,10 @@ def _true_reward(d):
     d["arms"][0]["r"][0][1] = True
 
 
+def _wrong_header(d):
+    d["N"] = 999
+
+
 def _run_cli(argv):
     """Run `python -m wcmdp.cli argv` in a fresh process."""
     src = str(Path(wcmdp.__file__).resolve().parents[1])
@@ -100,8 +106,9 @@ def _run_cli(argv):
     (None, "No such file"),
     (_instance_text(lambda d: d.update(alpha=["0.5"])), "alpha"),
     (_instance_text(_true_reward), "arms[].r"),
+    (_instance_text(_wrong_header), "N: header says 999"),
 ], ids=["malformed-json", "missing-alpha", "no-arms", "ragged-arms",
-        "missing-path", "string-alpha", "boolean-reward"])
+        "missing-path", "string-alpha", "boolean-reward", "header-mismatch"])
 def test_bad_instance_file_exits_3_without_traceback(tmp_path, text, field):
     path = tmp_path / "bad.json"
     if text is not None:
@@ -123,10 +130,8 @@ _SWEEP = ["sweep", "--states", "3", "--actions", "2", "--k", "1"]
      "--batch-size", "150", "--out", "{out}"],
     ["simulate", "--instance", "{inst}", *_SIM_FLAGS, "--sim-seed", "-1",
      "--out", "{out}"],
-    ["compare", "--instance", "{inst}", "--horizon", "0"],
-    ["compare", "--instance", "{inst}", "--horizon", "200",
-     "--batch-size", "150"],
-    ["compare", "--instance", "{inst}", *_SIM_FLAGS, "--sim-seed", "-1"],
+    ["simulate", "--instance", "{inst}", "--policies", "id,whittle",
+     *_SIM_FLAGS, "--out", "{out}"],
     [*_SWEEP, "--n-list", "8,4", *_SIM_FLAGS, "--out", "{out}"],
     [*_SWEEP, "--n-list", "0", *_SIM_FLAGS, "--out", "{out}"],
     [*_SWEEP, "--n-list", "4,8", "--policies", "id,whittle", *_SIM_FLAGS,
@@ -134,23 +139,39 @@ _SWEEP = ["sweep", "--states", "3", "--actions", "2", "--k", "1"]
     [*_SWEEP, "--family", "typed", "--types", "4", "--n-list", "8,10",
      *_SIM_FLAGS, "--out", "{out}"],
     ["oracle-check", "--n", "0"],
+    ["oracle-check", "--seeds", "0"],
     ["diagnose", "--instance", "{inst}", "--probe-drift", "--samples", "-1",
      "--out", "{out}"],
+    ["diagnose", "--instance", "{inst}", "--t-cap", "-1", "--out", "{out}"],
+    ["generate", "--n", "4", "--out", "{missing}"],
+    ["generate", "--n", "4", "--out", "{dir}"],
+    ["solve", "--instance", "{inst}", "--out", "{missing}"],
+    ["simulate", "--instance", "{inst}", *_SIM_FLAGS, "--out", "{missing}"],
+    [*_SWEEP, "--n-list", "4", *_SIM_FLAGS, "--out", "{missing}"],
+    [*_SWEEP, "--n-list", "4", *_SIM_FLAGS, "--out", "{out}",
+     "--svg", "{missing}"],
+    ["diagnose", "--instance", "{inst}", "--out", "{missing}"],
 ], ids=["simulate-horizon-0", "simulate-batch-size", "simulate-seed",
-        "compare-horizon-0", "compare-batch-size", "compare-seed",
+        "simulate-unknown-policy",
         "sweep-descending", "sweep-zero-size", "sweep-unknown-policy",
         "sweep-types-divide", "oracle-check-zero-arms",
-        "diagnose-negative-samples"])
+        "oracle-check-zero-seeds", "diagnose-negative-samples",
+        "diagnose-negative-t-cap", "generate-missing-dir",
+        "generate-out-is-directory", "solve-missing-dir",
+        "simulate-missing-dir", "sweep-missing-dir", "sweep-svg-missing-dir",
+        "diagnose-missing-dir"])
 def test_bad_flag_value_exits_2_without_traceback(tmp_path, argv):
     inst = tmp_path / "inst.json"
     tiny_instance(seed=0).save(inst)
     out = tmp_path / "out"
-    proc = _run_cli([a.format(inst=inst, out=out) for a in argv])
+    missing = tmp_path / "no-such-dir" / "out"
+    proc = _run_cli([a.format(inst=inst, out=out, missing=missing,
+                              dir=tmp_path) for a in argv])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert [line for line in proc.stderr.splitlines()
             if line.startswith("error:")], proc.stderr
-    assert not out.exists()
+    assert not out.exists() and not missing.parent.exists()
 
 
 _ODD_VALUES = [float("nan"), float("inf"), float("-inf"), -1.0, -1e-3, 0.0,
@@ -237,11 +258,13 @@ class TestPipelineCommands:
         assert 0.0 <= solver["lagrangian_gap"] <= 1e-9
         assert solver["audit"]["tol"] == 1e-8
         assert max(v for k, v in solver["audit"].items() if k != "tol") <= 1e-8
+        assert manifest["instance_hash"] == hashlib.sha256(
+            instance_file.read_bytes()).hexdigest()
 
     def test_simulate_writes_csv_row(self, instance_file, tmp_path):
         out = tmp_path / "sim.csv"
         assert run(["simulate", "--instance", str(instance_file),
-                    "--policy", "id", "--horizon", "400", "--reps", "1",
+                    "--policies", "id", "--horizon", "400", "--reps", "1",
                     "--batch-size", "200", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0].split(",") == CSV_COLUMNS
@@ -271,11 +294,19 @@ class TestPipelineCommands:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
-    def test_compare_runs_both_policies(self, instance_file, capsys):
-        assert run(["compare", "--instance", str(instance_file), "--horizon",
-                    "200", "--reps", "1", "--batch-size", "100"]) == 0
-        out = capsys.readouterr().out
-        assert "id" in out and "erc" in out
+    def test_simulate_runs_policies_in_order(self, instance_file, tmp_path,
+                                             capsys):
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--instance", str(instance_file),
+                    "--policies", "id,erc", "--horizon", "200", "--reps", "1",
+                    "--batch-size", "100", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[CSV_COLUMNS.index("policy")] for row in rows] == [
+            "id", "erc"]
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in printed] == ["id", "erc"]
+        assert sorted(p.name for p in tmp_path.glob("sim*")) == [
+            "sim.csv", "sim.csv.manifest.json"]
 
     def test_oracle_check_small(self, capsys):
         assert run(["oracle-check", "--n", "2", "--states", "2", "--actions",

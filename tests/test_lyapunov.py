@@ -128,38 +128,47 @@ class TestChainDiagnostics:
         assert np.all(diag.unichain) and np.all(diag.aperiodic)
 
     def test_periodic_arm_raises_by_default(self):
+        # chain_diagnostics reports the arm; every evaluator of h raises
+        # AssumptionError naming it
         policy = one_arm_policy(CYCLE2, HALF, [1.0, 0.0])
         instance = tiny_instance(seed=0, n=1, s=2, a=1, k=1)
-        with pytest.raises(AssumptionError):
-            chain_diagnostics(instance, policy, t_cap=200)
+        diag = chain_diagnostics(instance, policy, t_cap=200)
+        assert not diag.ok
+        x = np.array([[1.0, 0.0]])
+        reassignment = PolicyBundle.prepare(instance, seed=0).reassignment
+        calls = [
+            lambda: subset_h(x, [0], policy, diag),
+            lambda: build_report(instance, x, policy, reassignment, diag),
+            lambda: drift_probe(instance, policy, diag, [0], 5,
+                                np.random.default_rng(0)),
+        ]
+        for call in calls:
+            with pytest.raises(AssumptionError, match=r"arm\(s\) \[0\]"):
+                call()
 
     def test_assumption_report_flags_arms(self):
         policy = one_arm_policy(CYCLE2, HALF, [1.0, 0.0])
         instance = tiny_instance(seed=0, n=1, s=2, a=1, k=1)
-        diag = chain_diagnostics(instance, policy, t_cap=200,
-                                 require_bounded=False)
+        diag = chain_diagnostics(instance, policy, t_cap=200)
         assert not diag.ok
         assert diag.failing_arms() == [0]
+        assert diag.tau.tolist() == [UNBOUNDED]
         assert (diag.unichain.tolist(), diag.aperiodic.tolist()) == (
             [True], [False])
-        assert diag.gamma is None and diag.c_h is None
-        # a diagnostics object without constants evaluates nothing
-        with pytest.raises(AssumptionError):
-            drift_probe(instance, policy, diag, [0], 5,
-                        np.random.default_rng(0))
+        assert diag.tau_max is None and diag.gamma is None
+        assert diag.l_h is None and diag.c_h is None
 
     def test_slow_mixing_arm_fails_without_structure_defect(self, small_solved):
         # t_cap=0: no arm mixes, yet every induced chain is an aperiodic
         # unichain, so the structure check clears them all
         instance, _, policy = small_solved
-        diag = chain_diagnostics(instance, policy, t_cap=0,
-                                 require_bounded=False)
+        diag = chain_diagnostics(instance, policy, t_cap=0)
         assert not diag.ok
         assert diag.failing_arms() == list(range(instance.num_arms))
         assert np.all(diag.unichain) and np.all(diag.aperiodic)
         assert diag.to_json_dict()["L_h"] is None
         with pytest.raises(AssumptionError, match="do not mix"):
-            chain_diagnostics(instance, policy, t_cap=0)
+            subset_h(policy.mu_star, [0], policy, diag)
 
     def test_structure_runs_only_on_arms_that_do_not_mix(self, small_solved,
                                                           monkeypatch):
@@ -232,7 +241,10 @@ class TestSubsetH:
         value, used, _ = _deviation_series(
             x - policy.mu_star, policy.induced_P, policy.mu_star,
             _weights_for(policy, d), diag.gamma, 1e-7, _tau_window(diag))
-        doubled = subset_h(x, d, policy, diag, tol=1e-7, min_terms=2 * used)
+        doubled, _, _ = _deviation_series(
+            x - policy.mu_star, policy.induced_P, policy.mu_star,
+            _weights_for(policy, d), diag.gamma, 1e-7, _tau_window(diag),
+            min_terms=2 * used)
         assert doubled == pytest.approx(value, abs=1e-7)
 
     def test_non_distribution_rows_rejected(self, small_solved):
@@ -259,10 +271,10 @@ class TestHIdAndFocus:
         report = build_report(instance, _random_state(instance, 3),
                               bundle.policy, bundle.reassignment, diag)
         n = instance.num_arms
-        assert report.h_id[0.0] == 0.0
-        values = [report.h_id[m / n] for m in range(n + 1)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert values[-1] == max(report.h_values.values())
+        assert report.h_id.shape == (n + 1,)
+        assert report.h_id[0] == 0.0
+        assert np.all(np.diff(report.h_id) >= 0)
+        assert report.h_id[n] == report.prefix_h.max()
 
     def test_h_id_lipschitz_in_m(self, small_solved):
         instance, _, policy = small_solved
@@ -272,7 +284,7 @@ class TestHIdAndFocus:
         report = build_report(instance, _random_state(instance, 4),
                               bundle.policy, bundle.reassignment, diag,
                               tol=1e-8)
-        env = [report.h_id[m / n] for m in range(n + 1)]
+        env = report.h_id
         rng = np.random.default_rng(4)
         for _ in range(50):
             m1, m2 = sorted(rng.integers(0, n + 1, size=2))
@@ -306,17 +318,16 @@ class TestHIdAndFocus:
         report = build_report(instance, x, bundle.policy,
                               bundle.reassignment, diag)
         n = instance.num_arms
-        assert len(report.h_values) == n + 1
-        assert report.h_values["prefix:0"] == 0.0
+        assert report.prefix_h.shape == (n + 1,)
+        assert report.prefix_h[0] == 0.0
         # prefix values are h over the first arms in reassigned order
         order = bundle.reassignment.order()
         for size in (1, n // 2, n):
-            assert report.h_values[f"prefix:{size}"] == pytest.approx(
+            assert report.prefix_h[size] == pytest.approx(
                 subset_h(x, order[:size], policy, diag), abs=2e-6)
+        assert np.array_equal(report.h_id,
+                              np.maximum.accumulate(report.prefix_h))
         assert report.tail_bound <= 1e-6
-        payload = report.to_json_dict()
-        assert set(payload) == {"h_values", "h_id", "focus_m", "V",
-                                "truncation_level", "tail_bound"}
 
     def test_lyapunov_value_assembles_from_parts(self, small_solved):
         instance, _, policy = small_solved
@@ -325,10 +336,10 @@ class TestHIdAndFocus:
         report = build_report(instance, _random_state(instance, 6),
                               bundle.policy, bundle.reassignment, diag)
         m = report.focus_m
+        n = instance.num_arms
         assert m >= 0.0
         assert report.v == pytest.approx(
-            report.h_id[m] + diag.l_h * instance.num_arms * (1 - m),
-            rel=1e-12)
+            report.h_id[round(m * n)] + diag.l_h * n * (1 - m), rel=1e-12)
 
 
 class TestDriftProbe:
@@ -348,7 +359,7 @@ class TestDriftProbe:
                                 l_h=1.0, c_h=1.0, unichain=np.array([True]),
                                 aperiodic=np.array([True]))
         probe = drift_probe(instance, policy, diag, [0], 20,
-                            np.random.default_rng(1), burn_in=2)
+                            np.random.default_rng(1))
         assert probe.mean == 0.0
 
     def test_mean_within_loose_bound(self, small_solved):
@@ -381,7 +392,8 @@ def trajectories():
                 x[runner.order, states] = 1.0
                 report = build_report(instance, x, bundle.policy,
                                       bundle.reassignment, diag)
-                ms.append((report.focus_m, report.h_id[report.focus_m]))
+                ms.append((report.focus_m,
+                           report.h_id[round(report.focus_m * n)]))
             outcome = runner.step(states, rng)
             n_star.append(outcome.conforming_count)
             states = runner.transition_step(states, outcome.actions, rng)

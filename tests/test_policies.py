@@ -174,6 +174,17 @@ class TestExactOracle:
         with pytest.raises(OracleSizeError):
             exact_oracle(instance)
 
+    def test_dense_guard_bounds_the_constraint_matrix(self, monkeypatch):
+        # zero costs keep all 16 joint pairs over 4 joint states: 64 entries
+        # of transition rows, but a 32 x 8 constraint matrix of 256
+        import wcmdp.policies as policies
+        instance = zero_cost_copy(tiny_instance(seed=0, n=2, s=2, a=2, k=1))
+        monkeypatch.setattr(policies, "ORACLE_MAX_DENSE", 64)
+        with pytest.raises(OracleSizeError, match="64"):
+            exact_oracle(instance)
+        monkeypatch.setattr(policies, "ORACLE_MAX_DENSE", 256)
+        exact_oracle(instance)
+
     def test_binding_constraint_strictly_below_relaxation(self):
         # one arm, one state: hard budget forces action 0 every other step
         # in spirit; optimal stationary feasible policy picks the best single
