@@ -69,6 +69,21 @@ def sample_from_cdf(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
                       cdf_rows.shape[1] - 1)
 
 
+def _erc_rejections(costs_q: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """Mask of the queued cost rows (rank order) that the greedy rejects."""
+    rejected = np.zeros(costs_q.shape[0], dtype=bool)
+    budget = budget.tolist()
+    ks = range(len(budget))
+    running = [0.0] * len(budget)
+    for i, row in enumerate(costs_q.tolist()):
+        if all(running[k] + row[k] <= budget[k] for k in ks):
+            for k in ks:
+                running[k] += row[k]
+        else:
+            rejected[i] = True
+    return rejected
+
+
 class _RunnerBase:
     """Shared tensor caches for the per-step policy runners."""
 
@@ -143,16 +158,7 @@ class ErcPolicyRunner(_RunnerBase):
         # zero-cost draws can never break a budget, so only the rest queue up
         needs_check = costs.max(axis=1) > 0.0
         queue = rank[needs_check[rank]]
-        if queue.size:
-            budget = self.budget.tolist()
-            running = [0.0] * self.num_constraints
-            ks = range(self.num_constraints)
-            for i, row in zip(queue.tolist(), costs[queue].tolist()):
-                if all(running[k] + row[k] <= budget[k] for k in ks):
-                    for k in ks:
-                        running[k] += row[k]
-                else:
-                    actions[i] = 0
+        actions[queue[_erc_rejections(costs[queue], self.budget)]] = 0
         conforming = int((actions == ideal).sum())
         return self._outcome(states, actions, ideal, conforming)
 

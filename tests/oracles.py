@@ -15,6 +15,7 @@ from scipy.optimize import linprog
 
 from wcmdp.lp_relax import LpProblem, LpSolution, LpSolveError
 from wcmdp.model import GeneratorConfig, WcmdpInstance, generate
+from wcmdp.policies import sample_from_cdf
 
 
 def rvi_average_reward(transition: np.ndarray, reward: np.ndarray,
@@ -53,6 +54,66 @@ def solve_lp_highs(problem: LpProblem) -> LpSolution:
     y = np.where((y < 0) & (y >= -1e-12), 0.0, y)
     duals = np.asarray(res.ineqlin.marginals, dtype=np.float64)
     return LpSolution(y=y, objective=float(-res.fun), duals=duals)
+
+
+def erc_rejections_reference(costs_q, budget) -> np.ndarray:
+    """Mask of the queued cost rows (rank order) that the ERC greedy rejects,
+    by the sequential loop: keep a row while running[k] + row[k] <= budget[k]
+    holds for every k, and add it to the running totals."""
+    rejected = np.zeros(len(costs_q), dtype=bool)
+    budget = np.asarray(budget, dtype=np.float64).tolist()
+    ks = range(len(budget))
+    running = [0.0] * len(budget)
+    for i, row in enumerate(np.asarray(costs_q, dtype=np.float64).tolist()):
+        if all(running[k] + row[k] <= budget[k] for k in ks):
+            for k in ks:
+                running[k] += row[k]
+        else:
+            rejected[i] = True
+    return rejected
+
+
+class ReferenceRunner:
+    """The ID policy (arms in `order`) or, with order None, the ERC baseline,
+    stepped with three-index gathers from the (N, S, A, ...) tables and the
+    sequential ERC greedy. Draws the same uniforms as the package runners,
+    so a step from equal states and generator states must match bit for bit.
+    step returns (actions, ideal, conforming, step_reward, step_costs)."""
+
+    def __init__(self, instance: WcmdpInstance, policy, order=None):
+        n = instance.num_arms
+        self.erc = order is None
+        order = np.arange(n) if order is None else order
+        self.num_arms = n
+        self.budget = instance.alpha * n
+        self.reward = instance.reward[order]
+        self.cost = instance.cost[order].transpose(0, 2, 3, 1)   # (N,S,A,K)
+        self.pi_cdf = np.cumsum(policy.pi[order], axis=-1)
+        self.trans_cdf = np.cumsum(instance.transition[order], axis=-1)
+        self.index_table = policy.r_star
+        self.ar = np.arange(n)
+
+    def step(self, states, rng):
+        ar = self.ar
+        ideal = sample_from_cdf(self.pi_cdf[ar, states], rng.random(self.num_arms))
+        costs = self.cost[ar, states, ideal]
+        actions = ideal.copy()
+        if self.erc:
+            rank = np.argsort(-self.index_table[ar, states], kind="stable")
+            queue = rank[costs[rank].max(axis=1) > 0.0]
+            actions[queue[erc_rejections_reference(costs[queue], self.budget)]] = 0
+            conforming = int((actions == ideal).sum())
+        else:
+            fits = (np.cumsum(costs, axis=0) <= self.budget).all(axis=1)
+            conforming = self.num_arms if fits.all() else int(fits.argmin())
+            actions[conforming:] = 0
+        return (actions, ideal, conforming,
+                float(self.reward[ar, states, actions].sum()),
+                self.cost[ar, states, actions].sum(axis=0))
+
+    def transition_step(self, states, actions, rng):
+        rows = self.trans_cdf[self.ar, states, actions]
+        return sample_from_cdf(rows, rng.random(self.num_arms))
 
 
 def tiny_instance(seed: int, n: int = 4, s: int = 3, a: int = 2,
