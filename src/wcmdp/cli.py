@@ -133,7 +133,8 @@ def _load_instance(path: str) -> tuple[WcmdpInstance, str]:
     try:
         data = Path(path).read_bytes()
         instance = WcmdpInstance.from_json_dict(json.loads(data))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the parser's stack
         print(f"invalid instance: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION) from None
     problems = validate(instance)

@@ -9,7 +9,17 @@ single-armed policy and then enforce the hard budgets:
   arms take the free action 0, whatever their individual cost would be.
 * ERC baseline: rank arms each step by expected reward at their current
   state and greedily keep ideal actions that still fit every running budget,
-  continuing past arms that do not fit.
+  continuing past arms that do not fit. The greedy runs in array rounds
+  (`_erc_rejections`): a cumsum keeps the prefix that fits, rejects the first
+  row that does not, and drops every later row that no longer fits the
+  running totals alone. This rejects exactly the rows the one-arm-at-a-time
+  loop rejects: costs are non-negative and rounded addition is monotone, so
+  the running totals never shrink, and each test is the same float
+  comparison running + cost <= budget on the same left-to-right fold.
+
+Both runners gather their per-step rows (policy and transition CDFs,
+rewards, costs) with one take from flat row tables that view the per-arm
+arrays.
 
 Feasibility is structural: action 0 costs nothing, so the emitted system
 action always satisfies every budget.
@@ -70,51 +80,78 @@ def sample_from_cdf(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _erc_rejections(costs_q: np.ndarray, budget: np.ndarray) -> np.ndarray:
-    """Mask of the queued cost rows (rank order) that the greedy rejects."""
+    """Mask of the queued cost rows (rank order) that the ERC greedy rejects.
+
+    Works in rounds. One cumsum from the running totals gives, for every
+    remaining row, the fold running + row that the greedy would test; the
+    rows before the first failing one are kept, that row is rejected, and
+    the running totals become the fold before it. Every later row that
+    does not fit those totals on its own is rejected too: costs are
+    non-negative and rounded addition is monotone, so the totals only grow
+    and such a row can never fit again. The next round starts from the rows
+    that remain, the first of which fits, so each round keeps at least one.
+    """
     rejected = np.zeros(costs_q.shape[0], dtype=bool)
-    budget = budget.tolist()
-    ks = range(len(budget))
-    running = [0.0] * len(budget)
-    for i, row in enumerate(costs_q.tolist()):
-        if all(running[k] + row[k] <= budget[k] for k in ks):
-            for k in ks:
-                running[k] += row[k]
-        else:
-            rejected[i] = True
+    running = np.zeros(costs_q.shape[1])
+    pos = np.arange(costs_q.shape[0])
+    rows = costs_q
+    while pos.size:
+        acc = np.cumsum(np.vstack([running, rows]), axis=0)
+        fits = (acc[1:] <= budget).all(axis=1)
+        j = int(fits.argmin())
+        if fits[j]:
+            break
+        rejected[pos[j]] = True
+        running = acc[j]
+        pos, rows = pos[j + 1:], rows[j + 1:]
+        keep = (running + rows <= budget).all(axis=1)
+        rejected[pos[~keep]] = True
+        pos, rows = pos[keep], rows[keep]
     return rejected
 
 
 class _RunnerBase:
-    """Shared tensor caches for the per-step policy runners."""
+    """Shared tables of the per-step policy runners.
+
+    Every per-arm table is also held as a flat row table (a view, no copy):
+    the row of arm i in state s is i*S + s, and of the pair (s, a) it is
+    (i*S + s)*A + a. Each step gathers its rows with one take.
+    """
 
     def __init__(self, instance: WcmdpInstance, policy: SingleArmPolicy,
                  order: np.ndarray):
-        n = instance.num_arms
+        n, s, a = instance.num_arms, instance.num_states, instance.num_actions
         self.num_arms = n
-        self.num_constraints = instance.num_constraints
+        self.num_actions = a
         self.order = order
         self.budget = instance.alpha * n
-        self.reward = instance.reward[order]
+        self.reward = instance.reward[order].reshape(n * s * a)
         self.cost = np.ascontiguousarray(
-            instance.cost[order].transpose(0, 2, 3, 1))   # (N,S,A,K)
-        self.pi_cdf = np.cumsum(policy.pi[order], axis=-1)
-        self.trans_cdf = np.cumsum(instance.transition[order], axis=-1)
-        self._ar = np.arange(n)
+            instance.cost[order].transpose(0, 2, 3, 1)).reshape(n * s * a, -1)
+        self.pi_cdf = np.cumsum(policy.pi[order], axis=-1).reshape(n * s, a)
+        self.trans_cdf = np.cumsum(instance.transition[order],
+                                   axis=-1).reshape(n * s * a, s)
+        self._state_row = np.arange(n) * s     # row of (arm, state 0)
+
+    def _pair_rows(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        return (self._state_row + states) * self.num_actions + actions
 
     def sample_ideal(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(self.num_arms)
-        return sample_from_cdf(self.pi_cdf[self._ar, states], u)
+        return sample_from_cdf(self.pi_cdf.take(self._state_row + states, axis=0), u)
 
     def transition_step(self, states: np.ndarray, actions: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
         """Sample every arm's next state, one uniform per arm in ID order."""
         u = rng.random(self.num_arms)
-        rows = self.trans_cdf[self._ar, states, actions]
+        rows = self.trans_cdf.take(self._pair_rows(states, actions), axis=0)
         return sample_from_cdf(rows, u)
 
     def _outcome(self, states, actions, ideal, conforming) -> StepOutcome:
-        step_reward = float(self.reward[self._ar, states, actions].sum())
-        step_costs = self.cost[self._ar, states, actions].sum(axis=0)
+        # recomputed from the emitted actions, independent of admission
+        pairs = self._pair_rows(states, actions)
+        step_reward = float(self.reward.take(pairs).sum())
+        step_costs = self.cost.take(pairs, axis=0).sum(axis=0)
         return StepOutcome(actions=actions, ideal_actions=ideal,
                            conforming_count=int(conforming),
                            step_reward=step_reward, step_costs=step_costs)
@@ -130,7 +167,7 @@ class IdPolicyRunner(_RunnerBase):
 
     def step(self, states: np.ndarray, rng: np.random.Generator) -> StepOutcome:
         ideal = self.sample_ideal(states, rng)
-        costs = self.cost[self._ar, states, ideal]        # (N, K)
+        costs = self.cost.take(self._pair_rows(states, ideal), axis=0)  # (N, K)
         prefix = np.cumsum(costs, axis=0)
         feasible = (prefix <= self.budget[None, :]).all(axis=1)
         blocked = np.flatnonzero(~feasible)
@@ -141,17 +178,24 @@ class IdPolicyRunner(_RunnerBase):
 
 
 class ErcPolicyRunner(_RunnerBase):
-    """ERC baseline executor; vectors are indexed by original arm ID."""
+    """ERC baseline executor; vectors are indexed by original arm ID.
+
+    Arms with a zero-cost ideal action always keep it. The others queue in
+    descending index order (ties by arm ID) and are admitted in rounds by
+    `_erc_rejections`, which rejects the same arms as the sequential greedy
+    because costs are non-negative, rounding is monotone and every test is
+    running + cost <= budget.
+    """
 
     def __init__(self, instance: WcmdpInstance, policy: SingleArmPolicy):
         super().__init__(instance, policy, np.arange(instance.num_arms))
-        self.index_table = policy.r_star                  # (N, S)
+        self.index_table = policy.r_star.reshape(-1)      # (N*S,)
 
     def step(self, states: np.ndarray, rng: np.random.Generator) -> StepOutcome:
         ideal = self.sample_ideal(states, rng)
-        costs = self.cost[self._ar, states, ideal]        # (N, K)
+        costs = self.cost.take(self._pair_rows(states, ideal), axis=0)  # (N, K)
         # indices recomputed from the current states every step
-        indices = self.index_table[self._ar, states]
+        indices = self.index_table.take(self._state_row + states)
         rank = np.argsort(-indices, kind="stable")        # ties: arm ID ascending
         actions = ideal.copy()
 

@@ -107,8 +107,10 @@ def _run_cli(argv):
     (_instance_text(lambda d: d.update(alpha=["0.5"])), "alpha"),
     (_instance_text(_true_reward), "arms[].r"),
     (_instance_text(_wrong_header), "N: header says 999"),
+    ("[" * 100000 + "]" * 100000, "recursion"),
 ], ids=["malformed-json", "missing-alpha", "no-arms", "ragged-arms",
-        "missing-path", "string-alpha", "boolean-reward", "header-mismatch"])
+        "missing-path", "string-alpha", "boolean-reward", "header-mismatch",
+        "deep-nesting"])
 def test_bad_instance_file_exits_3_without_traceback(tmp_path, text, field):
     path = tmp_path / "bad.json"
     if text is not None:
@@ -118,6 +120,8 @@ def test_bad_instance_file_exits_3_without_traceback(tmp_path, text, field):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert field in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid instance: ")
 
 
 _SIM_FLAGS = ["--horizon", "200", "--reps", "1", "--batch-size", "100"]
