@@ -10,16 +10,13 @@ single-armed policy and then enforce the hard budgets:
 * ERC baseline: rank arms each step by expected reward at their current
   state and greedily keep ideal actions that still fit every running budget,
   continuing past arms that do not fit. The greedy runs in array rounds
-  (`_erc_rejections`): a cumsum keeps the prefix that fits, rejects the first
-  row that does not, and drops every later row that no longer fits the
-  running totals alone. This rejects exactly the rows the one-arm-at-a-time
-  loop rejects: costs are non-negative and rounded addition is monotone, so
-  the running totals never shrink, and each test is the same float
-  comparison running + cost <= budget on the same left-to-right fold.
+  (`_erc_rejections`) and rejects exactly the arms the one-at-a-time loop
+  rejects: costs are non-negative and rounded addition is monotone, so the
+  running totals never shrink, and every test is the same comparison
+  running + cost <= budget on the same left-to-right fold.
 
-Both runners gather their per-step rows (policy and transition CDFs,
-rewards, costs) with one take from flat row tables that view the per-arm
-arrays.
+Both runners gather each step's rows (policy and transition CDFs, rewards,
+costs) with one take from flat row tables.
 
 Feasibility is structural: action 0 costs nothing, so the emitted system
 action always satisfies every budget.
@@ -113,9 +110,8 @@ def _erc_rejections(costs_q: np.ndarray, budget: np.ndarray) -> np.ndarray:
 class _RunnerBase:
     """Shared tables of the per-step policy runners.
 
-    Every per-arm table is also held as a flat row table (a view, no copy):
-    the row of arm i in state s is i*S + s, and of the pair (s, a) it is
-    (i*S + s)*A + a. Each step gathers its rows with one take.
+    The per-arm tables are held as flat row tables: the row of arm i in
+    state s is i*S + s, and that of the pair (s, a) is (i*S + s)*A + a.
     """
 
     def __init__(self, instance: WcmdpInstance, policy: SingleArmPolicy,
@@ -138,7 +134,8 @@ class _RunnerBase:
 
     def sample_ideal(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(self.num_arms)
-        return sample_from_cdf(self.pi_cdf.take(self._state_row + states, axis=0), u)
+        rows = self.pi_cdf.take(self._state_row + states, axis=0)
+        return sample_from_cdf(rows, u)
 
     def transition_step(self, states: np.ndarray, actions: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
@@ -182,8 +179,8 @@ class ErcPolicyRunner(_RunnerBase):
 
     Arms with a zero-cost ideal action always keep it. The others queue in
     descending index order (ties by arm ID) and are admitted in rounds by
-    `_erc_rejections`, which rejects the same arms as the sequential greedy
-    because costs are non-negative, rounding is monotone and every test is
+    `_erc_rejections`, which rejects the same arms as the sequential greedy:
+    costs are non-negative, rounding is monotone and every test is
     running + cost <= budget.
     """
 
