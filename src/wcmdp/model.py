@@ -41,6 +41,11 @@ ALPHA_GRID_STEP = 0.05
 # largest state count validate() accepts (the int16 range)
 MAX_STATES = int(np.iinfo(np.int16).max)
 
+# largest |entry| validate() accepts in a reward or cost table. Entries up to
+# it still solve and pass check_solution; a cost of 1e8 already fails the
+# absolute budget audit, and a reward of 1e100 stops the HiGHS master.
+MAX_ENTRY = 1e6
+
 _NDIM = {"transition": 4, "reward": 3, "cost": 4, "alpha": 1}
 
 
@@ -299,6 +304,13 @@ def validate(instance: WcmdpInstance) -> list[str]:
         finite = np.isfinite(getattr(instance, name)).reshape(N, -1).all(axis=1)
         for i in np.flatnonzero(~finite):
             out.append(f"arm {i}: non-finite {name} entry")
+    for name in ("reward", "cost"):
+        table = getattr(instance, name).reshape(N, -1)
+        worst = np.abs(np.where(np.isfinite(table), table, 0.0)).argmax(axis=1)
+        value = table[np.arange(N), worst]
+        for i in np.flatnonzero(np.abs(value) > MAX_ENTRY):
+            out.append(f"arm {i}: {name} entry {float(value[i])} exceeds "
+                       f"{MAX_ENTRY:g} in magnitude")
     sums = P.sum(axis=3)
     for i, s, a in np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL):
         out.append(f"arm {i}: transition row ({s},{a}) sums to {sums[i, s, a]:.12g}")

@@ -21,11 +21,14 @@ costs) with one take from flat row tables.
 Feasibility is structural: action 0 costs nothing, so the emitted system
 action always satisfies every budget.
 
-RNG discipline: the states passed to a runner are indexed in its ID order
-(the simulator draws them uniformly from the replication's generator before
-the first step). Each step draws one uniform per arm for ideal actions, in
-that order, and state transitions later draw one uniform per arm in the same
-order. Identical inputs and generator state reproduce the step exactly.
+RNG discipline: the runners draw no random numbers. Every method takes a
+states array of shape (R, N), one row per replication with arms in the
+runner's ID order, or a single (N,) row, and the uniforms it consumes in
+the same shape: `sample_ideal` and `step` use one uniform per arm for the
+ideal actions, and `transition_step` one per arm for the next states. The
+simulator draws both from each replication's own generator (see
+`simulator`). Identical states and uniforms reproduce a step exactly, and a
+row of an (R, N) step equals the (N,) step of that row.
 """
 
 from __future__ import annotations
@@ -57,23 +60,29 @@ class OracleNumericalError(RuntimeError):
 class StepOutcome:
     """Actions taken at one step and the induced reward/cost totals.
 
-    conforming_count is the number of arms that played their sampled ideal
-    action; under the ID policy it is also the length of the conforming
-    prefix. step_costs never exceeds any budget.
+    Shapes follow the states of the step: (R, N) states give the fields
+    below, and (N,) states drop the leading R axis. conforming_count is the
+    number of arms that played their sampled ideal action; under the ID
+    policy it is also the length of the conforming prefix. step_costs never
+    exceeds any budget.
     """
 
-    actions: np.ndarray         # (N,)
-    ideal_actions: np.ndarray   # (N,)
-    conforming_count: int
-    step_reward: float
-    step_costs: np.ndarray      # (K,)
+    actions: np.ndarray            # (R, N)
+    ideal_actions: np.ndarray      # (R, N)
+    conforming_count: np.ndarray   # (R,)
+    step_reward: np.ndarray        # (R,)
+    step_costs: np.ndarray         # (R, K)
 
 
 def sample_from_cdf(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One index per row of cdf_rows by inverse-CDF sampling with uniforms u."""
+    """One index per CDF row by inverse-CDF sampling; cdf_rows has the shape
+    of the uniforms u plus a trailing outcome axis."""
+    width = cdf_rows.shape[-1]
+    # the entries at or below u, counted by a float dot product: exact for
+    # any count, and much faster than a sum of bools over a short axis
+    count = ((cdf_rows <= u[..., None]) @ np.ones(width)).astype(np.intp)
     # clip guards a final cumsum a hair below 1
-    return np.minimum((cdf_rows <= u[:, None]).sum(axis=1),
-                      cdf_rows.shape[1] - 1)
+    return np.minimum(count, width - 1)
 
 
 def _erc_rejections(costs_q: np.ndarray, budget: np.ndarray) -> np.ndarray:
@@ -127,31 +136,30 @@ class _RunnerBase:
         self.pi_cdf = np.cumsum(policy.pi[order], axis=-1).reshape(n * s, a)
         self.trans_cdf = np.cumsum(instance.transition[order],
                                    axis=-1).reshape(n * s * a, s)
-        self._state_row = np.arange(n) * s     # row of (arm, state 0)
+        self._arm = np.arange(n)
+        self._state_row = self._arm * s         # row of (arm, state 0)
 
     def _pair_rows(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         return (self._state_row + states) * self.num_actions + actions
 
-    def sample_ideal(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(self.num_arms)
+    def sample_ideal(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Every arm's ideal action, by inverse CDF with the uniforms u."""
         rows = self.pi_cdf.take(self._state_row + states, axis=0)
         return sample_from_cdf(rows, u)
 
     def transition_step(self, states: np.ndarray, actions: np.ndarray,
-                        rng: np.random.Generator) -> np.ndarray:
-        """Sample every arm's next state, one uniform per arm in ID order."""
-        u = rng.random(self.num_arms)
+                        u: np.ndarray) -> np.ndarray:
+        """Every arm's next state, by inverse CDF with the uniforms u."""
         rows = self.trans_cdf.take(self._pair_rows(states, actions), axis=0)
         return sample_from_cdf(rows, u)
 
     def _outcome(self, states, actions, ideal, conforming) -> StepOutcome:
         # recomputed from the emitted actions, independent of admission
         pairs = self._pair_rows(states, actions)
-        step_reward = float(self.reward.take(pairs).sum())
-        step_costs = self.cost.take(pairs, axis=0).sum(axis=0)
         return StepOutcome(actions=actions, ideal_actions=ideal,
-                           conforming_count=int(conforming),
-                           step_reward=step_reward, step_costs=step_costs)
+                           conforming_count=conforming,
+                           step_reward=self.reward.take(pairs).sum(axis=-1),
+                           step_costs=self.cost.take(pairs, axis=0).sum(axis=-2))
 
 
 class IdPolicyRunner(_RunnerBase):
@@ -162,15 +170,14 @@ class IdPolicyRunner(_RunnerBase):
         super().__init__(instance, policy, reassignment.order())
         self.reassignment = reassignment
 
-    def step(self, states: np.ndarray, rng: np.random.Generator) -> StepOutcome:
-        ideal = self.sample_ideal(states, rng)
-        costs = self.cost.take(self._pair_rows(states, ideal), axis=0)  # (N, K)
-        prefix = np.cumsum(costs, axis=0)
-        feasible = (prefix <= self.budget[None, :]).all(axis=1)
-        blocked = np.flatnonzero(~feasible)
-        conforming = self.num_arms if blocked.size == 0 else int(blocked[0])
-        actions = ideal.copy()
-        actions[conforming:] = 0
+    def step(self, states: np.ndarray, u: np.ndarray) -> StepOutcome:
+        ideal = self.sample_ideal(states, u)
+        costs = self.cost.take(self._pair_rows(states, ideal), axis=0)  # (R, N, K)
+        fits = (np.cumsum(costs, axis=-2) <= self.budget).all(axis=-1)
+        # the prefix ends at each row's first arm whose running cost overflows
+        conforming = np.where(fits.all(axis=-1), self.num_arms,
+                              fits.argmin(axis=-1))
+        actions = np.where(self._arm < conforming[..., None], ideal, 0)
         return self._outcome(states, actions, ideal, conforming)
 
 
@@ -179,28 +186,33 @@ class ErcPolicyRunner(_RunnerBase):
 
     Arms with a zero-cost ideal action always keep it. The others queue in
     descending index order (ties by arm ID) and are admitted in rounds by
-    `_erc_rejections`, which rejects the same arms as the sequential greedy:
-    costs are non-negative, rounding is monotone and every test is
-    running + cost <= budget.
+    `_erc_rejections`, one replication row at a time, which rejects the same
+    arms as the sequential greedy: costs are non-negative, rounding is
+    monotone and every test is running + cost <= budget.
     """
 
     def __init__(self, instance: WcmdpInstance, policy: SingleArmPolicy):
         super().__init__(instance, policy, np.arange(instance.num_arms))
         self.index_table = policy.r_star.reshape(-1)      # (N*S,)
+        self.costly = (self.cost > 0.0).any(axis=1)       # (N*S*A,)
 
-    def step(self, states: np.ndarray, rng: np.random.Generator) -> StepOutcome:
-        ideal = self.sample_ideal(states, rng)
-        costs = self.cost.take(self._pair_rows(states, ideal), axis=0)  # (N, K)
+    def step(self, states: np.ndarray, u: np.ndarray) -> StepOutcome:
+        ideal = self.sample_ideal(states, u)
+        pairs = self._pair_rows(states, ideal)
+        costs = self.cost.take(pairs, axis=0)             # (R, N, K)
         # indices recomputed from the current states every step
         indices = self.index_table.take(self._state_row + states)
-        rank = np.argsort(-indices, kind="stable")        # ties: arm ID ascending
-        actions = ideal.copy()
-
+        rank = np.argsort(-indices, axis=-1, kind="stable")  # ties: arm ID ascending
         # zero-cost draws can never break a budget, so only the rest queue up
-        needs_check = costs.max(axis=1) > 0.0
-        queue = rank[needs_check[rank]]
-        actions[queue[_erc_rejections(costs[queue], self.budget)]] = 0
-        conforming = int((actions == ideal).sum())
+        needs_check = self.costly.take(pairs)
+        actions = ideal.copy()
+        n, k = costs.shape[-2:]
+        for row, row_costs, row_rank, row_check in zip(
+                actions.reshape(-1, n), costs.reshape(-1, n, k),
+                rank.reshape(-1, n), needs_check.reshape(-1, n)):
+            queue = row_rank[row_check[row_rank]]
+            row[queue[_erc_rejections(row_costs[queue], self.budget)]] = 0
+        conforming = (actions == ideal).sum(axis=-1)
         return self._outcome(states, actions, ideal, conforming)
 
 

@@ -5,11 +5,18 @@ accumulates the time- and arm-averaged reward, audits the hard budgets at
 every step, and reports a batch-means confidence interval together with the
 ratio of the achieved reward to the relaxation upper bound.
 
-Replication r of a run seeded with s uses its own generator seeded by
-(s, r): it first draws every arm's start state uniformly from the state
-space, then runs the policy. A repeated run reproduces every statistic bit
-for bit. The long-run average reward per arm does not depend on the start
-state, and the statistics are running sums, so no trajectory is stored.
+All replications step together: the state is one (R, N) array, one row per
+replication, and each runner call advances every row. Replication r of a
+run seeded with s uses its own generator seeded by (s, r): it first
+draws every arm's start state uniformly from the state space, then draws
+its uniforms in blocks of B steps, `random((B, 2N))`. Row t of a block holds
+step t's N ideal-action uniforms followed by its N transition uniforms; the
+generator fills the block in stream order, so these are the numbers that a
+per-step pair of `random(N)` calls would draw. B only bounds the size of the
+(B, R, 2N) block (`BLOCK_FLOATS`); replication r's trajectory depends on
+neither B nor R, and a repeated run reproduces every statistic bit for bit.
+The long-run average reward per arm does not depend on the start state, and
+the statistics are running sums, so no trajectory is stored.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ POLICY_ERC = "erc"
 
 # slack for the accumulated floating-point error of a prefix cost sum
 FEASIBILITY_SLACK = 1e-9
+
+# float64 uniforms per (B, R, 2N) block drawn across the replications (1 MiB)
+BLOCK_FLOATS = 1 << 17
 
 CSV_COLUMNS = ["family", "seed", "N", "policy", "T", "reps", "R_rel",
                "avg_reward", "ratio", "ci_halfwidth", "gap", "gap_sqrtN",
@@ -104,32 +114,10 @@ def batch_means_ci(batch_means) -> tuple[float, float]:
     return mean, half
 
 
-def _run_replication(runner, instance: WcmdpInstance, config: SimConfig,
-                     rep: int) -> tuple[float, list[float], int, int]:
-    """Total reward, batch means, violating steps and conforming arm-steps
-    of replication `rep`."""
-    rng = np.random.default_rng([config.seed, rep])
-    states = rng.integers(0, instance.num_states, size=runner.num_arms)
-    budget = instance.alpha * instance.num_arms
-
-    total_reward = 0.0
-    batch_sum = 0.0
-    batch_means: list[float] = []
-    violations = 0
-    conforming = 0
-    denom = config.batch_size * runner.num_arms
-    for t in range(config.horizon):
-        outcome = runner.step(states, rng)
-        total_reward += outcome.step_reward
-        batch_sum += outcome.step_reward
-        conforming += outcome.conforming_count
-        if np.any(outcome.step_costs > budget + FEASIBILITY_SLACK):
-            violations += 1
-        if (t + 1) % config.batch_size == 0:
-            batch_means.append(batch_sum / denom)
-            batch_sum = 0.0
-        states = runner.transition_step(states, outcome.actions, rng)
-    return total_reward, batch_means, violations, conforming
+def _block_steps(num_arms: int, replications: int) -> int:
+    """Steps B per uniform block, so that a (B, R, 2N) block holds at most
+    BLOCK_FLOATS floats (at least one step)."""
+    return max(1, BLOCK_FLOATS // (2 * num_arms * replications))
 
 
 def make_runner(instance: WcmdpInstance, bundle: PolicyBundle, policy_kind: str):
@@ -142,16 +130,39 @@ def make_runner(instance: WcmdpInstance, bundle: PolicyBundle, policy_kind: str)
 
 def simulate(instance: WcmdpInstance, bundle: PolicyBundle,
              config: SimConfig) -> SimResult:
-    """Run the configured policy and aggregate across replications."""
+    """Run the configured policy on all replications at once and aggregate."""
     config.check()
     runner = make_runner(instance, bundle, config.policy)
-    totals, batches, violations, conforming = zip(
-        *(_run_replication(runner, instance, config, r)
-          for r in range(config.replications)))
+    n, reps = runner.num_arms, config.replications
+    rngs = [np.random.default_rng([config.seed, r]) for r in range(reps)]
+    states = np.stack([g.integers(0, instance.num_states, size=n) for g in rngs])
+    limit = instance.alpha * n + FEASIBILITY_SLACK
 
-    arm_steps = config.horizon * config.replications * instance.num_arms
-    avg_reward = sum(totals) / arm_steps
-    pooled = [m for means in batches for m in means]
+    totals = np.zeros(reps)
+    batch_sum = np.zeros(reps)
+    batch_means = []                    # (R,) per batch
+    violations = np.zeros(reps, dtype=np.int64)
+    conforming = np.zeros(reps, dtype=np.int64)
+    denom = config.batch_size * n
+    block = _block_steps(n, reps)
+    for start in range(0, config.horizon, block):
+        steps = min(block, config.horizon - start)
+        uniforms = np.stack([g.random((steps, 2 * n)) for g in rngs], axis=1)
+        for t, u in enumerate(uniforms, start + 1):
+            outcome = runner.step(states, u[:, :n])
+            totals += outcome.step_reward
+            batch_sum += outcome.step_reward
+            conforming += outcome.conforming_count
+            violations += (outcome.step_costs > limit).any(axis=1)
+            if t % config.batch_size == 0:
+                batch_means.append(batch_sum / denom)
+                batch_sum[:] = 0.0
+            states = runner.transition_step(states, outcome.actions, u[:, n:])
+
+    arm_steps = config.horizon * reps * n
+    # sequential sum over replications, in replication order
+    avg_reward = sum(totals.tolist()) / arm_steps
+    pooled = np.stack(batch_means, axis=1).ravel().tolist()  # replication-major
     half = batch_means_ci(pooled)[1] if len(pooled) >= 2 else float("nan")
     r_rel = bundle.solution.objective
     return SimResult(
@@ -159,8 +170,8 @@ def simulate(instance: WcmdpInstance, bundle: PolicyBundle,
         optimality_ratio=avg_reward / r_rel,
         ci_halfwidth=half,
         per_batch_means=pooled,
-        feasibility_violations=sum(violations),
-        mean_conforming_fraction=sum(conforming) / arm_steps,
+        feasibility_violations=int(violations.sum()),
+        mean_conforming_fraction=int(conforming.sum()) / arm_steps,
         r_rel=r_rel,
         config=config,
     )

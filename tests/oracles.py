@@ -15,7 +15,6 @@ from scipy.optimize import linprog
 
 from wcmdp.lp_relax import LpProblem, LpSolution, LpSolveError
 from wcmdp.model import GeneratorConfig, WcmdpInstance, generate
-from wcmdp.policies import sample_from_cdf
 
 
 def rvi_average_reward(transition: np.ndarray, reward: np.ndarray,
@@ -56,6 +55,13 @@ def solve_lp_highs(problem: LpProblem) -> LpSolution:
     return LpSolution(y=y, objective=float(-res.fun), duals=duals)
 
 
+def inverse_cdf_reference(cdf_rows, u) -> np.ndarray:
+    """One index per row of the (N, width) cdf_rows: the number of entries
+    at or below u, clipped to the last index."""
+    return np.minimum((cdf_rows <= u[:, None]).sum(axis=1),
+                      cdf_rows.shape[1] - 1)
+
+
 def erc_rejections_reference(costs_q, budget) -> np.ndarray:
     """Mask of the queued cost rows (rank order) that the ERC greedy rejects,
     by the sequential loop: keep a row while running[k] + row[k] <= budget[k]
@@ -76,8 +82,9 @@ def erc_rejections_reference(costs_q, budget) -> np.ndarray:
 class ReferenceRunner:
     """The ID policy (arms in `order`) or, with order None, the ERC baseline,
     stepped with three-index gathers from the (N, S, A, ...) tables and the
-    sequential ERC greedy. Draws the same uniforms as the package runners,
-    so a step from equal states and generator states must match bit for bit.
+    sequential ERC greedy. step and transition_step each draw random(N) from
+    the generator they are given, the uniforms that the package runners are
+    passed, so a step from equal states and uniforms must match bit for bit.
     step returns (actions, ideal, conforming, step_reward, step_costs)."""
 
     def __init__(self, instance: WcmdpInstance, policy, order=None):
@@ -95,7 +102,8 @@ class ReferenceRunner:
 
     def step(self, states, rng):
         ar = self.ar
-        ideal = sample_from_cdf(self.pi_cdf[ar, states], rng.random(self.num_arms))
+        ideal = inverse_cdf_reference(self.pi_cdf[ar, states],
+                                      rng.random(self.num_arms))
         costs = self.cost[ar, states, ideal]
         actions = ideal.copy()
         if self.erc:
@@ -113,7 +121,7 @@ class ReferenceRunner:
 
     def transition_step(self, states, actions, rng):
         rows = self.trans_cdf[self.ar, states, actions]
-        return sample_from_cdf(rows, rng.random(self.num_arms))
+        return inverse_cdf_reference(rows, rng.random(self.num_arms))
 
 
 def tiny_instance(seed: int, n: int = 4, s: int = 3, a: int = 2,

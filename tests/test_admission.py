@@ -94,7 +94,7 @@ def test_runner_steps_match_reference(het200, kind, alpha_scale):
     states = ref_states = np.zeros(instance.num_arms, dtype=np.int64)
     cut = 0
     for _ in range(2000):
-        out = runner.step(states, rng)
+        out = runner.step(states, rng.random(instance.num_arms))
         actions, ideal, conforming, reward, costs = ref.step(ref_states, rng_ref)
         assert np.array_equal(out.actions, actions)
         assert np.array_equal(out.ideal_actions, ideal)
@@ -102,7 +102,8 @@ def test_runner_steps_match_reference(het200, kind, alpha_scale):
         assert out.step_reward == reward
         assert out.step_costs.tobytes() == costs.tobytes()
         cut += instance.num_arms - conforming
-        states = runner.transition_step(states, out.actions, rng)
+        states = runner.transition_step(states, out.actions,
+                                        rng.random(instance.num_arms))
         ref_states = ref.transition_step(ref_states, actions, rng_ref)
         assert np.array_equal(states, ref_states)
     assert cut > 0          # the budgets bind on this run

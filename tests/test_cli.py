@@ -124,6 +124,21 @@ def test_bad_instance_file_exits_3_without_traceback(tmp_path, text, field):
     assert len(lines) == 1 and lines[0].startswith("invalid instance: ")
 
 
+def test_huge_reward_exits_3_before_the_solver(tmp_path):
+    path = tmp_path / "huge.json"
+    assert run(["generate", "--n", "3", "--states", "3", "--actions", "2",
+                "--k", "1", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["arms"][0]["r"][0][1] = 1e300
+    path.write_text(json.dumps(doc))
+    proc = _run_cli(["solve", "--instance", str(path),
+                     "--out", str(tmp_path / "sol.json")])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "invalid instance: arm 0: reward entry 1e+300 exceeds 1e+06 in magnitude"]
+    assert "HiGHS" not in proc.stdout + proc.stderr
+
+
 _SIM_FLAGS = ["--horizon", "200", "--reps", "1", "--batch-size", "100"]
 _SWEEP = ["sweep", "--states", "3", "--actions", "2", "--k", "1"]
 

@@ -394,9 +394,10 @@ def trajectories():
                                       bundle.reassignment, diag)
                 ms.append((report.focus_m,
                            report.h_id[round(report.focus_m * n)]))
-            outcome = runner.step(states, rng)
+            outcome = runner.step(states, rng.random(n))
             n_star.append(outcome.conforming_count)
-            states = runner.transition_step(states, outcome.actions, rng)
+            states = runner.transition_step(states, outcome.actions,
+                                            rng.random(n))
         data[n] = (instance, bundle, diag, ms, n_star[100:140])
     return data
 

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wcmdp.lp_relax import build_lp, check_solution, solve_lp
 from wcmdp.model import (ALPHA_GRID_STEP, COST_ACTION_ONLY, FULLY_HETEROGENEOUS,
-                         TYPED, GeneratorConfig, WcmdpInstance, generate, validate)
+                         MAX_ENTRY, TYPED, GeneratorConfig, WcmdpInstance,
+                         generate, validate)
 
 from oracles import single_state_arm, stack_arms
 
@@ -51,6 +53,27 @@ class TestValidate:
         table[index] = np.inf if field == "alpha" else np.nan
         bad = dataclasses.replace(instance, **{field: table})
         assert any(expected in msg for msg in validate(bad)), validate(bad)
+
+    @staticmethod
+    def _with_entries(reward_entry, cost_entry):
+        instance = generate(cfg(n=3))
+        reward, cost = instance.reward.copy(), instance.cost.copy()
+        reward[0, 1, 1] = reward_entry
+        cost[2, 1, 0, 1] = cost_entry
+        return dataclasses.replace(instance, reward=reward, cost=cost)
+
+    def test_entries_at_the_magnitude_bound_solve_and_audit(self):
+        instance = self._with_entries(-MAX_ENTRY, MAX_ENTRY)
+        assert validate(instance) == []
+        solution = solve_lp(build_lp(instance))
+        assert check_solution(instance, solution).ok
+
+    def test_entries_beyond_the_magnitude_bound_are_reported(self):
+        above = np.nextafter(MAX_ENTRY, np.inf)
+        report = validate(self._with_entries(1e300, above))
+        assert report == [
+            "arm 0: reward entry 1e+300 exceeds 1e+06 in magnitude",
+            "arm 2: cost entry 1000000.0000000001 exceeds 1e+06 in magnitude"]
 
     @pytest.mark.parametrize("states, reported", [(32767, False), (32768, True)])
     def test_state_count_beyond_int16_trace_is_reported(self, states, reported):

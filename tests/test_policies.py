@@ -44,7 +44,8 @@ class TestIdPolicyStep:
         instance = zero_cost_copy(tiny_instance(seed=0, n=6, s=3, a=2, k=1))
         policy = extract_policy(instance, solve_lp(build_lp(instance)))
         runner = IdPolicyRunner(instance, policy, identity_reassignment(6))
-        outcome = runner.step(np.zeros(6, dtype=int), np.random.default_rng(0))
+        outcome = runner.step(np.zeros(6, dtype=int),
+                              np.random.default_rng(0).random(6))
         assert outcome.conforming_count == 6
         assert np.array_equal(outcome.actions, outcome.ideal_actions)
 
@@ -52,7 +53,8 @@ class TestIdPolicyStep:
         instance = two_arm_instance(costs=(0.5, 0.0), alpha=0.4)
         policy = det_policy(instance, [1, 1])
         runner = IdPolicyRunner(instance, policy, identity_reassignment(2))
-        outcome = runner.step(np.array([0, 0]), np.random.default_rng(0))
+        outcome = runner.step(np.array([0, 0]),
+                              np.random.default_rng(0).random(2))
         assert outcome.conforming_count == 2
         assert outcome.actions.tolist() == [1, 1]
         assert outcome.step_costs[0] == pytest.approx(0.5)
@@ -62,7 +64,8 @@ class TestIdPolicyStep:
         instance = two_arm_instance(costs=(0.5, 0.0), alpha=0.2)
         policy = det_policy(instance, [1, 1])
         runner = IdPolicyRunner(instance, policy, identity_reassignment(2))
-        outcome = runner.step(np.array([0, 0]), np.random.default_rng(0))
+        outcome = runner.step(np.array([0, 0]),
+                              np.random.default_rng(0).random(2))
         assert outcome.conforming_count == 0
         assert outcome.actions.tolist() == [0, 0]
         assert outcome.ideal_actions.tolist() == [1, 1]
@@ -75,12 +78,13 @@ class TestIdPolicyStep:
         rng = np.random.default_rng(3)
         states = rng.integers(0, instance.num_states, size=instance.num_arms)
         for _ in range(50):
-            outcome = runner.step(states, rng)
+            outcome = runner.step(states, rng.random(instance.num_arms))
             n_star = outcome.conforming_count
             assert np.array_equal(outcome.actions[:n_star],
                                   outcome.ideal_actions[:n_star])
             assert np.all(outcome.actions[n_star:] == 0)
-            states = runner.transition_step(states, outcome.actions, rng)
+            states = runner.transition_step(states, outcome.actions,
+                                            rng.random(instance.num_arms))
 
 
 class TestErcPolicyStep:
@@ -89,7 +93,7 @@ class TestErcPolicyStep:
         instance = two_arm_instance(costs=(1.0, 1.0), alpha=0.5)
         policy = det_policy(instance, [1, 1])
         outcome = ErcPolicyRunner(instance, policy).step(
-            np.array([0, 0]), np.random.default_rng(0))
+            np.array([0, 0]), np.random.default_rng(0).random(2))
         assert outcome.actions.tolist() == [1, 0]
         assert outcome.conforming_count == 1
 
@@ -97,7 +101,7 @@ class TestErcPolicyStep:
         instance = two_arm_instance(costs=(0.3, 0.3), alpha=5.0)
         policy = det_policy(instance, [1, 1])
         outcome = ErcPolicyRunner(instance, policy).step(
-            np.array([0, 0]), np.random.default_rng(0))
+            np.array([0, 0]), np.random.default_rng(0).random(2))
         assert np.array_equal(outcome.actions, outcome.ideal_actions)
 
     def test_high_index_arm_wins_the_budget(self):
@@ -105,8 +109,17 @@ class TestErcPolicyStep:
                                     rewards=(0.1, 0.9))
         policy = det_policy(instance, [1, 1])
         outcome = ErcPolicyRunner(instance, policy).step(
-            np.array([0, 0]), np.random.default_rng(0))
+            np.array([0, 0]), np.random.default_rng(0).random(2))
         assert outcome.actions.tolist() == [0, 1]
+
+    def test_tiny_cost_arm_still_queues_for_the_budget(self):
+        # only exactly free draws skip admission; 1e-3 overflows a full budget
+        instance = two_arm_instance(costs=(1.0, 1e-3), alpha=0.5,
+                                    rewards=(0.9, 0.1))
+        policy = det_policy(instance, [1, 1])
+        outcome = ErcPolicyRunner(instance, policy).step(
+            np.array([0, 0]), np.random.default_rng(0).random(2))
+        assert outcome.actions.tolist() == [1, 0]
 
     def test_rejected_arm_keeps_iteration_going(self):
         # middle arm too expensive; cheaper low-index arm after it still fits
@@ -116,7 +129,7 @@ class TestErcPolicyStep:
         instance = stack_arms(arms, [1.2 / 3])
         policy = det_policy(instance, [1, 1, 1])
         outcome = ErcPolicyRunner(instance, policy).step(
-            np.array([0, 0, 0]), np.random.default_rng(0))
+            np.array([0, 0, 0]), np.random.default_rng(0).random(3))
         # order by index: arm0 (0.9), arm1 (0.5), arm2 (0.2); budget 1.2
         assert outcome.actions.tolist() == [1, 0, 1]
 
@@ -134,17 +147,19 @@ class TestHardFeasibility:
         rng = np.random.default_rng(11)
         states = rng.integers(0, instance.num_states, size=instance.num_arms)
         for _ in range(200):
-            outcome = runner.step(states, rng)
+            outcome = runner.step(states, rng.random(instance.num_arms))
             assert np.all(outcome.step_costs <= budget + 1e-9)
-            states = runner.transition_step(states, outcome.actions, rng)
+            states = runner.transition_step(states, outcome.actions,
+                                            rng.random(instance.num_arms))
 
     def test_step_is_deterministic_given_rng_state(self, small_solved):
         instance, _, policy = small_solved
         result = reassign(instance, policy, seed=0)
         states = np.zeros(instance.num_arms, dtype=int)
         runner = IdPolicyRunner(instance, policy, result)
-        a = runner.step(states, np.random.default_rng(21))
-        b = runner.step(states, np.random.default_rng(21))
+        n = instance.num_arms
+        a = runner.step(states, np.random.default_rng(21).random(n))
+        b = runner.step(states, np.random.default_rng(21).random(n))
         assert np.array_equal(a.actions, b.actions)
         assert a.step_reward == b.step_reward
         assert np.array_equal(a.step_costs, b.step_costs)
