@@ -8,12 +8,15 @@ code paths it is used to check.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from wcmdp.lp_relax import LpProblem, LpSolution, LpSolveError
+from wcmdp.lyapunov import (BURN_IN, DriftProbeResult, _deviation_series,
+                            _tau_window, _weights_for)
 from wcmdp.model import GeneratorConfig, WcmdpInstance, generate
 
 
@@ -77,6 +80,51 @@ def erc_rejections_reference(costs_q, budget) -> np.ndarray:
         else:
             rejected[i] = True
     return rejected
+
+
+def drift_probe_reference(instance, policy, diag, D, num_samples, rng,
+                          tol: float = 1e-6) -> DriftProbeResult:
+    """The sequential drift probe: one full deviation series per sampled
+    state, evaluated between the draws. Its sampler is
+    inverse_cdf_reference; the draws are those of lyapunov.drift_probe."""
+    window = _tau_window(diag)
+    idx = np.asarray(D, dtype=np.int64)
+    bound = diag.c_h * math.sqrt(instance.num_arms)
+    if idx.size == 0 or num_samples == 0:
+        return DriftProbeResult(mean=0.0, stderr=0.0, bound=bound,
+                                num_samples=num_samples)
+
+    n = idx.size
+    s = instance.num_states
+    mu = policy.mu_star[idx]
+    P = policy.induced_P[idx]
+    weights = _weights_for(policy, idx)
+    cdf = np.cumsum(P, axis=-1)
+    ar = np.arange(n)
+
+    def h_of(states: np.ndarray) -> float:
+        x = np.zeros((n, s))
+        x[ar, states] = 1.0
+        value, _, _ = _deviation_series(x - mu, P, mu, weights, diag.gamma,
+                                        tol, window)
+        return float(value)
+
+    states = rng.integers(0, s, size=n)
+    for _ in range(BURN_IN):
+        states = inverse_cdf_reference(cdf[ar, states], rng.random(n))
+
+    stats = np.empty(num_samples)
+    h_prev = h_of(states)
+    for j in range(num_samples):
+        states = inverse_cdf_reference(cdf[ar, states], rng.random(n))
+        h_next = h_of(states)
+        stats[j] = max(h_next - diag.gamma * h_prev, 0.0)
+        h_prev = h_next
+
+    stderr = float(stats.std(ddof=1) / math.sqrt(num_samples)) \
+        if num_samples > 1 else 0.0
+    return DriftProbeResult(mean=float(stats.mean()), stderr=stderr,
+                            bound=bound, num_samples=num_samples)
 
 
 class ReferenceRunner:

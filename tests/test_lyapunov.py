@@ -1,19 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from wcmdp.lp_relax import SingleArmPolicy
+from wcmdp.lp_relax import (SingleArmPolicy, build_lp, extract_policy,
+                            solve_lp)
 from wcmdp.lyapunov import (AssumptionError, C_TAU_COEFF, ChainDiagnostics,
                             UNBOUNDED, build_report, chain_diagnostics,
                             chain_structure, drift_probe, mixing_time,
                             subset_h)
-from wcmdp.model import GeneratorConfig, generate
+from wcmdp.model import TYPED, GeneratorConfig, generate
 from wcmdp.policies import IdPolicyRunner
 from wcmdp.reassign import verify_slope
 from wcmdp.simulator import PolicyBundle
 
-from oracles import tiny_instance, zero_cost_copy
+from oracles import drift_probe_reference, tiny_instance, zero_cost_copy
 
 IID2 = np.array([[0.5, 0.5], [0.5, 0.5]])
 LAZY2 = np.array([[0.75, 0.25], [0.25, 0.75]])
@@ -370,6 +372,69 @@ class TestDriftProbe:
                             np.random.default_rng(2))
         assert probe.mean + 3 * probe.stderr < probe.bound
         assert probe.within_bound
+
+    @pytest.mark.parametrize("case, num_samples", [
+        ("het", 200), ("typed", 60), ("slow", 60), ("subset", 60),
+        ("het", 0), ("het", 1)])
+    def test_matches_sequential_reference(self, probe_cases, case,
+                                          num_samples):
+        instance, policy, diag, D = probe_cases[case]
+        rng, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+        probe = drift_probe(instance, policy, diag, D, num_samples, rng)
+        ref = drift_probe_reference(instance, policy, diag, D, num_samples,
+                                    rng_ref)
+        assert probe.mean == ref.mean
+        assert probe.stderr == ref.stderr
+        assert probe.bound == ref.bound
+        assert probe.num_samples == ref.num_samples == num_samples
+        # both drew the same uniforms, no more and no fewer
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_slow_case_stops_states_at_different_terms(self, probe_cases):
+        from wcmdp.lyapunov import _deviation_series, _tau_window, _weights_for
+        instance, policy, diag, D = probe_cases["slow"]
+        assert diag.tau_max >= 5
+        used = set()
+        for seed in range(20):
+            x = _random_state(instance, seed)
+            _, terms, _ = _deviation_series(
+                x - policy.mu_star, policy.induced_P, policy.mu_star,
+                _weights_for(policy, D), diag.gamma, 1e-6, _tau_window(diag))
+            used.add(terms)
+        assert len(used) > 1
+
+
+def _solved(cfg: GeneratorConfig):
+    instance = generate(cfg)
+    return instance, extract_policy(instance, solve_lp(build_lp(instance)))
+
+
+@pytest.fixture(scope="module")
+def probe_cases(small_solved):
+    """(instance, policy, diag, D) per drift-probe case: fully heterogeneous
+    N=200, S=10, K=4; typed with K=1; a lazy copy of small_solved whose
+    chains mix in >= 5 steps; and a shuffled proper subset of the first."""
+    het, het_policy = _solved(GeneratorConfig(
+        seed=0, num_arms=200, num_states=10, num_actions=4, num_constraints=4))
+    typed, typed_policy = _solved(GeneratorConfig(
+        seed=2, num_arms=80, num_states=5, num_actions=3, num_constraints=1,
+        family=TYPED, num_types=8))
+    # (1 - eps) I + eps P keeps mu stationary and slows the mixing by ~1/eps
+    slow, small_policy = small_solved[0], small_solved[2]
+    eye = np.eye(slow.num_states)
+    slow_policy = dataclasses.replace(
+        small_policy, induced_P=0.9 * eye + 0.1 * small_policy.induced_P)
+    subset = np.random.default_rng(3).permutation(het.num_arms)[:70]
+    return {
+        "het": (het, het_policy, chain_diagnostics(het, het_policy),
+                np.arange(het.num_arms)),
+        "typed": (typed, typed_policy, chain_diagnostics(typed, typed_policy),
+                  np.arange(typed.num_arms)),
+        "slow": (slow, slow_policy, chain_diagnostics(slow, slow_policy),
+                 np.arange(slow.num_arms)),
+        "subset": (het, het_policy, chain_diagnostics(het, het_policy),
+                   subset),
+    }
 
 
 @pytest.fixture(scope="module")
