@@ -25,6 +25,15 @@ tolerance. The certificate uses the actual iterate norms: they contract by
 at least exp(-1/2) every tau horizons, so the running maximum over the last
 tau horizons dominates the entire tail.
 
+drift_probe evaluates h at many one-hot states of one trajectory. The
+states never depend on h, so it draws the whole trajectory first and then
+evaluates h for every sample at once, term by term: arm i in state s adds
+the same amount to term ell in every sample, so each term is one table over
+(arm, start state), from which each sample gathers its arms and sums them in
+the order the one-state series does. The table is dropped before the next
+term, so memory does not grow with tau or with the number of terms, and a
+sample leaves once its own certificate holds.
+
 h_ID(x, m) = max_{m' <= m} h(x, [N m']) is the upper envelope over ID
 prefixes, the focus fraction m(x) is the largest grid point whose envelope
 value is still covered by the worst remaining budget, and the composite
@@ -265,13 +274,36 @@ def _tau_window(diag: ChainDiagnostics) -> int:
     return max(1, int(math.ceil(diag.tau_max)))
 
 
+def _arm_set(D, num_arms: int) -> np.ndarray:
+    """The arm set D as int64 indices: every entry an integer in
+    [0, num_arms), none repeated. Raises ValueError naming an offending
+    entry."""
+    raw = np.asarray(D)
+    if raw.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if raw.ndim != 1 or raw.dtype.kind not in "iuf":
+        raise ValueError(f"arm set must be a flat sequence of arm indices, "
+                         f"got {raw.dtype} of shape {raw.shape}")
+    for bad, what in ((raw != np.floor(raw), "is not an integer"),
+                      (raw < 0, "is negative"),
+                      (raw >= num_arms, f"is out of range for {num_arms} arms")):
+        if bad.any():
+            raise ValueError(f"arm set entry {raw[bad][0].item()!r} {what}")
+    idx = raw.astype(np.int64)
+    repeated = np.bincount(idx, minlength=num_arms)[idx] > 1
+    if repeated.any():
+        raise ValueError(f"arm set entry {idx[repeated][0].item()!r} "
+                         "appears more than once")
+    return idx
+
+
 def subset_h(x: np.ndarray, D, policy: SingleArmPolicy,
              diag: ChainDiagnostics, tol: float = 1e-6) -> float:
     """Deviation value h(x, D) within tol, rows of x in the policy's order.
 
     Rows may be one-hot states or any probability distributions.
     """
-    idx = np.asarray(D, dtype=np.int64)
+    idx = _arm_set(D, policy.num_arms)
     x = np.asarray(x, dtype=np.float64)
     if idx.size == 0:
         return 0.0
@@ -354,42 +386,96 @@ def drift_probe(instance: WcmdpInstance, policy: SingleArmPolicy,
                 rng: np.random.Generator, tol: float = 1e-6) -> DriftProbeResult:
     """Sample E[(h(X_{t+1}, D) - gamma * h(X_t, D))^+] with every arm in D
     run under its single-armed policy from a uniform start advanced BURN_IN
-    steps, against the c_h * sqrt(N) bound."""
+    steps, against the c_h * sqrt(N) bound.
+
+    The states never depend on h, so the whole trajectory is drawn first and
+    h is then evaluated for all its states at once by _one_hot_h."""
     window = _tau_window(diag)
-    idx = np.asarray(D, dtype=np.int64)
+    idx = _arm_set(D, policy.num_arms)
+    if num_samples < 0:
+        raise ValueError(f"num_samples must be >= 0, got {num_samples}")
     bound = diag.c_h * math.sqrt(instance.num_arms)
     if idx.size == 0 or num_samples == 0:
         return DriftProbeResult(mean=0.0, stderr=0.0, bound=bound,
                                 num_samples=num_samples)
 
     n = idx.size
-    s = instance.num_states
-    mu = policy.mu_star[idx]
     P = policy.induced_P[idx]
-    weights = _weights_for(policy, idx)
     cdf = np.cumsum(P, axis=-1)
     ar = np.arange(n)
-
-    def h_of(states: np.ndarray) -> float:
-        x = np.zeros((n, s))
-        x[ar, states] = 1.0
-        value, _, _ = _deviation_series(x - mu, P, mu, weights, diag.gamma,
-                                        tol, window)
-        return float(value)
-
-    states = rng.integers(0, s, size=n)
+    states = rng.integers(0, instance.num_states, size=n)
     for _ in range(BURN_IN):
         states = sample_from_cdf(cdf[ar, states], rng.random(n))
-
-    stats = np.empty(num_samples)
-    h_prev = h_of(states)
+    path = np.empty((num_samples + 1, n), dtype=np.intp)
+    path[0] = states
     for j in range(num_samples):
-        states = sample_from_cdf(cdf[ar, states], rng.random(n))
-        h_next = h_of(states)
-        stats[j] = max(h_next - diag.gamma * h_prev, 0.0)
-        h_prev = h_next
+        path[j + 1] = sample_from_cdf(cdf[ar, path[j]], rng.random(n))
 
+    h = _one_hot_h(path, policy.mu_star[idx], P, _weights_for(policy, idx),
+                   diag.gamma, tol, window)
+    stats = np.maximum(h[1:] - diag.gamma * h[:-1], 0.0)
     stderr = float(stats.std(ddof=1) / math.sqrt(num_samples)) \
         if num_samples > 1 else 0.0
     return DriftProbeResult(mean=float(stats.mean()), stderr=stderr,
                             bound=bound, num_samples=num_samples)
+
+
+def _one_hot_h(paths: np.ndarray, mu: np.ndarray, P: np.ndarray,
+               weights: np.ndarray, gamma: float, tol: float,
+               tau_window: int) -> np.ndarray:
+    """h at every one-hot state of paths (M, n), arm i in state paths[m, i]:
+    the values _deviation_series gives one state at a time.
+
+    Arm i in state a starts its series from the row e_a - mu_i, so each
+    term is built once for all S start states, as an (S, n, S) iterate
+    advanced with _deviation_series's own kernels one start state at a
+    time. Every live sample then gathers its per-arm inner products from
+    that term's table and sums them over the arms in the order
+    _deviation_series does, so its running max is the same bit for bit.
+    Its tail norm adds the same entries in another order; a sample leaves
+    once its own certificate holds, on the term _deviation_series stops at
+    unless a tail lies within rounding of tol. Memory is O((S + M) n G)
+    whatever the number of terms.
+    """
+    num_paths, n = paths.shape
+    s = mu.shape[1]
+    g_max = float(np.max(np.abs(weights)))
+    v = np.eye(s)[:, None, :] - mu                       # (S, n, S)
+    live = np.arange(num_paths)
+    cells = paths * n + np.arange(n)                     # into (S*n,) tables
+    best = np.zeros(num_paths)
+    calm = np.zeros(num_paths, dtype=np.int64)   # latest terms with tail <= tol
+    for _ in range(SERIES_MAX_TERMS):
+        totals = _arm_sums([np.einsum("gns,ns->gn", weights, v[a])
+                            for a in range(s)], cells)
+        best[live] = np.maximum(best[live], np.abs(totals).max(axis=1))
+        tails = np.take(np.abs(v).sum(axis=2), cells).sum(axis=1) * g_max
+        calm = np.where(tails <= tol, calm + 1, 0)
+        running = calm < tau_window
+        live, cells, calm = live[running], cells[running], calm[running]
+        if live.size == 0:
+            return best
+        v = np.stack([(np.einsum("ns,nst->nt", v[a], P)
+                       - v[a].sum(axis=1, keepdims=True) * mu) / gamma
+                      for a in range(s)])
+    raise TruncationError(
+        f"deviation series tail above {tol} after {SERIES_MAX_TERMS} terms; "
+        "an induced chain is likely not an aperiodic unichain")
+
+
+def _arm_sums(per_arm: list[np.ndarray], cells: np.ndarray) -> np.ndarray:
+    """(M', G) totals over the arms i of per_arm[a][:, i] with a the state of
+    arm i in each sample, from the (G, n) per-start-state tables per_arm
+    and the flat cells[m, i] = a * n + i.
+
+    numpy sums a (G, n) array over its arms pairwise when they are its
+    contiguous axis and one arm after another when they are not; einsum
+    picks that layout from the strides of the weights, so the gather keeps
+    it and each total is the one _deviation_series forms.
+    """
+    g = per_arm[0].shape[0]
+    if per_arm[0].strides[1] < per_arm[0].strides[0]:
+        table = np.stack(per_arm, axis=1).reshape(g, -1)            # (G, S*n)
+        return np.take(table, cells, axis=1).sum(axis=2).T
+    table = np.stack([t.T for t in per_arm]).reshape(-1, g)        # (S*n, G)
+    return np.take(table, cells.T, axis=0).sum(axis=0)

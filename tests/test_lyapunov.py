@@ -257,6 +257,51 @@ class TestSubsetH:
             subset_h(bad, [0, 1], policy, diag)
 
 
+class TestArmSetChecks:
+    """subset_h and drift_probe take the arm set D through one check."""
+
+    @pytest.fixture(scope="class")
+    def six_arms(self):
+        instance = tiny_instance(seed=4, n=6, s=3, a=2, k=1)
+        policy = PolicyBundle.prepare(instance, seed=0).policy
+        return instance, policy, chain_diagnostics(instance, policy)
+
+    def _calls(self, six_arms, D):
+        instance, policy, diag = six_arms
+        x = _random_state(instance, 0)
+        return [lambda: subset_h(x, D, policy, diag),
+                lambda: drift_probe(instance, policy, diag, D, 3,
+                                    np.random.default_rng(0))]
+
+    @pytest.mark.parametrize("D, message", [
+        ([0, 0, 1, 1], r"entry 0 appears more than once"),
+        ([2, 5, 2], r"entry 2 appears more than once"),
+        ([-1], r"entry -1 is negative"),
+        ([0.5], r"entry 0\.5 is not an integer"),
+        ([1, float("nan")], r"entry nan is not an integer"),
+        ([6], r"entry 6 is out of range for 6 arms"),
+        ([[0, 1]], r"flat sequence"),
+        ([True, False], r"flat sequence"),
+    ])
+    def test_bad_entry_is_named(self, six_arms, D, message):
+        for call in self._calls(six_arms, D):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_integral_floats_and_arrays_are_indices(self, six_arms):
+        instance, policy, diag = six_arms
+        x = _random_state(instance, 1)
+        h = subset_h(x, [3, 0], policy, diag)
+        assert subset_h(x, [3.0, 0.0], policy, diag) == h
+        assert subset_h(x, np.array([3, 0], dtype=np.uint8), policy, diag) == h
+
+    def test_negative_num_samples_is_named(self, six_arms):
+        instance, policy, diag = six_arms
+        with pytest.raises(ValueError, match="num_samples must be >= 0, got -1"):
+            drift_probe(instance, policy, diag, [0, 1], -1,
+                        np.random.default_rng(0))
+
+
 def _random_state(instance, seed):
     rng = np.random.default_rng(seed)
     states = rng.integers(0, instance.num_states, instance.num_arms)
