@@ -458,7 +458,10 @@ def _solved(cfg: GeneratorConfig):
 def probe_cases(small_solved):
     """(instance, policy, diag, D) per drift-probe case: fully heterogeneous
     N=200, S=10, K=4; typed with K=1; a lazy copy of small_solved whose
-    chains mix in >= 5 steps; and a shuffled proper subset of the first."""
+    chains mix in >= 5 steps; and a shuffled proper subset of the first.
+    The weights of K=1 and K>=2 policies have different memory layouts, so
+    h sums the arms pairwise in the typed case and one by one in the
+    others; the cases pin both orders."""
     het, het_policy = _solved(GeneratorConfig(
         seed=0, num_arms=200, num_states=10, num_actions=4, num_constraints=4))
     typed, typed_policy = _solved(GeneratorConfig(
