@@ -14,11 +14,18 @@ diagnostics consume.
 The constraint matrix is block-angular, so solve_lp uses Dantzig-Wolfe
 column generation instead of one LP over all N*S*A variables:
 
-- Master. One HiGHS LP over the K budget rows plus one convexity row per
-  arm. Each column is the stationary occupation measure of one arm under one
-  deterministic policy, scaled by 1/N as in build_lp. The first column of
-  every arm is its all-action-0 policy; action 0 is free, so the first
-  master is always feasible.
+- Master. One HiGHS model, built once per solve_lp call, over the K budget
+  rows plus one convexity row per arm. Each column is the stationary
+  occupation measure of one arm under one deterministic policy. Every round
+  appends its new columns to the live model and re-solves, so the simplex
+  starts from the previous optimal basis instead of from scratch. The rows
+  are O(1): reward R and budget C <= N alpha, not build_lp's R/N and
+  C/N <= alpha, which lets HiGHS's default tolerances reach the optimum
+  (1/N-scaled rows stop the warm simplex early at N >= 200). scipy exposes
+  the incremental HiGHS interface only through its private pybind module,
+  so _Master is the one place that imports it. The first column of every
+  arm is its all-action-0 policy; action 0 is free, so the first master is
+  always feasible.
 - Pricing. With the master's budget duals lam, every arm maximizes the
   long-run gain of the price r - lam.c. Howard policy iteration runs for all
   arms at once: each sweep evaluates every policy with one batched
@@ -29,10 +36,10 @@ column generation instead of one LP over all N*S*A variables:
   policy; it is priced by an LP over its own S*A occupation polytope.
 - Certificate. For any bias vector h, flow balance gives
   sum y (r - lam.c) <= max_{s,a} [r - lam.c + P h - h(s)] for every y in the
-  arm's polytope. This bound, less N times the arm's convexity dual, is the
-  arm's reduced cost; the master objective plus the positive reduced costs
-  is a Lagrangian upper bound on the relaxation. Generation stops when no
-  arm's reduced cost exceeds REDUCED_COST_RTOL, and the remaining gap is
+  arm's polytope. This bound, less the arm's convexity dual in the master,
+  is the arm's reduced cost; the master objective plus the positive reduced
+  costs is a Lagrangian upper bound on the relaxation. Generation stops when
+  no arm's reduced cost exceeds REDUCED_COST_RTOL, and the remaining gap is
   reported in SolveStats.
 
 check_solution re-evaluates every constraint family from the raw instance
@@ -116,7 +123,8 @@ class SolveStats:
     pricing_iterations counts batched policy-evaluation sweeps over all
     rounds; fallback_arms counts the arms priced by a per-arm LP at least
     once; lagrangian_gap is the Lagrangian bound minus the master objective
-    at the last round.
+    at the last round; simplex_iterations sums HiGHS's simplex iterations
+    over the master solves.
     """
 
     master_rounds: int
@@ -124,6 +132,7 @@ class SolveStats:
     pricing_iterations: int
     fallback_arms: int
     lagrangian_gap: float
+    simplex_iterations: int
 
 
 @dataclass(frozen=True)
@@ -308,19 +317,56 @@ def _arm_lp(transition: np.ndarray, price: np.ndarray):
     return np.maximum(res.x.reshape(S, A), 0.0), float(-res.fun)
 
 
-def _solve_master(arm: np.ndarray, reward: np.ndarray, cost: np.ndarray,
-                  alpha: np.ndarray, num_arms: int):
-    """HiGHS over the columns: max sum w R / N subject to
-    sum w C / N <= alpha and sum_{j of arm i} w_j = 1 for every arm."""
-    m = arm.size
-    convexity = sp.csr_matrix((np.ones(m), (arm, np.arange(m))),
-                              shape=(num_arms, m))
-    res = linprog(c=-reward / num_arms, A_ub=cost.T / num_arms, b_ub=alpha,
-                  A_eq=convexity, b_eq=np.ones(num_arms),
-                  bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise LpSolveError(f"master linprog status {res.status}: {res.message}")
-    return res
+class _Master:
+    """The restricted master LP as one live HiGHS model: minimize -sum w R
+    subject to sum w C <= N alpha (K budget rows) and sum_{j of arm i} w_j
+    = 1 (one convexity row per arm), w >= 0. Columns added between solves
+    leave the last optimal basis valid, so each solve() starts from it.
+    The only code that imports scipy's private HiGHS binding.
+    """
+
+    def __init__(self, alpha: np.ndarray, num_arms: int):
+        from scipy.optimize._highspy import _core as highs
+        self._optimal = highs.HighsModelStatus.kOptimal
+        self._inf = highs.kHighsInf
+        self._highs = highs._Highs()
+        self._highs.setOptionValue("output_flag", False)
+        K = alpha.size
+        self._num_budget = K
+        self._highs.addRows(
+            K + num_arms,
+            np.concatenate([np.full(K, -self._inf), np.ones(num_arms)]),
+            np.concatenate([num_arms * alpha, np.ones(num_arms)]),
+            0, np.zeros(K + num_arms, dtype=np.int32),
+            np.zeros(0, dtype=np.int32), np.zeros(0))
+        self.simplex_iterations = 0
+
+    def add(self, arm: np.ndarray, reward: np.ndarray, cost: np.ndarray) -> None:
+        """Append one column per entry: its arm, reward and (K,) costs."""
+        m, K = cost.shape
+        values = np.column_stack([cost, np.ones(m)])
+        rows = np.column_stack([np.broadcast_to(np.arange(K), (m, K)), K + arm])
+        keep = values != 0.0
+        starts = np.concatenate([[0], np.cumsum(keep.sum(axis=1))[:-1]])
+        self._highs.addCols(m, -reward, np.zeros(m), np.full(m, self._inf),
+                            int(keep.sum()), starts.astype(np.int32),
+                            rows[keep].astype(np.int32), values[keep])
+
+    def solve(self):
+        """Re-optimize; return the objective sum w R, the column weights w,
+        and the budget and convexity row duals (HiGHS's sign, <= 0 for a
+        binding budget)."""
+        self._highs.run()
+        status = self._highs.getModelStatus()
+        if status != self._optimal:
+            raise LpSolveError(f"master HiGHS model status "
+                               f"{self._highs.modelStatusToString(status)}")
+        self.simplex_iterations += self._highs.getInfo().simplex_iteration_count
+        solution = self._highs.getSolution()
+        duals = np.array(solution.row_dual)
+        return (-self._highs.getObjectiveValue(),
+                np.array(solution.col_value),
+                duals[:self._num_budget], duals[self._num_budget:])
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -333,18 +379,20 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     for name in ("transition", "reward", "cost", "budget_rhs"):
         _require_finite(name, getattr(problem, name))
 
-    # columns: arm index, occupation measure, reward and cost coefficients.
+    # columns: arm index and occupation measure, kept to rebuild y; their
+    # reward and cost coefficients go straight into the master.
     # A column already in the master may price slightly positive within
     # HiGHS's dual tolerance; `seen` keeps it from entering again, which
     # would change nothing and repeat the round.
-    arms, occupations, rewards, costs = [], [], [], []
+    master = _Master(alpha, N)
+    arms, occupations = [], []
     seen = set()
 
     def add_columns(index: np.ndarray, x: np.ndarray) -> None:
         arms.append(index)
         occupations.append(x)
-        rewards.append(np.einsum("nsa,nsa->n", x, reward[index]))
-        costs.append(np.einsum("nsa,nksa->nk", x, cost[index]))
+        master.add(index, np.einsum("nsa,nsa->n", x, reward[index]),
+                   np.einsum("nsa,nksa->nk", x, cost[index]))
         seen.update(zip(index.tolist(), (c.round(12).tobytes() for c in x)))
 
     policy = np.zeros((N, S), dtype=np.intp)
@@ -358,11 +406,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     sweeps = 0
     fallback = np.zeros(N, dtype=bool)
     for rounds in range(1, MAX_MASTER_ROUNDS + 1):
-        arm = np.concatenate(arms)
-        res = _solve_master(arm, np.concatenate(rewards),
-                            np.concatenate(costs), alpha, N)
-        lam = -np.asarray(res.ineqlin.marginals)
-        sigma = -np.asarray(res.eqlin.marginals)
+        # the master's rows are N times build_lp's: its budget duals are
+        # build_lp's, its convexity duals N times theirs (HiGHS's sign)
+        value, weights, budget_duals, convexity_duals = master.solve()
+        lam = -budget_duals
         price = reward - np.einsum("k,nksa->nsa", lam, cost)
         _require_finite("price", price)
 
@@ -374,7 +421,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             x[i], bound[i] = _arm_lp(transition[i], price[i])
         fallback |= multichain
 
-        reduced = bound - N * sigma
+        reduced = bound + convexity_duals
         gap = float(np.maximum(reduced, 0.0).sum() / N)
         improving = reduced > REDUCED_COST_RTOL * np.maximum(1.0, np.abs(bound))
         new = np.array([i for i in np.flatnonzero(improving)
@@ -387,19 +434,20 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         raise LpSolveError(f"column generation did not converge in "
                            f"{MAX_MASTER_ROUNDS} master rounds")
 
-    objective = float(-res.fun)
+    objective = value / N
     if not gap <= GAP_RTOL * max(1.0, abs(objective)):
         raise LpSolveError(f"column generation stalled with Lagrangian gap "
                            f"{gap:.3e} after {rounds} master rounds")
+    arm = np.concatenate(arms)
     y = np.zeros((N, S, A))
-    used = np.flatnonzero(res.x > 0.0)
+    used = np.flatnonzero(weights > 0.0)
     np.add.at(y, arm[used],
-              res.x[used, None, None] * np.concatenate(occupations)[used])
+              weights[used, None, None] * np.concatenate(occupations)[used])
     stats = SolveStats(master_rounds=rounds, columns=int(arm.size),
                        pricing_iterations=sweeps,
-                       fallback_arms=int(fallback.sum()), lagrangian_gap=gap)
-    return LpSolution(y=y, objective=objective,
-                      duals=np.asarray(res.ineqlin.marginals, dtype=np.float64),
+                       fallback_arms=int(fallback.sum()), lagrangian_gap=gap,
+                       simplex_iterations=master.simplex_iterations)
+    return LpSolution(y=y, objective=objective, duals=budget_duals,
                       stats=stats)
 
 

@@ -272,8 +272,10 @@ class TestPipelineCommands:
         solver = manifest["solver"]
         assert set(solver) == {"master_rounds", "columns",
                                "pricing_iterations", "fallback_arms",
-                               "lagrangian_gap", "audit"}
+                               "lagrangian_gap", "simplex_iterations",
+                               "audit"}
         assert solver["master_rounds"] >= 1
+        assert solver["simplex_iterations"] > 0
         assert 0.0 <= solver["lagrangian_gap"] <= 1e-9
         assert solver["audit"]["tol"] == 1e-8
         assert max(v for k, v in solver["audit"].items() if k != "tol") <= 1e-8

@@ -24,9 +24,9 @@ SWEEP = ["sweep", "--family", "typed", "--types", "4", "--states", "3",
 
 DIGESTS = {
     "instance": "432900a5f2378f7d2fb942ab0ec1175549511c24766249848c6b12051d224bd3",
-    "solve": "e863a629b641540452943fca62665741db949e9217f99cea3d6984f48dc4392b",
-    "diagnose": "9ffae3b5d23c0a71337b72a827b48015803b6468076688a2bde64bdf6fd21146",
-    "sweep": "4a148d65f32017d224fff9c686052ab633e67b24f13b42f1bf9214e75c1a6acd",
+    "solve": "28705a139e28735cf37f5d0c4e5e3d5fdacb8ef6f844f6ea5bf78e43ff77f7c3",
+    "diagnose": "9ac6e384cf0ad1008d33bccbe873213798de34f2f8a133c37511bec76bccfa37",
+    "sweep": "aa05f23289f0e9b7b5af4666b8050cfe3d096b2abc2181637d97ba425dc10d59",
 }
 
 

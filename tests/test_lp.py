@@ -121,6 +121,21 @@ class TestColumnGenerationAgainstHighs:
             assert np.all(solution.duals <= 0.0)
             assert np.allclose(solution.duals, reference.duals, atol=1e-9)
 
+    def test_matches_monolithic_lp_at_benchmark_scale(self):
+        # large enough that a master stopping inside HiGHS's tolerances (as
+        # 1/N-scaled rows do) misses the 1e-9 gates
+        instance = tiny_instance(seed=0, n=200, s=10, a=4, k=4)
+        problem = build_lp(instance)
+        solution = solve_lp(problem)
+        reference = solve_lp_highs(problem)
+        assert solution.objective == pytest.approx(reference.objective,
+                                                   abs=1e-9)
+        assert np.max(np.abs(solution.y - reference.y)) <= 1e-9
+        assert np.all(solution.duals <= 0.0)
+        assert np.allclose(solution.duals, reference.duals, atol=1e-9)
+        assert check_solution(instance, solution).ok
+        assert solution.stats.lagrangian_gap <= lp_relax.GAP_RTOL
+
     def test_stats_certify_the_solve(self, small_solved):
         _, solution, _ = small_solved
         stats = solution.stats
@@ -142,6 +157,20 @@ class TestColumnGenerationAgainstHighs:
         assert solution.objective == pytest.approx(
             solve_lp_highs(problem).objective, abs=1e-9)
         assert check_solution(instance, solution).ok
+
+    def test_non_optimal_master_raises(self, monkeypatch):
+        # HiGHS itself stops the master: every run after the first, which
+        # presolve solves outright, ends at a simplex iteration limit of 0
+        init = lp_relax._Master.__init__
+
+        def stopping_init(master, *args):
+            init(master, *args)
+            master._highs.setOptionValue("simplex_iteration_limit", 0)
+
+        monkeypatch.setattr(lp_relax._Master, "__init__", stopping_init)
+        instance = tiny_instance(seed=0, n=20, s=4, a=3, k=2)
+        with pytest.raises(LpSolveError, match="Iteration limit reached"):
+            solve_lp(build_lp(instance))
 
     @pytest.mark.parametrize("cap", ["MAX_MASTER_ROUNDS", "MAX_POLICY_SWEEPS"])
     def test_iteration_cap_raises(self, monkeypatch, cap):
