@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -387,6 +388,54 @@ class TestHIdAndFocus:
         assert m >= 0.0
         assert report.v == pytest.approx(
             report.h_id[round(m * n)] + diag.l_h * n * (1 - m), rel=1e-12)
+
+
+class TestSeriesPins:
+    """subset_h and build_report bit for bit on seeded K=2 and K=4
+    instances, at one-hot and at Dirichlet states. A digest moves only when
+    the series arithmetic or its summation order changes."""
+
+    DIGESTS = {
+        ("k2", "one-hot"):
+            "692ba8e1e62260b2ead8f7d0aacfa4b4662f92938f0dd0b6a0741809706ea98b",
+        ("k2", "dirichlet"):
+            "60d3cd5b9bb5062c70883d11aa440633c67b05682948eb2235502bf9e7a5d684",
+        ("k4", "one-hot"):
+            "6f49a1382ae36eeb18173b5db81472fd17f7eff28dcd398da01bc40d59a0968f",
+        ("k4", "dirichlet"):
+            "554423c14f5f2cbf1d0796428b6995170880219c31b0521fcf6590b730f64bc4",
+    }
+
+    @pytest.fixture(scope="class")
+    def pin_cases(self):
+        cases = {}
+        for name, k in (("k2", 2), ("k4", 4)):
+            instance = generate(GeneratorConfig(
+                seed=k, num_arms=40, num_states=5, num_actions=3,
+                num_constraints=k))
+            bundle = PolicyBundle.prepare(instance, seed=0)
+            cases[name] = (instance, bundle,
+                           chain_diagnostics(instance, bundle.policy))
+        return cases
+
+    @pytest.mark.parametrize("case, state", sorted(DIGESTS))
+    def test_outputs_are_pinned(self, pin_cases, case, state):
+        instance, bundle, diag = pin_cases[case]
+        n, s = instance.num_arms, instance.num_states
+        rng = np.random.default_rng(11)
+        x = (_random_state(instance, 11) if state == "one-hot"
+             else rng.dirichlet(np.ones(s), size=n))
+        digest = hashlib.sha256()
+        for D in (np.arange(n), rng.permutation(n)[:n // 2], [3]):
+            digest.update(subset_h(x, D, bundle.policy, diag).hex().encode())
+        report = build_report(instance, x, bundle.policy,
+                              bundle.reassignment, diag)
+        for values in (report.prefix_h, report.h_id):
+            digest.update(np.asarray(values, dtype="<f8").tobytes())
+        digest.update(repr((report.focus_m.hex(), report.v.hex(),
+                            report.truncation_level,
+                            report.tail_bound.hex())).encode())
+        assert digest.hexdigest() == self.DIGESTS[(case, state)]
 
 
 class TestDriftProbe:
