@@ -19,20 +19,20 @@ horizons:
 
 with gamma = exp(-1/(2*tau)) for tau the largest mixing time. Because
 (x_i - mu_i) P_i^ell = (x_i - mu_i) (P_i - Xi_i)^ell, where Xi_i repeats
-mu_i in every row, the series is evaluated on deflated difference vectors
-and truncated once a certified bound on all remaining terms drops below a
-tolerance. The certificate uses the actual iterate norms: they contract by
-at least exp(-1/2) every tau horizons, so the running maximum over the last
-tau horizons dominates the entire tail.
+mu_i in every row, one term generator evaluates the series on deflated
+difference vectors for every entry point. It stops once tau terms in a row
+have a tail bound below a tolerance: the bound uses the actual iterate
+norms, which contract by at least exp(-1/2) every tau horizons, so such a
+run dominates the entire tail. The same contraction caps the number of
+terms in proportion to tau. The profiles are stored arm by arm, so h sums
+the arms one after another, in the same order for every K.
 
 drift_probe evaluates h at many one-hot states of one trajectory. The
-states never depend on h, so it draws the whole trajectory first and then
-evaluates h for every sample at once, term by term: arm i in state s adds
-the same amount to term ell in every sample, so each term is one table over
-(arm, start state), from which each sample gathers its arms and sums them in
-the order the one-state series does. The table is dropped before the next
-term, so memory does not grow with tau or with the number of terms, and a
-sample leaves once its own certificate holds.
+states never depend on h, so it draws the whole trajectory first and runs
+one series per start state: arm i in state s adds the same amount to term
+ell in every sample, so each sample gathers its terms from those S series.
+Memory does not grow with tau or with the number of terms, and a sample
+leaves once its own certificate holds.
 
 h_ID(x, m) = max_{m' <= m} h(x, [N m']) is the upper envelope over ID
 prefixes, the focus fraction m(x) is the largest grid point whose envelope
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .lp_relax import SingleArmPolicy
 from .model import WcmdpInstance
@@ -65,7 +65,6 @@ UNBOUNDED = math.inf
 MIXING_THRESHOLD = 1.0 / math.e
 C_TAU_COEFF = 4.0 * math.e / (1.0 - 1.0 / math.sqrt(math.e))
 DEFAULT_T_CAP = 10_000
-SERIES_MAX_TERMS = 10_000
 FOCUS_SIZE_GUARD = 200
 BURN_IN = 100
 
@@ -75,7 +74,8 @@ class AssumptionError(RuntimeError):
 
 
 class TruncationError(RuntimeError):
-    """The deviation series tail failed to decay within the iteration cap."""
+    """The deviation series tail outlived the term cap that the mixing time
+    implies: the diagnostics do not describe the chains."""
 
 
 def mixing_time(P: np.ndarray, mu: np.ndarray, t_cap: int = DEFAULT_T_CAP):
@@ -125,26 +125,13 @@ def chain_structure(P: np.ndarray) -> tuple[bool, bool]:
 
 
 def _class_period(P: np.ndarray, members: np.ndarray) -> int:
-    """gcd of cycle lengths inside one strongly connected closed class."""
-    index = {int(s): j for j, s in enumerate(members)}
-    sub = P[np.ix_(members, members)] > 0.0
-    m = len(members)
-    level = np.full(m, -1, dtype=np.int64)
-    level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(sub[u]):
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u in range(m):
-        for v in np.flatnonzero(sub[u]):
-            g = math.gcd(g, int(level[u] + 1 - level[v]))
-    return g if g > 0 else 1
+    """gcd of cycle lengths inside one strongly connected closed class: the
+    gcd over its edges u -> v of level(u) + 1 - level(v), with levels the
+    BFS distances from its first member."""
+    sub = sp.csr_matrix((P[np.ix_(members, members)] > 0.0).astype(np.int8))
+    level = shortest_path(sub, unweighted=True, indices=0).astype(np.int64)
+    u, v = sub.nonzero()
+    return int(np.gcd.reduce(level[u] + 1 - level[v]))
 
 
 @dataclass(frozen=True)
@@ -217,43 +204,61 @@ def chain_diagnostics(instance: WcmdpInstance, policy: SingleArmPolicy,
                             aperiodic=aperiodic)
 
 
+def _terms(diff: np.ndarray, P: np.ndarray, mu: np.ndarray,
+           weights: np.ndarray, gamma: float, tol: float, tau_window: int):
+    """Yield (v, per_arm) for ell = 0, 1, ...: the iterate
+    v = diff (P - Xi)^ell / gamma^ell, (n, S), and its (G, n) projections.
+
+    The tail bound g_max * |v|_1 starts at most at t0 = 2 n g_max, shrinks
+    by exp(-1/2) or more every tau_window terms and grows by exp(1/2) at most
+    within one window, so all tails from term tau_window * j on are <= tol
+    once j >= 1 + 2 ln(t0 / tol). With tau_window more terms to certify,
+    ceil(tau_window * (2 ln(t0 / tol) + 3)) terms always suffice.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    t0 = 2.0 * diff.shape[0] * float(np.max(np.abs(weights)))
+    cap = math.ceil(tau_window * (2.0 * math.log(max(t0, tol) / tol) + 3.0))
+    v = diff.astype(np.float64)
+    for _ in range(cap):
+        yield v, np.einsum("gns,ns->gn", weights, v)
+        v = (np.einsum("ns,nst->nt", v, P)
+             - v.sum(axis=1, keepdims=True) * mu) / gamma
+    raise TruncationError(
+        f"deviation series tail above {tol} after {cap} terms, more than a "
+        f"mixing time of {tau_window} allows; the diagnostics do not "
+        "describe these chains")
+
+
 def _deviation_series(diff: np.ndarray, P: np.ndarray, mu: np.ndarray,
                       weights: np.ndarray, gamma: float, tol: float,
-                      tau_window: int, max_terms: int = SERIES_MAX_TERMS,
-                      prefixes: bool = False, min_terms: int = 0):
+                      tau_window: int, prefixes: bool = False):
     """Evaluate the deviation sup over horizons on deflated difference rows.
 
     diff, mu: (n, S); P: (n, S, S); weights: (G, n, S). Returns
-    (value, terms_used, certified_tail) where value is a scalar, or an
-    (n+1,) array over prefixes of the rows when prefixes=True. The iterate
-    carries the 1/gamma^ell scaling, so no separate power is formed.
-    min_terms forces a longer horizon than the certificate needs, to audit
-    the truncation itself.
+    (value, terms_used, tail_bound) where value is a scalar, or an (n+1,)
+    array over prefixes of the rows when prefixes=True. The series stops
+    once tau_window terms in a row have tail bound <= tol; tail_bound is the
+    largest of them.
     """
     n = diff.shape[0]
     best: np.ndarray | float = np.zeros(n + 1) if prefixes else 0.0
     if n == 0:
         return best, 0, 0.0
-    g_max = float(np.max(np.abs(weights))) if weights.size else 0.0
-    v = diff.astype(np.float64).copy()
-    window: list[float] = []
-    for ell in range(max_terms):
-        per_arm = np.einsum("gns,ns->gn", weights, v)     # (G, n)
+    g_max = float(np.max(np.abs(weights)))
+    calm, tail_bound = 0, 0.0
+    for ell, (v, per_arm) in enumerate(
+            _terms(diff, P, mu, weights, gamma, tol, tau_window)):
         if prefixes:
             totals = np.abs(np.cumsum(per_arm, axis=1)).max(axis=0)
             best[1:] = np.maximum(best[1:], totals)
         else:
             best = max(best, float(np.abs(per_arm.sum(axis=1)).max()))
         tail = float(np.abs(v).sum()) * g_max
-        window.append(tail)
-        if (ell + 1 >= min_terms and len(window) >= tau_window
-                and max(window[-tau_window:]) <= tol):
-            return best, ell + 1, max(window[-tau_window:])
-        v = (np.einsum("ns,nst->nt", v, P)
-             - v.sum(axis=1, keepdims=True) * mu) / gamma
-    raise TruncationError(
-        f"deviation series tail above {tol} after {max_terms} terms; "
-        "an induced chain is likely not an aperiodic unichain")
+        calm, tail_bound = ((calm + 1, max(tail_bound, tail)) if tail <= tol
+                            else (0, 0.0))
+        if calm == tau_window:
+            return best, ell + 1, tail_bound
 
 
 def _check_rows(x: np.ndarray) -> None:
@@ -262,8 +267,15 @@ def _check_rows(x: np.ndarray) -> None:
 
 
 def _weights_for(policy: SingleArmPolicy, idx: np.ndarray) -> np.ndarray:
-    return np.concatenate(
-        [policy.c_star[:, idx, :], policy.r_star[idx][None, :, :]], axis=0)
+    """(G, n, S) profiles of the arms idx: the K cost rows, then the reward
+    row. They are stored arm-major, as (n, G, S) memory, so every projection
+    einsum returns a (G, n) array laid out arm by arm, which numpy sums over
+    the arms one after another, whatever K is."""
+    k = policy.c_star.shape[0]
+    stored = np.empty((idx.size, k + 1, policy.r_star.shape[1]))
+    stored[:, :k] = policy.c_star[:, idx].transpose(1, 0, 2)
+    stored[:, k] = policy.r_star[idx]
+    return stored.transpose(1, 0, 2)
 
 
 def _tau_window(diag: ChainDiagnostics) -> int:
@@ -426,56 +438,34 @@ def _one_hot_h(paths: np.ndarray, mu: np.ndarray, P: np.ndarray,
     """h at every one-hot state of paths (M, n), arm i in state paths[m, i]:
     the values _deviation_series gives one state at a time.
 
-    Arm i in state a starts its series from the row e_a - mu_i, so each
-    term is built once for all S start states, as an (S, n, S) iterate
-    advanced with _deviation_series's own kernels one start state at a
-    time. Every live sample then gathers its per-arm inner products from
-    that term's table and sums them over the arms in the order
-    _deviation_series does, so its running max is the same bit for bit.
-    Its tail norm adds the same entries in another order; a sample leaves
-    once its own certificate holds, on the term _deviation_series stops at
-    unless a tail lies within rounding of tol. Memory is O((S + M) n G)
-    whatever the number of terms.
+    Arm i in state a starts its series from the row e_a - mu_i, so the S
+    series from the rows e_a - mu hold every term of every sample. Each live
+    sample gathers its per-arm inner products from them and adds them one
+    arm after another, as _deviation_series sums arm-major projections, so
+    its running max is the same bit for bit. Its tail bound adds the same
+    entries in another order; a sample leaves once tau_window terms in a row
+    have tail bound <= tol, on the term _deviation_series stops at unless a
+    tail lies within rounding of tol. Memory is O((S + M) n G).
     """
     num_paths, n = paths.shape
     s = mu.shape[1]
     g_max = float(np.max(np.abs(weights)))
-    v = np.eye(s)[:, None, :] - mu                       # (S, n, S)
+    series = zip(*(_terms(np.eye(s)[a] - mu, P, mu, weights, gamma, tol,
+                          tau_window) for a in range(s)))
     live = np.arange(num_paths)
     cells = paths * n + np.arange(n)                     # into (S*n,) tables
     best = np.zeros(num_paths)
     calm = np.zeros(num_paths, dtype=np.int64)   # latest terms with tail <= tol
-    for _ in range(SERIES_MAX_TERMS):
-        totals = _arm_sums([np.einsum("gns,ns->gn", weights, v[a])
-                            for a in range(s)], cells)
+    for term in series:
+        iterates, per_arm = zip(*term)
+        table = np.stack([t.T for t in per_arm]).reshape(s * n, -1)
+        totals = np.take(table, cells.T, axis=0).sum(axis=0)    # (M', G)
         best[live] = np.maximum(best[live], np.abs(totals).max(axis=1))
-        tails = np.take(np.abs(v).sum(axis=2), cells).sum(axis=1) * g_max
+        norms = np.abs(np.stack(iterates)).sum(axis=2)          # (S, n)
+        tails = np.take(norms, cells).sum(axis=1) * g_max
         calm = np.where(tails <= tol, calm + 1, 0)
         running = calm < tau_window
         live, cells, calm = live[running], cells[running], calm[running]
         if live.size == 0:
             return best
-        v = np.stack([(np.einsum("ns,nst->nt", v[a], P)
-                       - v[a].sum(axis=1, keepdims=True) * mu) / gamma
-                      for a in range(s)])
-    raise TruncationError(
-        f"deviation series tail above {tol} after {SERIES_MAX_TERMS} terms; "
-        "an induced chain is likely not an aperiodic unichain")
 
-
-def _arm_sums(per_arm: list[np.ndarray], cells: np.ndarray) -> np.ndarray:
-    """(M', G) totals over the arms i of per_arm[a][:, i] with a the state of
-    arm i in each sample, from the (G, n) per-start-state tables per_arm
-    and the flat cells[m, i] = a * n + i.
-
-    numpy sums a (G, n) array over its arms pairwise when they are its
-    contiguous axis and one arm after another when they are not; einsum
-    picks that layout from the strides of the weights, so the gather keeps
-    it and each total is the one _deviation_series forms.
-    """
-    g = per_arm[0].shape[0]
-    if per_arm[0].strides[1] < per_arm[0].strides[0]:
-        table = np.stack(per_arm, axis=1).reshape(g, -1)            # (G, S*n)
-        return np.take(table, cells, axis=1).sum(axis=2).T
-    table = np.stack([t.T for t in per_arm]).reshape(-1, g)        # (S*n, G)
-    return np.take(table, cells.T, axis=0).sum(axis=0)

@@ -217,6 +217,27 @@ def iid_pair_arm(r0: float, r1: float, k: int = 1):
     return np.full((2, 1, 2), 0.5), np.array([[r0], [r1]]), np.zeros((k, 2, 1))
 
 
+def sticky_pair_arm(rewards, costs, stay: float = 0.998):
+    """Two-action, two-state arm in which every action keeps the state with
+    probability stay and otherwise redraws it uniformly, so its induced
+    chain mixes in about 1 / (1 - stay) steps whatever the policy.
+    rewards: (2, 2); costs: (K, 2, 2)."""
+    transition = np.full((2, 2, 2), (1.0 - stay) / 2.0)
+    transition[[0, 1], :, [0, 1]] += stay
+    return (transition, np.asarray(rewards, dtype=np.float64),
+            np.asarray(costs, dtype=np.float64))
+
+
+def slow_mixing_instance() -> WcmdpInstance:
+    """Three sticky arms with K=1: tau = 500, so the deviation series needs
+    about 30 tau terms."""
+    return stack_arms([
+        sticky_pair_arm([[0.1, 0.6], [0.3, 0.9]], [[[0.0, 0.5], [0.0, 0.7]]]),
+        sticky_pair_arm([[0.2, 0.5], [0.4, 0.8]], [[[0.0, 0.4], [0.0, 0.9]]]),
+        sticky_pair_arm([[0.3, 0.4], [0.5, 0.7]], [[[0.0, 0.6], [0.0, 0.3]]]),
+    ], [0.4])
+
+
 def absorbing_pair_arm(r0: float, r1: float, k: int = 1):
     """Single-action arm with two absorbing states (two closed classes)."""
     return (np.array([[[1.0, 0.0]], [[0.0, 1.0]]]), np.array([[r0], [r1]]),

@@ -17,7 +17,8 @@ from wcmdp.model import WcmdpInstance
 from wcmdp.simulator import CSV_COLUMNS
 
 from oracles import (absorbing_pair_arm, iid_pair_arm, single_state_arm,
-                     stack_arms, tiny_instance, two_cycle_arm)
+                     slow_mixing_instance, stack_arms, tiny_instance,
+                     two_cycle_arm)
 
 
 def run(argv):
@@ -383,6 +384,17 @@ class TestDiagnose:
         assert payload["assumption_ok"] is False
         assert "probes" not in payload
         assert run(argv + ["--strict"]) == 5
+
+    def test_slowly_mixing_chain_gets_a_probe(self, tmp_path):
+        # tau = 500 is well inside --t-cap; the series needs ~30 tau terms
+        inst = tmp_path / "slow.json"
+        slow_mixing_instance().save(inst)
+        out = tmp_path / "diag.json"
+        assert run(["diagnose", "--instance", str(inst), "--probe-drift",
+                    "--samples", "5", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["tau"] == [500, 500, 500]
+        assert payload["probes"][0]["num_samples"] == 5
 
     def test_non_strict_still_reports(self, tmp_path):
         instance = stack_arms([two_cycle_arm(0.2, 0.8)], [0.3])

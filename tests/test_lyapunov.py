@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ from wcmdp.policies import IdPolicyRunner
 from wcmdp.reassign import verify_slope
 from wcmdp.simulator import PolicyBundle
 
-from oracles import drift_probe_reference, tiny_instance, zero_cost_copy
+from oracles import (drift_probe_reference, slow_mixing_instance,
+                     tiny_instance, zero_cost_copy)
 
 IID2 = np.array([[0.5, 0.5], [0.5, 0.5]])
 LAZY2 = np.array([[0.75, 0.25], [0.25, 0.75]])
@@ -240,14 +242,14 @@ class TestSubsetH:
         x = np.zeros((instance.num_arms, instance.num_states))
         x[np.arange(instance.num_arms), states] = 1.0
         d = np.arange(instance.num_arms)
-        from wcmdp.lyapunov import _deviation_series, _weights_for, _tau_window
-        value, used, _ = _deviation_series(
-            x - policy.mu_star, policy.induced_P, policy.mu_star,
-            _weights_for(policy, d), diag.gamma, 1e-7, _tau_window(diag))
-        doubled, _, _ = _deviation_series(
-            x - policy.mu_star, policy.induced_P, policy.mu_star,
-            _weights_for(policy, d), diag.gamma, 1e-7, _tau_window(diag),
-            min_terms=2 * used)
+        from wcmdp.lyapunov import (_deviation_series, _terms, _weights_for,
+                                    _tau_window)
+        args = (x - policy.mu_star, policy.induced_P, policy.mu_star,
+                _weights_for(policy, d), diag.gamma, 1e-7, _tau_window(diag))
+        value, used, _ = _deviation_series(*args)
+        doubled = max(float(np.abs(per_arm.sum(axis=1)).max())
+                      for _, per_arm in itertools.islice(_terms(*args),
+                                                         2 * used))
         assert doubled == pytest.approx(value, abs=1e-7)
 
     def test_non_distribution_rows_rejected(self, small_solved):
@@ -436,6 +438,45 @@ class TestSeriesPins:
                             report.truncation_level,
                             report.tail_bound.hex())).encode())
         assert digest.hexdigest() == self.DIGESTS[(case, state)]
+
+    def test_k1_and_k4_sum_the_arms_in_one_order(self, pin_cases):
+        # both policies hold the same first cost row, the K=4 one beside
+        # three zero rows, the K=1 one laid out as extract_policy lays out
+        # K=1; h is the same maximum over the same values, so only the
+        # order in which the arms are summed could tell them apart
+        instance, bundle, diag = pin_cases["k4"]
+        policy = bundle.policy
+        first_row = np.zeros_like(policy.c_star)
+        first_row[0] = policy.c_star[0]
+        k4 = dataclasses.replace(policy, c_star=first_row)
+        k1 = dataclasses.replace(
+            policy, c_star=np.ascontiguousarray(policy.c_star[:1]),
+            C_star=policy.C_star[:1])
+        arms = np.arange(instance.num_arms)
+        for seed in range(5):
+            x = _random_state(instance, seed)
+            assert subset_h(x, arms, k1, diag) == subset_h(x, arms, k4, diag)
+        probes = [drift_probe(instance, p, diag, arms, 40,
+                              np.random.default_rng(5)) for p in (k1, k4)]
+        assert probes[0] == probes[1]
+
+
+class TestSlowMixing:
+    """tau = 500: the series needs about 30 tau terms, past any fixed cap
+    of 10^4 terms."""
+
+    def test_series_returns(self):
+        instance = slow_mixing_instance()
+        bundle = PolicyBundle.prepare(instance, seed=0)
+        diag = chain_diagnostics(instance, bundle.policy)
+        assert diag.tau_max == 500
+        x = _random_state(instance, 0)
+        h = subset_h(x, np.arange(instance.num_arms), bundle.policy, diag)
+        report = build_report(instance, x, bundle.policy,
+                              bundle.reassignment, diag)
+        assert report.truncation_level > 10_000
+        assert report.tail_bound <= 1e-6
+        assert report.prefix_h[-1] == pytest.approx(h, abs=2e-6)
 
 
 class TestDriftProbe:
