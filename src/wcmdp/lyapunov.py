@@ -461,7 +461,7 @@ def _one_hot_h(paths: np.ndarray, mu: np.ndarray, P: np.ndarray,
         table = np.stack([t.T for t in per_arm]).reshape(s * n, -1)
         totals = np.take(table, cells.T, axis=0).sum(axis=0)    # (M', G)
         best[live] = np.maximum(best[live], np.abs(totals).max(axis=1))
-        norms = np.abs(np.stack(iterates)).sum(axis=2)          # (S, n)
+        norms = np.stack([np.abs(v).sum(axis=1) for v in iterates])  # (S, n)
         tails = np.take(norms, cells).sum(axis=1) * g_max
         calm = np.where(tails <= tol, calm + 1, 0)
         running = calm < tau_window

@@ -252,6 +252,14 @@ class TestSubsetH:
                                                          2 * used))
         assert doubled == pytest.approx(value, abs=1e-7)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    def test_non_positive_tol_is_named(self, small_solved, tol):
+        instance, _, policy = small_solved
+        diag = chain_diagnostics(instance, policy)
+        x = _random_state(instance, 0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            subset_h(x, [0, 1], policy, diag, tol=tol)
+
     def test_non_distribution_rows_rejected(self, small_solved):
         instance, _, policy = small_solved
         diag = chain_diagnostics(instance, policy)
@@ -548,10 +556,7 @@ def _solved(cfg: GeneratorConfig):
 def probe_cases(small_solved):
     """(instance, policy, diag, D) per drift-probe case: fully heterogeneous
     N=200, S=10, K=4; typed with K=1; a lazy copy of small_solved whose
-    chains mix in >= 5 steps; and a shuffled proper subset of the first.
-    The weights of K=1 and K>=2 policies have different memory layouts, so
-    h sums the arms pairwise in the typed case and one by one in the
-    others; the cases pin both orders."""
+    chains mix in >= 5 steps; and a shuffled proper subset of the first."""
     het, het_policy = _solved(GeneratorConfig(
         seed=0, num_arms=200, num_states=10, num_actions=4, num_constraints=4))
     typed, typed_policy = _solved(GeneratorConfig(
