@@ -209,10 +209,11 @@ def _terms(diff: np.ndarray, P: np.ndarray, mu: np.ndarray,
     """Yield (v, per_arm) for ell = 0, 1, ...: the iterate
     v = diff (P - Xi)^ell / gamma^ell, (n, S), and its (G, n) projections.
 
-    The tail bound g_max * |v|_1 starts at most at t0 = 2 n g_max, shrinks
-    by exp(-1/2) or more every tau_window terms and grows by exp(1/2) at most
-    within one window, so all tails from term tau_window * j on are <= tol
-    once j >= 1 + 2 ln(t0 / tol). With tau_window more terms to certify,
+    Rows of diff are differences of distributions, so the tail bound
+    g_max * |v|_1 starts at most at t0 = 2 n g_max. It shrinks by exp(-1/2)
+    or more every tau_window terms and grows by exp(1/2) at most within one
+    window, so all tails from term tau_window * j on are <= tol once
+    j >= 1 + 2 ln(t0 / tol). With tau_window more terms to certify,
     ceil(tau_window * (2 ln(t0 / tol) + 3)) terms always suffice.
     """
     if not tol > 0.0:
