@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from wcmdp import lp_relax
 from wcmdp.lp_relax import (LpSolution, LpSolveError, build_lp,
                             check_solution, extract_policy, solve_lp)
-from wcmdp.model import TYPED, GeneratorConfig, generate
+from wcmdp.model import COST_ACTION_ONLY, TYPED, GeneratorConfig, generate
 
 from oracles import (rvi_average_reward, single_state_arm, solve_lp_highs,
                      stack_arms, take_arms, tiny_instance, zero_cost_copy)
@@ -178,6 +180,63 @@ class TestColumnGenerationAgainstHighs:
         instance = tiny_instance(seed=0, n=20, s=4, a=3, k=2)
         with pytest.raises(LpSolveError, match="did not converge"):
             solve_lp(build_lp(instance))
+
+
+def repeated_multichain_instance():
+    """K=2 instance of eight arms from three prototypes, interleaved: three
+    copies of a four-state multichain arm (priced by the fallback LP) and
+    three and two copies of two random arms."""
+    transition, reward, cost = multichain_arm(4)
+    multichain = (transition, reward, np.concatenate([cost, 0.5 * cost]))
+    base = tiny_instance(seed=5, n=2, s=4, a=2, k=2)
+    first, second = (tuple(table[i] for table in (base.transition, base.reward,
+                                                  base.cost)) for i in (0, 1))
+    return stack_arms([multichain, first, multichain, second, first,
+                       multichain, second, first], [0.3, 0.2])
+
+
+class TestSolvePins:
+    """solve_lp bit for bit: y, objective, duals and the SolveStats counters
+    on a typed, a repeated-multichain and a fully heterogeneous instance. A
+    digest moves only when the solve's arithmetic or its column order
+    changes."""
+
+    STATS = ("master_rounds", "columns", "pricing_iterations", "fallback_arms",
+             "lagrangian_gap", "simplex_iterations")
+    DIGESTS = {
+        "typed-k1-n200":
+            "fdcdbfefe5d95a6e0fdb479ee430d32f67666a5ccf47d6c6b301915318429707",
+        "multichain-k2":
+            "0a36f1966a3636cd7d04f08af2d63cc9f5bc052c0053c0bc194d3c81188b8a4a",
+        "het-k4-n60":
+            "7f60a0bae285f48e270c544f1a944e14c312737ba5725160290ebd6c5a9a2064",
+    }
+
+    @staticmethod
+    def instance(case: str):
+        if case == "typed-k1-n200":
+            return generate(GeneratorConfig(
+                seed=1, num_arms=200, num_states=10, num_actions=4,
+                num_constraints=1, family=TYPED, num_types=10,
+                cost_mode=COST_ACTION_ONLY))
+        if case == "multichain-k2":
+            return repeated_multichain_instance()
+        return tiny_instance(seed=2, n=60, s=10, a=4, k=4)
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_solution_is_pinned(self, case):
+        solution = solve_lp(build_lp(self.instance(case)))
+        digest = hashlib.sha256()
+        digest.update(solution.y.tobytes())
+        digest.update(float(solution.objective).hex().encode())
+        digest.update(solution.duals.tobytes())
+        for name in self.STATS:
+            digest.update(repr(getattr(solution.stats, name)).encode())
+        assert digest.hexdigest() == self.DIGESTS[case]
+
+    def test_fallback_counts_every_copy(self):
+        solution = solve_lp(build_lp(repeated_multichain_instance()))
+        assert solution.stats.fallback_arms == 3
 
 
 class TestExtractPolicy:
