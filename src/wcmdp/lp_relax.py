@@ -27,11 +27,15 @@ column generation instead of one LP over all N*S*A variables:
   arm is its all-action-0 policy; action 0 is free, so the first master is
   always feasible.
 - Pricing. With the master's budget duals lam, every arm maximizes the
-  long-run gain of the price r - lam.c. Howard policy iteration runs for all
+  long-run gain of the price r - lam.c. Arms whose transition, reward and
+  cost rows hold the same bytes are priced once (model.distinct_arms): the
+  typed family's copies share one pricing problem, and its policy, bound and
+  column reach every copy. Howard policy iteration runs for all distinct
   arms at once: each sweep evaluates every policy with one batched
-  np.linalg.inv of (N, S, S) unichain systems, then improves it. Each round
+  np.linalg.inv of (n, S, S) unichain systems, then improves it. Each round
   starts from the previous round's policies and keeps the current action on
-  ties, so the iteration terminates.
+  ties, so the iteration terminates. Every arm keeps its own convexity row,
+  reduced cost and column in the master.
 - Fallback. An arm whose evaluation system is singular is at a multichain
   policy; it is priced by an LP over its own S*A occupation polytope.
 - Certificate. For any bias vector h, flow balance gives
@@ -56,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .model import WcmdpInstance
+from .model import WcmdpInstance, distinct_arms
 
 # y entries below this are treated as an unvisited state-action pair
 ZERO_MARGINAL_THRESHOLD = 1e-12
@@ -124,7 +128,8 @@ class SolveStats:
     rounds; fallback_arms counts the arms priced by a per-arm LP at least
     once; lagrangian_gap is the Lagrangian bound minus the master objective
     at the last round; simplex_iterations sums HiGHS's simplex iterations
-    over the master solves.
+    over the master solves; distinct_arms is the number of arms priced in
+    every round, one per set of identical arms (see model.distinct_arms).
     """
 
     master_rounds: int
@@ -133,6 +138,7 @@ class SolveStats:
     fallback_arms: int
     lagrangian_gap: float
     simplex_iterations: int
+    distinct_arms: int
 
 
 @dataclass(frozen=True)
@@ -379,6 +385,17 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     for name in ("transition", "reward", "cost", "budget_rhs"):
         _require_finite(name, getattr(problem, name))
 
+    # pricing runs once per distinct arm: copies of one arm share their
+    # price, policies, bound and fallback result, which reach every copy
+    # through `inverse`. With no repeated arm the batch is the instance's
+    # own arrays.
+    first, inverse = distinct_arms(transition, reward, cost)
+    if first.size < N:
+        arm_transition, arm_reward, arm_cost = (
+            table[first] for table in (transition, reward, cost))
+    else:
+        arm_transition, arm_reward, arm_cost = transition, reward, cost
+
     # columns: arm index and occupation measure, kept to rebuild y; their
     # reward and cost coefficients go straight into the master.
     # A column already in the master may price slightly positive within
@@ -388,48 +405,54 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     arms, occupations = [], []
     seen = set()
 
-    def add_columns(index: np.ndarray, x: np.ndarray) -> None:
+    def add_columns(index: np.ndarray, x: np.ndarray,
+                    rounded: np.ndarray) -> None:
         arms.append(index)
         occupations.append(x)
         master.add(index, np.einsum("nsa,nsa->n", x, reward[index]),
                    np.einsum("nsa,nksa->nk", x, cost[index]))
-        seen.update(zip(index.tolist(), (c.round(12).tobytes() for c in x)))
+        seen.update(zip(index.tolist(), (c.tobytes() for c in rounded)))
 
-    policy = np.zeros((N, S), dtype=np.intp)
-    _, mu, singular = _evaluate(transition, reward, policy)
+    policy = np.zeros((first.size, S), dtype=np.intp)
+    _, mu, singular = _evaluate(arm_transition, arm_reward, policy)
     x = _occupation(policy, mu, A)
-    for i in np.flatnonzero(singular):
+    for j in np.flatnonzero(singular):
         # any zero-cost vertex of a multichain arm's polytope is feasible
-        x[i], _ = _arm_lp(transition[i], -cost[i].sum(axis=0))
-    add_columns(np.arange(N), x)
+        x[j], _ = _arm_lp(arm_transition[j], -arm_cost[j].sum(axis=0))
+    x = x[inverse]
+    add_columns(np.arange(N), x, x.round(12))
 
     sweeps = 0
-    fallback = np.zeros(N, dtype=bool)
+    fallback = np.zeros(first.size, dtype=bool)
     for rounds in range(1, MAX_MASTER_ROUNDS + 1):
         # the master's rows are N times build_lp's: its budget duals are
         # build_lp's, its convexity duals N times theirs (HiGHS's sign)
         value, weights, budget_duals, convexity_duals = master.solve()
         lam = -budget_duals
-        price = reward - np.einsum("k,nksa->nsa", lam, cost)
+        price = arm_reward - np.einsum("k,nksa->nsa", lam, arm_cost)
         _require_finite("price", price)
 
         policy, mu, bound, multichain, n_sweeps = _policy_iteration(
-            transition, price, policy)
+            arm_transition, price, policy)
         sweeps += n_sweeps
         x = _occupation(policy, mu, A)
-        for i in np.flatnonzero(multichain):
-            x[i], bound[i] = _arm_lp(transition[i], price[i])
+        for j in np.flatnonzero(multichain):
+            x[j], bound[j] = _arm_lp(arm_transition[j], price[j])
         fallback |= multichain
+        x, bound = x[inverse], bound[inverse]
 
         reduced = bound + convexity_duals
         gap = float(np.maximum(reduced, 0.0).sum() / N)
-        improving = reduced > REDUCED_COST_RTOL * np.maximum(1.0, np.abs(bound))
-        new = np.array([i for i in np.flatnonzero(improving)
-                        if (i, x[i].round(12).tobytes()) not in seen],
-                       dtype=np.intp)
-        if new.size == 0:
+        improving = np.flatnonzero(
+            reduced > REDUCED_COST_RTOL * np.maximum(1.0, np.abs(bound)))
+        rounded = x[improving].round(12)
+        fresh = np.array([(i, c.tobytes()) not in seen
+                          for i, c in zip(improving.tolist(), rounded)],
+                         dtype=bool)
+        if not fresh.any():
             break
-        add_columns(new, x[new])
+        new = improving[fresh]
+        add_columns(new, x[new], rounded[fresh])
     else:
         raise LpSolveError(f"column generation did not converge in "
                            f"{MAX_MASTER_ROUNDS} master rounds")
@@ -445,8 +468,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
               weights[used, None, None] * np.concatenate(occupations)[used])
     stats = SolveStats(master_rounds=rounds, columns=int(arm.size),
                        pricing_iterations=sweeps,
-                       fallback_arms=int(fallback.sum()), lagrangian_gap=gap,
-                       simplex_iterations=master.simplex_iterations)
+                       fallback_arms=int(fallback[inverse].sum()),
+                       lagrangian_gap=gap,
+                       simplex_iterations=master.simplex_iterations,
+                       distinct_arms=int(first.size))
     return LpSolution(y=y, objective=objective, duals=budget_duals,
                       stats=stats)
 

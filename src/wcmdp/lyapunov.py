@@ -57,7 +57,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .lp_relax import SingleArmPolicy
-from .model import WcmdpInstance
+from .model import WcmdpInstance, distinct_arms
 from .policies import sample_from_cdf
 from .reassign import ReassignmentResult, remaining_budget_curve
 
@@ -178,18 +178,22 @@ def chain_diagnostics(instance: WcmdpInstance, policy: SingleArmPolicy,
     """Per-arm mixing times, the unichain/aperiodic flags, and the derived
     constants.
 
-    chain_structure runs only on the arms whose mixing time reaches t_cap;
+    Each distinct chain, keyed on the bytes of (induced_P[i], mu_star[i]),
+    is measured once and its result copied to every arm that shares it.
+    chain_structure runs only on the chains whose mixing time reaches t_cap;
     every other arm is an aperiodic unichain. When any arm does not mix the
     result has ok False and constants of None.
     """
-    n = policy.num_arms
-    tau = np.array([mixing_time(policy.induced_P[i], policy.mu_star[i], t_cap)
-                    for i in range(n)], dtype=np.float64)
-    unichain = np.ones(n, dtype=bool)
-    aperiodic = np.ones(n, dtype=bool)
+    P, mu = policy.induced_P, policy.mu_star
+    first, inverse = distinct_arms(P, mu)
+    tau = np.array([mixing_time(P[i], mu[i], t_cap) for i in first],
+                   dtype=np.float64)
+    unichain = np.ones(first.size, dtype=bool)
+    aperiodic = np.ones(first.size, dtype=bool)
     failing = np.flatnonzero(np.isinf(tau))
-    for i in failing:
-        unichain[i], aperiodic[i] = chain_structure(policy.induced_P[i])
+    for j in failing:
+        unichain[j], aperiodic[j] = chain_structure(P[first[j]])
+    tau, unichain, aperiodic = (a[inverse] for a in (tau, unichain, aperiodic))
     if failing.size:
         return ChainDiagnostics(tau=tau, tau_max=None, gamma=None, c_tau=None,
                                 l_h=None, c_h=None, unichain=unichain,

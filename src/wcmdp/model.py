@@ -8,8 +8,9 @@ exists.
 
 The arms are stored as four read-only arrays stacked along the arm axis:
 transition (N, S, A, S), reward (N, S, A), cost (N, K, S, A) and the budget
-coefficients alpha (K,). Every consumer indexes these arrays directly. The
-JSON file format keeps one object per arm:
+coefficients alpha (K,). Every consumer indexes these arrays directly;
+distinct_arms maps repeated arms, such as the typed family's copies, to one
+representative each. The JSON file format keeps one object per arm:
 
     {"N": ..., "S": ..., "A": ..., "K": ...,
      "alpha": [...],
@@ -325,3 +326,23 @@ def validate(instance: WcmdpInstance) -> list[str]:
         out.append(f"arm {i}: cost[{k}][{s}][0] = {cost[i, k, s, 0]:.12g}, "
                    "action 0 must be cost-free")
     return out
+
+
+def distinct_arms(*tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map stacked per-arm tables to their distinct arms.
+
+    Two arms are the same when every table holds the same bytes in their
+    rows, so a one-ulp difference, or -0.0 against 0.0, keeps them apart.
+    Returns first, the index of each distinct arm's first copy in ascending
+    arm order, and inverse, the (N,) map from every arm to its distinct
+    arm: tables[t][first][inverse] equals tables[t] for every table.
+    """
+    index: dict[tuple[bytes, ...], int] = {}
+    first = []
+    inverse = np.empty(tables[0].shape[0], dtype=np.intp)
+    for i in range(inverse.size):
+        j = index.setdefault(tuple(t[i].tobytes() for t in tables), len(first))
+        if j == len(first):
+            first.append(i)
+        inverse[i] = j
+    return np.array(first, dtype=np.intp), inverse

@@ -274,8 +274,9 @@ class TestPipelineCommands:
         assert set(solver) == {"master_rounds", "columns",
                                "pricing_iterations", "fallback_arms",
                                "lagrangian_gap", "simplex_iterations",
-                               "audit"}
+                               "distinct_arms", "audit"}
         assert solver["master_rounds"] >= 1
+        assert solver["distinct_arms"] == 10
         assert solver["simplex_iterations"] > 0
         assert 0.0 <= solver["lagrangian_gap"] <= 1e-9
         assert solver["audit"]["tol"] == 1e-8

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from wcmdp import lp_relax
 from wcmdp.lp_relax import (LpSolution, LpSolveError, build_lp,
                             check_solution, extract_policy, solve_lp)
-from wcmdp.model import COST_ACTION_ONLY, TYPED, GeneratorConfig, generate
+from wcmdp.model import (COST_ACTION_ONLY, TYPED, GeneratorConfig,
+                         distinct_arms, generate)
 
 from oracles import (rvi_average_reward, single_state_arm, solve_lp_highs,
                      stack_arms, take_arms, tiny_instance, zero_cost_copy)
@@ -237,6 +239,59 @@ class TestSolvePins:
     def test_fallback_counts_every_copy(self):
         solution = solve_lp(build_lp(repeated_multichain_instance()))
         assert solution.stats.fallback_arms == 3
+
+
+class TestDistinctArms:
+    """Repeated arms are priced once; arms that differ in any bit are not."""
+
+    def test_typed_copies_map_to_their_prototype(self):
+        instance = tiny_instance(seed=3, n=40, s=3, a=2, k=2, family=TYPED,
+                                 num_types=4)
+        first, inverse = distinct_arms(instance.transition, instance.reward,
+                                       instance.cost)
+        assert first.tolist() == [0, 10, 20, 30]
+        assert np.array_equal(inverse, np.repeat(np.arange(4), 10))
+        assert solve_lp(build_lp(instance)).stats.distinct_arms == 4
+
+    def test_heterogeneous_arms_are_all_distinct(self):
+        instance = tiny_instance(seed=3, n=30, s=3, a=2, k=2)
+        first, inverse = distinct_arms(instance.transition, instance.reward,
+                                       instance.cost)
+        assert np.array_equal(first, np.arange(30))
+        assert np.array_equal(inverse, np.arange(30))
+        assert solve_lp(build_lp(instance)).stats.distinct_arms == 30
+
+    def test_interleaved_copies_keep_first_occurrence_order(self):
+        instance = repeated_multichain_instance()
+        first, inverse = distinct_arms(instance.transition, instance.reward,
+                                       instance.cost)
+        assert first.tolist() == [0, 1, 3]
+        assert inverse.tolist() == [0, 1, 0, 2, 1, 0, 2, 1]
+
+    @pytest.mark.parametrize("change", ["transition-ulp", "reward-ulp",
+                                        "cost-negative-zero"])
+    def test_copy_differing_in_one_bit_stays_distinct(self, change):
+        base = tiny_instance(seed=6, n=12, s=3, a=2, k=1, family=TYPED,
+                             num_types=3)
+        transition, reward, cost = (table.copy() for table in
+                                    (base.transition, base.reward, base.cost))
+        if change == "transition-ulp":
+            transition[1, 0, 1, 0] = np.nextafter(transition[1, 0, 1, 0], 1.0)
+        elif change == "reward-ulp":
+            reward[5, 2, 1] = np.nextafter(reward[5, 2, 1], np.inf)
+        else:
+            cost[9, 0, 1, 0] = -0.0
+        instance = dataclasses.replace(base, transition=transition,
+                                       reward=reward, cost=cost)
+        first, _ = distinct_arms(instance.transition, instance.reward,
+                                 instance.cost)
+        assert first.size == 4
+        problem = build_lp(instance)
+        solution = solve_lp(problem)
+        assert solution.stats.distinct_arms == 4
+        assert solution.objective == pytest.approx(
+            solve_lp_highs(problem).objective, abs=1e-9)
+        assert check_solution(instance, solution).ok
 
 
 class TestExtractPolicy:

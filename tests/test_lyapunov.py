@@ -12,7 +12,8 @@ from wcmdp.lyapunov import (AssumptionError, C_TAU_COEFF, ChainDiagnostics,
                             UNBOUNDED, build_report, chain_diagnostics,
                             chain_structure, drift_probe, mixing_time,
                             subset_h)
-from wcmdp.model import TYPED, GeneratorConfig, generate
+from wcmdp.model import (COST_ACTION_ONLY, TYPED, GeneratorConfig,
+                         distinct_arms, generate)
 from wcmdp.policies import IdPolicyRunner
 from wcmdp.reassign import verify_slope
 from wcmdp.simulator import PolicyBundle
@@ -174,6 +175,52 @@ class TestChainDiagnostics:
         assert diag.to_json_dict()["L_h"] is None
         with pytest.raises(AssumptionError, match="do not mix"):
             subset_h(policy.mu_star, [0], policy, diag)
+
+    def test_tau_matches_arm_by_arm_on_randomised_copies(self):
+        # the degenerate typed LP gives some copies of a prototype another
+        # induced chain than their siblings
+        instance = generate(GeneratorConfig(
+            seed=1, num_arms=20, num_states=4, num_actions=3,
+            num_constraints=1, family=TYPED, num_types=4,
+            cost_mode=COST_ACTION_ONLY))
+        policy = extract_policy(instance, solve_lp(build_lp(instance)))
+        assert distinct_arms(policy.induced_P)[0].size > 4
+        diag = chain_diagnostics(instance, policy)
+        assert diag.tau.tolist() == [
+            mixing_time(P, mu) for P, mu in zip(policy.induced_P,
+                                                policy.mu_star)]
+
+    def test_structure_runs_once_per_distinct_failing_chain(self,
+                                                           monkeypatch):
+        import wcmdp.lyapunov as lyapunov
+        chains = [CYCLE2, np.eye(2), IID2, CYCLE2, np.eye(2), LAZY2, CYCLE2]
+        policy = SingleArmPolicy(
+            pi=np.ones((7, 2, 1)), induced_P=np.stack(chains),
+            mu_star=np.tile(HALF, (7, 1)), C_star=np.zeros((1, 7)),
+            r_star=np.zeros((7, 2)), c_star=np.zeros((1, 7, 2)))
+        instance = tiny_instance(seed=0, n=7, s=2, a=1, k=1)
+        calls = []
+        structure = lyapunov.chain_structure
+        monkeypatch.setattr(lyapunov, "chain_structure",
+                            lambda P: calls.append(P) or structure(P))
+        diag = chain_diagnostics(instance, policy, t_cap=200)
+        assert len(calls) == 2
+        assert diag.tau.tolist() == [mixing_time(P, HALF, 200) for P in chains]
+        assert diag.failing_arms() == [0, 1, 3, 4, 6]
+        flags = [chain_structure(P) if math.isinf(mixing_time(P, HALF, 200))
+                 else (True, True) for P in chains]
+        assert list(zip(diag.unichain.tolist(), diag.aperiodic.tolist())) == flags
+
+    def test_copies_of_a_chain_are_keyed_on_their_own_mu(self):
+        # two arms with one induced chain but different mu are measured
+        # apart, so the second arm's non-stationary mu is caught
+        policy = SingleArmPolicy(
+            pi=np.ones((2, 2, 1)), induced_P=np.stack([IID2, IID2]),
+            mu_star=np.array([HALF, [0.3, 0.7]]), C_star=np.zeros((1, 2)),
+            r_star=np.zeros((2, 2)), c_star=np.zeros((1, 2, 2)))
+        instance = tiny_instance(seed=0, n=2, s=2, a=1, k=1)
+        with pytest.raises(ValueError, match="not stationary"):
+            chain_diagnostics(instance, policy)
 
     def test_structure_runs_only_on_arms_that_do_not_mix(self, small_solved,
                                                           monkeypatch):
