@@ -8,7 +8,7 @@ from wcmdp import lp_relax
 from wcmdp.lp_relax import (LpSolution, LpSolveError, build_lp,
                             check_solution, extract_policy, solve_lp)
 from wcmdp.model import (COST_ACTION_ONLY, TYPED, GeneratorConfig,
-                         distinct_arms, generate)
+                         WcmdpInstance, distinct_arms, generate, validate)
 
 from oracles import (rvi_average_reward, single_state_arm, solve_lp_highs,
                      stack_arms, take_arms, tiny_instance, zero_cost_copy)
@@ -195,6 +195,65 @@ def repeated_multichain_instance():
                                                   base.cost)) for i in (0, 1))
     return stack_arms([multichain, first, multichain, second, first,
                        multichain, second, first], [0.3, 0.2])
+
+
+def structured_instance(seed: int) -> WcmdpInstance:
+    """One seeded instance of sparse, badly scaled arms: N in [2, 8], S in
+    [2, 5], A in [2, 3], K in [1, 3]; every transition row supported on one
+    or two states with uniform or random weights; rewards U[0,1) times one
+    scale 10^U(-3, 6); costs of actions >= 1 on the 0.1 grid {0, ..., 1.0},
+    action 0 free; alpha on the 0.05 grid {0.05, ..., 1.0}."""
+    rng = np.random.default_rng(seed)
+    n, s, a, k = (int(rng.integers(lo, hi + 1))
+                  for lo, hi in ((2, 8), (2, 5), (2, 3), (1, 3)))
+    transition = np.zeros((n, s, a, s))
+    for row in transition.reshape(-1, s):
+        support = rng.choice(s, size=int(rng.integers(1, 3)), replace=False)
+        weights = (np.ones(support.size) if rng.random() < 0.5
+                   else rng.random(support.size) + 0.05)
+        row[support] = weights / weights.sum()
+    reward = rng.random((n, s, a)) * 10.0 ** rng.uniform(-3.0, 6.0)
+    cost = np.zeros((n, k, s, a))
+    cost[..., 1:] = rng.integers(0, 11, size=(n, k, s, a - 1)) / 10.0
+    alpha = rng.integers(1, 21, size=k) * 0.05
+    return WcmdpInstance(transition=transition, reward=reward, cost=cost,
+                         alpha=alpha)
+
+
+class TestStructuredFamily:
+    """solve_lp on 300 seeded structured instances against the monolithic
+    HiGHS LP. Sparse rows make many policies multichain, so the family keeps
+    the per-arm fallback LP exercised."""
+
+    SEEDS = range(300)
+    RTOL = 1e-9
+    MIN_FALLBACK_INSTANCES = 100
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        out = []
+        for seed in self.SEEDS:
+            instance = structured_instance(seed)
+            problem = build_lp(instance)
+            out.append((seed, instance, solve_lp(problem),
+                        solve_lp_highs(problem)))
+        return out
+
+    def test_instances_are_valid(self, solved):
+        assert [seed for seed, instance, _, _ in solved
+                if validate(instance)] == []
+
+    def test_matches_monolithic_lp_and_passes_audit(self, solved):
+        bad = [seed for seed, instance, solution, reference in solved
+               if not (abs(solution.objective - reference.objective)
+                       <= self.RTOL * abs(reference.objective)
+                       and check_solution(instance, solution).ok)]
+        assert bad == []
+
+    def test_fallback_path_is_exercised(self, solved):
+        count = sum(solution.stats.fallback_arms > 0
+                    for _, _, solution, _ in solved)
+        assert count >= self.MIN_FALLBACK_INSTANCES
 
 
 class TestSolvePins:
