@@ -6,7 +6,8 @@ the command, flags, seeds, component versions, and the instance file's
 sha256, so a run can be replayed to identical data outputs (timestamps aside).
 
 Exit codes: 0 ok, 2 usage error (a flag value the command cannot run
-with, or an output that cannot be written, reported on one `error:` line),
+with, a size whose arrays cannot be allocated, or an output that cannot be
+written, reported on one `error:` line),
 3 validation failure (also an instance file that cannot be read or parsed,
 and a relaxation the solver cannot certify), 4 feasibility assertion, 5
 under `diagnose --strict` when an arm does not mix within --t-cap steps.
@@ -262,6 +263,8 @@ def cmd_oracle_check(args) -> int:
     with _usage_errors():
         if args.seeds < 1:
             raise ValueError(f"--seeds {args.seeds} checks no instance")
+        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise ValueError(f"--tol {args.tol} is not a finite number >= 0")
     worst = -math.inf
     for seed in range(args.seeds):
         cfg = GeneratorConfig(seed=seed, num_arms=args.n,
@@ -409,7 +412,7 @@ def main(argv=None) -> int:
     except LpSolveError as exc:
         print(f"relaxation solve failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

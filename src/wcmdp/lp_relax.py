@@ -23,9 +23,10 @@ column generation instead of one LP over all N*S*A variables:
   C/N <= alpha, which lets HiGHS's default tolerances reach the optimum
   (1/N-scaled rows stop the warm simplex early at N >= 200). scipy exposes
   the incremental HiGHS interface only through its private pybind module,
-  so _Master is the one place that imports it. The first column of every
-  arm is its all-action-0 policy; action 0 is free, so the first master is
-  always feasible.
+  so _Master is the one place that imports it. Round 0 prices every arm at
+  -sum_k c before any master solve: action 0 is free, so each arm's
+  all-action-0 policy is optimal there and its column enters, and the first
+  master is always feasible.
 - Pricing. With the master's budget duals lam, every arm maximizes the
   long-run gain of the price r - lam.c. Arms whose transition, reward and
   cost rows hold the same bytes are priced once (model.distinct_arms): the
@@ -125,11 +126,12 @@ class SolveStats:
     """Counters of one column-generation solve.
 
     pricing_iterations counts batched policy-evaluation sweeps over all
-    rounds; fallback_arms counts the arms priced by a per-arm LP at least
-    once; lagrangian_gap is the Lagrangian bound minus the master objective
-    at the last round; simplex_iterations sums HiGHS's simplex iterations
-    over the master solves; distinct_arms is the number of arms priced in
-    every round, one per set of identical arms (see model.distinct_arms).
+    rounds, round 0 included; fallback_arms counts the arms priced by a
+    per-arm LP at least once; lagrangian_gap is the Lagrangian bound minus
+    the master objective at the last round; simplex_iterations sums HiGHS's
+    simplex iterations over the master solves; distinct_arms is the number
+    of arms priced in every round, one per set of identical arms (see
+    model.distinct_arms).
     """
 
     master_rounds: int
@@ -387,14 +389,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     # pricing runs once per distinct arm: copies of one arm share their
     # price, policies, bound and fallback result, which reach every copy
-    # through `inverse`. With no repeated arm the batch is the instance's
-    # own arrays.
+    # through `inverse`
     first, inverse = distinct_arms(transition, reward, cost)
-    if first.size < N:
-        arm_transition, arm_reward, arm_cost = (
-            table[first] for table in (transition, reward, cost))
-    else:
-        arm_transition, arm_reward, arm_cost = transition, reward, cost
+    arm_transition, arm_reward, arm_cost = (
+        table[first] for table in (transition, reward, cost))
 
     # columns: arm index and occupation measure, kept to rebuild y; their
     # reward and cost coefficients go straight into the master.
@@ -405,33 +403,16 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     arms, occupations = [], []
     seen = set()
 
-    def add_columns(index: np.ndarray, x: np.ndarray,
-                    rounded: np.ndarray) -> None:
-        arms.append(index)
-        occupations.append(x)
-        master.add(index, np.einsum("nsa,nsa->n", x, reward[index]),
-                   np.einsum("nsa,nksa->nk", x, cost[index]))
-        seen.update(zip(index.tolist(), (c.tobytes() for c in rounded)))
-
+    # round 0 prices at -sum_k c before any master solve. Costs are
+    # non-negative and action 0 is free, so the all-action-0 policy is
+    # optimal, and the empty master's convexity rows, which no column meets
+    # yet, let every arm's column enter: the first master is feasible.
+    price = -arm_cost.sum(axis=1)
+    convexity_duals = np.full(N, np.inf)
     policy = np.zeros((first.size, S), dtype=np.intp)
-    _, mu, singular = _evaluate(arm_transition, arm_reward, policy)
-    x = _occupation(policy, mu, A)
-    for j in np.flatnonzero(singular):
-        # any zero-cost vertex of a multichain arm's polytope is feasible
-        x[j], _ = _arm_lp(arm_transition[j], -arm_cost[j].sum(axis=0))
-    x = x[inverse]
-    add_columns(np.arange(N), x, x.round(12))
-
     sweeps = 0
     fallback = np.zeros(first.size, dtype=bool)
-    for rounds in range(1, MAX_MASTER_ROUNDS + 1):
-        # the master's rows are N times build_lp's: its budget duals are
-        # build_lp's, its convexity duals N times theirs (HiGHS's sign)
-        value, weights, budget_duals, convexity_duals = master.solve()
-        lam = -budget_duals
-        price = arm_reward - np.einsum("k,nksa->nsa", lam, arm_cost)
-        _require_finite("price", price)
-
+    for rounds in range(MAX_MASTER_ROUNDS + 1):
         policy, mu, bound, multichain, n_sweeps = _policy_iteration(
             arm_transition, price, policy)
         sweeps += n_sweeps
@@ -451,11 +432,22 @@ def solve_lp(problem: LpProblem) -> LpSolution:
                          dtype=bool)
         if not fresh.any():
             break
+        if rounds == MAX_MASTER_ROUNDS:
+            raise LpSolveError(f"column generation did not converge in "
+                               f"{MAX_MASTER_ROUNDS} master rounds")
         new = improving[fresh]
-        add_columns(new, x[new], rounded[fresh])
-    else:
-        raise LpSolveError(f"column generation did not converge in "
-                           f"{MAX_MASTER_ROUNDS} master rounds")
+        arms.append(new)
+        occupations.append(x[new])
+        master.add(new, np.einsum("nsa,nsa->n", x[new], reward[new]),
+                   np.einsum("nsa,nksa->nk", x[new], cost[new]))
+        seen.update(zip(new.tolist(), (c.tobytes() for c in rounded[fresh])))
+
+        # the master's rows are N times build_lp's: its budget duals are
+        # build_lp's, its convexity duals N times theirs (HiGHS's sign)
+        value, weights, budget_duals, convexity_duals = master.solve()
+        lam = -budget_duals
+        price = arm_reward - np.einsum("k,nksa->nsa", lam, arm_cost)
+        _require_finite("price", price)
 
     objective = value / N
     if not gap <= GAP_RTOL * max(1.0, abs(objective)):

@@ -237,28 +237,26 @@ def _terms(diff: np.ndarray, P: np.ndarray, mu: np.ndarray,
 
 def _deviation_series(diff: np.ndarray, P: np.ndarray, mu: np.ndarray,
                       weights: np.ndarray, gamma: float, tol: float,
-                      tau_window: int, prefixes: bool = False):
-    """Evaluate the deviation sup over horizons on deflated difference rows.
+                      tau_window: int):
+    """Evaluate the deviation sup over horizons on deflated difference rows,
+    for every prefix of the rows.
 
     diff, mu: (n, S); P: (n, S, S); weights: (G, n, S). Returns
-    (value, terms_used, tail_bound) where value is a scalar, or an (n+1,)
-    array over prefixes of the rows when prefixes=True. The series stops
-    once tau_window terms in a row have tail bound <= tol; tail_bound is the
-    largest of them.
+    (values, terms_used, tail_bound): values[m] is the value on the first m
+    rows, an (n+1,) array whose last entry is the value on all of them. The
+    series stops once tau_window terms in a row have tail bound <= tol;
+    tail_bound is the largest of them.
     """
     n = diff.shape[0]
-    best: np.ndarray | float = np.zeros(n + 1) if prefixes else 0.0
+    best = np.zeros(n + 1)
     if n == 0:
         return best, 0, 0.0
     g_max = float(np.max(np.abs(weights)))
     calm, tail_bound = 0, 0.0
     for ell, (v, per_arm) in enumerate(
             _terms(diff, P, mu, weights, gamma, tol, tau_window)):
-        if prefixes:
-            totals = np.abs(np.cumsum(per_arm, axis=1)).max(axis=0)
-            best[1:] = np.maximum(best[1:], totals)
-        else:
-            best = max(best, float(np.abs(per_arm.sum(axis=1)).max()))
+        totals = np.abs(np.cumsum(per_arm, axis=1)).max(axis=0)
+        best[1:] = np.maximum(best[1:], totals)
         tail = float(np.abs(v).sum()) * g_max
         calm, tail_bound = ((calm + 1, max(tail_bound, tail)) if tail <= tol
                             else (0, 0.0))
@@ -325,11 +323,11 @@ def subset_h(x: np.ndarray, D, policy: SingleArmPolicy,
     if idx.size == 0:
         return 0.0
     _check_rows(x[idx])
-    value, _, _ = _deviation_series(
+    values, _, _ = _deviation_series(
         x[idx] - policy.mu_star[idx], policy.induced_P[idx],
         policy.mu_star[idx], _weights_for(policy, idx), diag.gamma, tol,
         _tau_window(diag))
-    return float(value)
+    return float(values[-1])
 
 
 @dataclass(frozen=True)
@@ -368,7 +366,7 @@ def build_report(instance: WcmdpInstance, x: np.ndarray,
     values, level, tail = _deviation_series(
         x - ordered.mu_star, ordered.induced_P, ordered.mu_star,
         _weights_for(ordered, np.arange(n_arms)), diag.gamma, tol,
-        _tau_window(diag), prefixes=True)
+        _tau_window(diag))
     envelope = np.maximum.accumulate(values)
     beta = remaining_budget_curve(instance, ordered, reassignment.active_set)
     covered = np.flatnonzero(envelope <= beta.min(axis=1))
@@ -405,8 +403,10 @@ def drift_probe(instance: WcmdpInstance, policy: SingleArmPolicy,
     run under its single-armed policy from a uniform start advanced BURN_IN
     steps, against the c_h * sqrt(N) bound.
 
-    The states never depend on h, so the whole trajectory is drawn first and
-    h is then evaluated for all its states at once by _one_hot_h."""
+    The states never depend on h, so one sampling loop draws the whole
+    trajectory first, burn-in included, and keeps the states from step
+    BURN_IN on; h is then evaluated for all of them at once by
+    _one_hot_h."""
     window = _tau_window(diag)
     idx = _arm_set(D, policy.num_arms)
     if num_samples < 0:
@@ -420,16 +420,13 @@ def drift_probe(instance: WcmdpInstance, policy: SingleArmPolicy,
     P = policy.induced_P[idx]
     cdf = np.cumsum(P, axis=-1)
     ar = np.arange(n)
-    states = rng.integers(0, instance.num_states, size=n)
-    for _ in range(BURN_IN):
-        states = sample_from_cdf(cdf[ar, states], rng.random(n))
-    path = np.empty((num_samples + 1, n), dtype=np.intp)
-    path[0] = states
-    for j in range(num_samples):
+    path = np.empty((BURN_IN + num_samples + 1, n), dtype=np.intp)
+    path[0] = rng.integers(0, instance.num_states, size=n)
+    for j in range(BURN_IN + num_samples):
         path[j + 1] = sample_from_cdf(cdf[ar, path[j]], rng.random(n))
 
-    h = _one_hot_h(path, policy.mu_star[idx], P, _weights_for(policy, idx),
-                   diag.gamma, tol, window)
+    h = _one_hot_h(path[BURN_IN:], policy.mu_star[idx], P,
+                   _weights_for(policy, idx), diag.gamma, tol, window)
     stats = np.maximum(h[1:] - diag.gamma * h[:-1], 0.0)
     stderr = float(stats.std(ddof=1) / math.sqrt(num_samples)) \
         if num_samples > 1 else 0.0
@@ -441,7 +438,7 @@ def _one_hot_h(paths: np.ndarray, mu: np.ndarray, P: np.ndarray,
                weights: np.ndarray, gamma: float, tol: float,
                tau_window: int) -> np.ndarray:
     """h at every one-hot state of paths (M, n), arm i in state paths[m, i]:
-    the values _deviation_series gives one state at a time.
+    the last prefix value _deviation_series gives one state at a time.
 
     Arm i in state a starts its series from the row e_a - mu_i, so the S
     series from the rows e_a - mu hold every term of every sample. Each live

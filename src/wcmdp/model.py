@@ -202,6 +202,9 @@ class GeneratorConfig:
             raise ValueError("num_arms, num_states, num_actions must be positive")
         if self.num_constraints < 1:
             raise ValueError("num_constraints must be positive")
+        if self.num_states > MAX_STATES:
+            raise ValueError(f"num_states={self.num_states} exceeds "
+                             f"{MAX_STATES}, the largest supported state count")
         if self.family not in (FULLY_HETEROGENEOUS, TYPED):
             raise ValueError(f"unknown family {self.family!r}")
         if self.cost_mode not in (COST_STATE_ACTION, COST_ACTION_ONLY):

@@ -105,9 +105,9 @@ def drift_probe_reference(instance, policy, diag, D, num_samples, rng,
     def h_of(states: np.ndarray) -> float:
         x = np.zeros((n, s))
         x[ar, states] = 1.0
-        value, _, _ = _deviation_series(x - mu, P, mu, weights, diag.gamma,
-                                        tol, window)
-        return float(value)
+        values, _, _ = _deviation_series(x - mu, P, mu, weights, diag.gamma,
+                                         tol, window)
+        return float(values[-1])
 
     states = rng.integers(0, s, size=n)
     for _ in range(BURN_IN):

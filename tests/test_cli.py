@@ -194,7 +194,37 @@ def test_bad_flag_value_exits_2_without_traceback(tmp_path, argv):
     assert not out.exists() and not missing.parent.exists()
 
 
-_ODD_VALUES = [float("nan"), float("inf"), float("-inf"), -1.0, -1e-3, 0.0,
+# 10^12 arms at S=10, A=4 need a 2.84 PiB transition table, beyond any
+# 48-bit address space, so the allocation fails at once
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--n", "1000000000000", "--out", "{out}"],
+     "Unable to allocate 2.84 PiB"),
+    (["sweep", "--n-list", "1000000000000", *_SIM_FLAGS, "--out", "{out}"],
+     "Unable to allocate 2.84 PiB"),
+    (["generate", "--n", "1", "--states", "40000", "--out", "{out}"],
+     "num_states=40000 exceeds 32767"),
+], ids=["generate-huge-n", "sweep-huge-n", "generate-too-many-states"])
+def test_unallocatable_size_exits_2_without_traceback(tmp_path, argv, message):
+    out = tmp_path / "out"
+    proc = _run_cli([a.format(out=out) for a in argv])
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert message in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+def test_oracle_check_tol_must_be_finite_and_non_negative(capsys, tol):
+    assert run(["oracle-check", "--n", "2", "--states", "2", "--actions", "2",
+                "--k", "1", "--seeds", "3", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""       # no instance was solved
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --tol "), lines
+
+
+_ODD_VALUES =[float("nan"), float("inf"), float("-inf"), -1.0, -1e-3, 0.0,
                2.0, 1e300, "x", "0.5", None, True, [], {}, [[1.0]]]
 
 

@@ -266,11 +266,11 @@ class TestSolvePins:
              "lagrangian_gap", "simplex_iterations")
     DIGESTS = {
         "typed-k1-n200":
-            "fdcdbfefe5d95a6e0fdb479ee430d32f67666a5ccf47d6c6b301915318429707",
+            "0bf98f6fa45f6cf59bdf28237d20f8e75c1dd982d3466dce4d8a3959f7f4a412",
         "multichain-k2":
-            "0a36f1966a3636cd7d04f08af2d63cc9f5bc052c0053c0bc194d3c81188b8a4a",
+            "9bc1c5f4af5f537ebc9e1f01433d8406568fac5eaf4b397ee97e34c8d5ca1fa9",
         "het-k4-n60":
-            "7f60a0bae285f48e270c544f1a944e14c312737ba5725160290ebd6c5a9a2064",
+            "6448c330d6fe8ef92d4ec0752b7c5eb8db53b0470d91b422edc2acc4d4d65a1c",
     }
 
     @staticmethod

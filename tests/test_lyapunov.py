@@ -293,11 +293,11 @@ class TestSubsetH:
                                     _tau_window)
         args = (x - policy.mu_star, policy.induced_P, policy.mu_star,
                 _weights_for(policy, d), diag.gamma, 1e-7, _tau_window(diag))
-        value, used, _ = _deviation_series(*args)
+        values, used, _ = _deviation_series(*args)
         doubled = max(float(np.abs(per_arm.sum(axis=1)).max())
                       for _, per_arm in itertools.islice(_terms(*args),
                                                          2 * used))
-        assert doubled == pytest.approx(value, abs=1e-7)
+        assert doubled == pytest.approx(values[-1], abs=1e-7)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
     def test_non_positive_tol_is_named(self, small_solved, tol):
