@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcmdp.lp_relax import SingleArmPolicy, build_lp, extract_policy, solve_lp
-from wcmdp.model import generate, GeneratorConfig
+from wcmdp.model import (COST_ACTION_ONLY, TYPED, GeneratorConfig,
+                         generate)
 from wcmdp.reassign import (ReassignmentResult, active_constraints, reassign,
                             remaining_budget_curve, verify_slope)
 
@@ -218,6 +220,62 @@ class TestVerifySlope:
         assert (report.margin, report.worst) == dense_slope(instance, policy,
                                                             result)
 
+
+
+class TestSlopePins:
+    """verify_slope bit for bit on two reassigned instances, neither in
+    identity order nor on the fallback. The real constants put the minimum
+    at (1, 1, 0), where the slack is m_c whatever the order; the steeper
+    slopes eta_c = e with m_c = 0 make the report depend on the order (at
+    het N=200, e = 0.05, the worst pair is (1, 2, 3), and (17, 18, 3) in
+    identity order)."""
+
+    CASES = {
+        "het-n200": GeneratorConfig(seed=0, num_arms=200, num_states=10,
+                                    num_actions=4, num_constraints=4),
+        # the typed-k1-sweep benchmark instance at its largest size
+        "typed-k1-n400": GeneratorConfig(
+            seed=1, num_arms=400, num_states=10, num_actions=4,
+            num_constraints=1, family=TYPED, num_types=10,
+            cost_mode=COST_ACTION_ONLY),
+    }
+    DIGESTS = {
+        ("het-n200", None):
+            "54d67c7405601c7864dfd70b432ee00370b0f367151c1d9a96d20e1acb05d2a9",
+        ("het-n200", 0.05):
+            "a36305e831dd64b07bd45accc44de7c3e14072725545963fa2a44741e53dee6e",
+        ("het-n200", 0.5):
+            "c9be9c507b16b4dbd84fec12e6dd16a16ef81e275eae59fb51da0cfa420949f4",
+        ("typed-k1-n400", None):
+            "193d88d6ba9ba38ec01e04c23463f68df2f37c21c061014b7fd4e487b2b78e26",
+        ("typed-k1-n400", 0.05):
+            "dc80d3ae6b7307ebe04b9edad8bdec80a9a94e6148bc8f323767be6788f5f61d",
+        ("typed-k1-n400", 0.5):
+            "2d8c4a3498e7e74446cebeb8a5439644258c45c688bab8da637f53f4879ca87a",
+    }
+
+    @pytest.fixture(scope="class")
+    def pin_cases(self):
+        cases = {}
+        for name, cfg in self.CASES.items():
+            instance = generate(cfg)
+            policy = solved_policy(instance)
+            result = reassign(instance, policy, seed=0)
+            assert not result.fallback
+            assert not np.array_equal(result.new_id, np.arange(cfg.num_arms))
+            cases[name] = (instance, policy, result)
+        return cases
+
+    @pytest.mark.parametrize("case, eta", sorted(
+        DIGESTS, key=lambda key: (key[0], key[1] or 0.0)))
+    def test_report_is_pinned(self, pin_cases, case, eta):
+        instance, policy, result = pin_cases[case]
+        if eta is not None:
+            result = dataclasses.replace(result, eta_c=eta, m_c=0.0)
+        report = verify_slope(instance, policy, result)
+        key = repr((report.margin.hex(), report.worst, report.holds))
+        assert hashlib.sha256(key.encode()).hexdigest() == self.DIGESTS[
+            (case, eta)]
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=20, deadline=None)
