@@ -9,8 +9,10 @@ Exit codes: 0 ok, 2 usage error (a flag value the command cannot run
 with, a size whose arrays cannot be allocated, or an output that cannot be
 written, reported on one `error:` line),
 3 validation failure (also an instance file that cannot be read or parsed,
-and a relaxation the solver cannot certify), 4 feasibility assertion, 5
-under `diagnose --strict` when an arm does not mix within --t-cap steps.
+and a relaxation the solver cannot certify or whose solution fails the
+check_solution audit, which every command that solves runs), 4 feasibility
+assertion, 5 under `diagnose --strict` when an arm does not mix within
+--t-cap steps.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .lp_relax import (LpSolveError, build_lp, check_solution, extract_policy,
-                       solve_lp)
+from .lp_relax import LpSolveError, build_lp, check_solution, solve_lp
 from .model import (COST_ACTION_ONLY, COST_STATE_ACTION, FULLY_HETEROGENEOUS,
                     TYPED, GeneratorConfig, WcmdpInstance, generate, validate)
 from .policies import OracleSizeError, exact_oracle
@@ -232,8 +233,7 @@ def cmd_diagnose(args) -> int:
         if args.t_cap < 0:
             raise ValueError(f"--t-cap {args.t_cap} is negative")
     instance, instance_hash = _load_instance(args.instance)
-    solution = solve_lp(build_lp(instance))
-    policy = extract_policy(instance, solution)
+    policy = PolicyBundle.prepare(instance).policy
     diag = lyapunov.chain_diagnostics(instance, policy, t_cap=args.t_cap)
     if not diag.ok and args.strict:
         print(f"assumption failure: arms {diag.failing_arms()} do not mix "
@@ -272,15 +272,15 @@ def cmd_oracle_check(args) -> int:
                               num_constraints=args.k)
         with _usage_errors():
             instance = generate(cfg)
-        solution = solve_lp(build_lp(instance))
+        r_rel = PolicyBundle.prepare(instance).solution.objective
         try:
             r_star = exact_oracle(instance)
         except OracleSizeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        margin = r_star - solution.objective
+        margin = r_star - r_rel
         worst = max(worst, margin)
-        print(f"seed={seed}: R*={r_star:.8f} R_rel={solution.objective:.8f} "
+        print(f"seed={seed}: R*={r_star:.8f} R_rel={r_rel:.8f} "
               f"margin={margin:+.2e}")
     if worst > args.tol:
         print(f"upper bound violated by {worst:.2e} > {args.tol:.2e}",
@@ -292,14 +292,15 @@ def cmd_oracle_check(args) -> int:
 
 
 def ratio_chart_svg(rows) -> str:
-    """Line chart of optimality ratio vs N (log x), one polyline per policy."""
+    """Line chart of optimality ratio vs N (log x), one polyline per policy.
+    A row whose ratio is not finite (R_rel = 0) gets no point."""
     width, height = 640, 420
     ml, mr, mt, mb = 70, 20, 20, 50
     policies = sorted({r["policy"] for r in rows})
     xs = sorted({r["N"] for r in rows})
-    ys = [r["ratio"] for r in rows]
-    y_lo = min(ys) - 0.01
-    y_hi = max(1.0, max(ys)) + 0.01
+    ys = [r["ratio"] for r in rows if math.isfinite(r["ratio"])]
+    y_lo = min(ys, default=1.0) - 0.01
+    y_hi = max([1.0, *ys]) + 0.01
     lx = [math.log(x) for x in xs]
 
     def px(n):
@@ -331,7 +332,8 @@ def ratio_chart_svg(rows) -> str:
         parts.append(f'<line x1="{ml}" y1="{py(v):.1f}" x2="{width - mr}" '
                      f'y2="{py(v):.1f}" stroke="#dddddd"/>')
     for c, policy in enumerate(policies):
-        pts = sorted((r["N"], r["ratio"]) for r in rows if r["policy"] == policy)
+        pts = sorted((r["N"], r["ratio"]) for r in rows
+                     if r["policy"] == policy and math.isfinite(r["ratio"]))
         path = " ".join(f"{px(n):.1f},{py(v):.1f}" for n, v in pts)
         color = colors[c % len(colors)]
         parts.append(f'<polyline points="{path}" fill="none" '

@@ -181,17 +181,6 @@ class SingleArmPolicy:
     def num_arms(self) -> int:
         return self.pi.shape[0]
 
-    def permuted(self, order: np.ndarray) -> "SingleArmPolicy":
-        """The same policy with arms listed in the given index order."""
-        return SingleArmPolicy(
-            pi=self.pi[order],
-            induced_P=self.induced_P[order],
-            mu_star=self.mu_star[order],
-            C_star=self.C_star[:, order],
-            r_star=self.r_star[order],
-            c_star=self.c_star[:, order],
-        )
-
 
 def build_lp(instance: WcmdpInstance) -> LpProblem:
     """Assemble the sparse relaxation for a validated instance."""
@@ -449,7 +438,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         price = arm_reward - np.einsum("k,nksa->nsa", lam, arm_cost)
         _require_finite("price", price)
 
-    objective = value / N
+    objective = value / N + 0.0     # + 0.0 reports a zero optimum as +0.0
     if not gap <= GAP_RTOL * max(1.0, abs(objective)):
         raise LpSolveError(f"column generation stalled with Lagrangian gap "
                            f"{gap:.3e} after {rounds} master rounds")

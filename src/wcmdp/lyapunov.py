@@ -360,15 +360,14 @@ def build_report(instance: WcmdpInstance, x: np.ndarray,
             f"N={n_arms} exceeds the diagnostic guard "
             f"{FOCUS_SIZE_GUARD}; pass allow_large=True to override")
     order = reassignment.order()
-    ordered = policy.permuted(order)
     x = np.asarray(x, dtype=np.float64)[order]
     _check_rows(x)
+    mu = policy.mu_star[order]
     values, level, tail = _deviation_series(
-        x - ordered.mu_star, ordered.induced_P, ordered.mu_star,
-        _weights_for(ordered, np.arange(n_arms)), diag.gamma, tol,
-        _tau_window(diag))
+        x - mu, policy.induced_P[order], mu, _weights_for(policy, order),
+        diag.gamma, tol, _tau_window(diag))
     envelope = np.maximum.accumulate(values)
-    beta = remaining_budget_curve(instance, ordered, reassignment.active_set)
+    beta = remaining_budget_curve(instance, policy, reassignment)
     covered = np.flatnonzero(envelope <= beta.min(axis=1))
     n_m = int(covered[-1]) if covered.size else 0
     m = n_m / n_arms

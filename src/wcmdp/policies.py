@@ -168,7 +168,6 @@ class IdPolicyRunner(_RunnerBase):
     def __init__(self, instance: WcmdpInstance, policy: SingleArmPolicy,
                  reassignment: ReassignmentResult):
         super().__init__(instance, policy, reassignment.order())
-        self.reassignment = reassignment
 
     def step(self, states: np.ndarray, u: np.ndarray) -> StepOutcome:
         ideal = self.sample_ideal(states, u)

@@ -61,20 +61,21 @@ def active_constraints(instance: WcmdpInstance,
 
 
 def remaining_budget_curve(instance: WcmdpInstance, policy: SingleArmPolicy,
-                           active_set) -> np.ndarray:
-    """Slack beta_k([n]) of every prefix [n] (the first n arms in the arm
-    order of `policy`): array of shape (N+1, K) with row n for [n].
+                           reassignment: ReassignmentResult) -> np.ndarray:
+    """Slack beta_k([n]) of every ID prefix [n], the arms with new IDs
+    0..n-1: array of shape (N+1, K) with row n for [n].
 
-    Active types get alpha_k*N minus the prefix expected cost; inactive
-    types additionally pay alpha_k/3 per arm so the slack still drains
-    linearly. Callers working with reassigned IDs pass a permuted policy.
+    `policy` is in original arm order; the curve reads its expected costs
+    in the order reassignment.order() sets. Types in reassignment.active_set
+    get alpha_k*N minus the prefix expected cost; inactive types
+    additionally pay alpha_k/3 per arm so the slack still drains linearly.
     """
     n_arms = instance.num_arms
     prefix = np.zeros((n_arms + 1, instance.num_constraints))
-    prefix[1:] = np.cumsum(policy.C_star.T, axis=0)
+    prefix[1:] = np.cumsum(policy.C_star[:, reassignment.order()].T, axis=0)
     curve = instance.alpha[None, :] * n_arms - prefix
     arms_counted = np.arange(n_arms + 1, dtype=np.float64)[:, None]
-    inactive = np.array([k not in active_set
+    inactive = np.array([k not in reassignment.active_set
                          for k in range(instance.num_constraints)])
     curve[:, inactive] -= (instance.alpha[None, inactive] / 3.0) * arms_counted
     return curve
@@ -168,8 +169,7 @@ def verify_slope(instance: WcmdpInstance, policy: SingleArmPolicy,
     if result.fallback:
         raise ValueError("reassignment used the small-N fallback; "
                          "the slope guarantee does not apply")
-    ordered = policy.permuted(result.order())
-    curve = remaining_budget_curve(instance, ordered, result.active_set)
+    curve = remaining_budget_curve(instance, policy, result)
     n_arms = instance.num_arms
 
     margin = math.inf

@@ -3,7 +3,8 @@
 A run simulates a policy for `horizon` steps over independent replications,
 accumulates the time- and arm-averaged reward, audits the hard budgets at
 every step, and reports a batch-means confidence interval together with the
-ratio of the achieved reward to the relaxation upper bound.
+ratio of the achieved reward to the relaxation upper bound (NaN when that
+bound is 0).
 
 All replications step together: the state is one (R, N) array, one row per
 replication, and each runner call advances every row. Replication r of a
@@ -29,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .lp_relax import LpSolution, SingleArmPolicy, build_lp, extract_policy, solve_lp
+from .lp_relax import (LpSolution, LpSolveError, SingleArmPolicy, build_lp,
+                       check_solution, extract_policy, solve_lp)
 from .model import GeneratorConfig, WcmdpInstance, generate
 from .policies import ErcPolicyRunner, IdPolicyRunner
 from .reassign import ReassignmentResult, reassign
@@ -96,9 +98,16 @@ class PolicyBundle:
 
     @classmethod
     def prepare(cls, instance: WcmdpInstance, seed: int = 0) -> "PolicyBundle":
-        """Solve the relaxation, extract the single-armed policies, and
-        compute the ID permutation (its leftover shuffle uses `seed`)."""
+        """The plan of every command that runs a policy: solve the
+        relaxation, audit the solution against the raw instance
+        (check_solution), extract the single-armed policies in original arm
+        order, and compute the ID permutation (its leftover shuffle uses
+        `seed`). Raises LpSolveError, naming the audit's residuals, when the
+        solution fails the audit."""
         solution = solve_lp(build_lp(instance))
+        audit = check_solution(instance, solution)
+        if not audit.ok:
+            raise LpSolveError(f"solution failed the feasibility audit: {audit}")
         policy = extract_policy(instance, solution)
         return cls(solution=solution, policy=policy,
                    reassignment=reassign(instance, policy, seed))
@@ -120,19 +129,13 @@ def _block_steps(num_arms: int, replications: int) -> int:
     return max(1, BLOCK_FLOATS // (2 * num_arms * replications))
 
 
-def make_runner(instance: WcmdpInstance, bundle: PolicyBundle, policy_kind: str):
-    if policy_kind == POLICY_ID:
-        return IdPolicyRunner(instance, bundle.policy, bundle.reassignment)
-    if policy_kind == POLICY_ERC:
-        return ErcPolicyRunner(instance, bundle.policy)
-    raise ValueError(f"unknown policy {policy_kind!r}")
-
-
 def simulate(instance: WcmdpInstance, bundle: PolicyBundle,
              config: SimConfig) -> SimResult:
     """Run the configured policy on all replications at once and aggregate."""
     config.check()
-    runner = make_runner(instance, bundle, config.policy)
+    runner = (IdPolicyRunner(instance, bundle.policy, bundle.reassignment)
+              if config.policy == POLICY_ID
+              else ErcPolicyRunner(instance, bundle.policy))
     n, reps = runner.num_arms, config.replications
     rngs = [np.random.default_rng([config.seed, r]) for r in range(reps)]
     states = np.stack([g.integers(0, instance.num_states, size=n) for g in rngs])
@@ -167,7 +170,7 @@ def simulate(instance: WcmdpInstance, bundle: PolicyBundle,
     r_rel = bundle.solution.objective
     return SimResult(
         avg_reward_per_arm=avg_reward,
-        optimality_ratio=avg_reward / r_rel,
+        optimality_ratio=avg_reward / r_rel if r_rel != 0.0 else math.nan,
         ci_halfwidth=half,
         per_batch_means=pooled,
         feasibility_violations=int(violations.sum()),

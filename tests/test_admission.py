@@ -16,6 +16,8 @@ from wcmdp.model import GeneratorConfig, generate
 from wcmdp.policies import ErcPolicyRunner, IdPolicyRunner, _erc_rejections
 from wcmdp.simulator import PolicyBundle, SimConfig, simulate
 
+pytestmark = pytest.mark.pins
+
 from oracles import ReferenceRunner, erc_rejections_reference
 
 

@@ -18,6 +18,8 @@ from wcmdp.simulator import (FEASIBILITY_SLACK, PolicyBundle, SimConfig,
 
 from oracles import ReferenceRunner
 
+pytestmark = pytest.mark.pins
+
 
 def sequential_simulate(instance, bundle, config):
     """avg_reward_per_arm, per_batch_means, feasibility_violations and

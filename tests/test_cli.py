@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import wcmdp
 from wcmdp.cli import main, ratio_chart_svg
+from wcmdp.lp_relax import LpSolveError
 from wcmdp.model import WcmdpInstance
-from wcmdp.simulator import CSV_COLUMNS
+from wcmdp.simulator import CSV_COLUMNS, PolicyBundle
 
 from oracles import (absorbing_pair_arm, iid_pair_arm, single_state_arm,
                      slow_mixing_instance, stack_arms, tiny_instance,
@@ -196,6 +198,7 @@ def test_bad_flag_value_exits_2_without_traceback(tmp_path, argv):
 
 # 10^12 arms at S=10, A=4 need a 2.84 PiB transition table, beyond any
 # 48-bit address space, so the allocation fails at once
+@pytest.mark.pins
 @pytest.mark.parametrize("argv, message", [
     (["generate", "--n", "1000000000000", "--out", "{out}"],
      "Unable to allocate 2.84 PiB"),
@@ -214,6 +217,7 @@ def test_unallocatable_size_exits_2_without_traceback(tmp_path, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.pins
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
 def test_oracle_check_tol_must_be_finite_and_non_negative(capsys, tol):
     assert run(["oracle-check", "--n", "2", "--states", "2", "--actions", "2",
@@ -416,6 +420,7 @@ class TestDiagnose:
         assert "probes" not in payload
         assert run(argv + ["--strict"]) == 5
 
+    @pytest.mark.pins
     def test_slowly_mixing_chain_gets_a_probe(self, tmp_path):
         # tau = 500 is well inside --t-cap; the series needs ~30 tau terms
         inst = tmp_path / "slow.json"
@@ -478,3 +483,86 @@ class TestSvgChart:
         svg = ratio_chart_svg(rows)
         assert svg.count("<polyline") == 2
         assert "id" in svg and "erc" in svg
+
+
+class TestZeroRelaxationValue:
+    """A single-action instance has R_rel = 0: the ratio is NaN in the CSV,
+    the chart skips it, and solve reports +0."""
+
+    @pytest.fixture()
+    def instance_file(self, tmp_path):
+        out = tmp_path / "inst.json"
+        assert run(["generate", "--n", "6", "--states", "3", "--actions", "1",
+                    "--k", "1", "--out", str(out)]) == 0
+        return out
+
+    def test_solve_prints_positive_zero(self, instance_file, tmp_path, capsys):
+        assert run(["solve", "--instance", str(instance_file),
+                    "--out", str(tmp_path / "sol.json")]) == 0
+        assert "R_rel = 0.0000000000" in capsys.readouterr().out.splitlines()
+
+    def test_simulate_writes_nan_ratio(self, instance_file, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--instance", str(instance_file),
+                    "--policies", "id,erc", *_SIM_FLAGS, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[CSV_COLUMNS.index("ratio")] for row in rows] == ["nan"] * 2
+
+    def test_sweep_svg_skips_nan_ratio(self, tmp_path):
+        out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+        assert run(["sweep", "--states", "3", "--actions", "1", "--k", "1",
+                    "--n-list", "4,8", "--policies", "id,erc", *_SIM_FLAGS,
+                    "--out", str(out), "--svg", str(svg)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[CSV_COLUMNS.index("ratio")] for row in rows] == ["nan"] * 4
+        assert svg.read_text().startswith("<svg")
+        assert "nan" not in svg.read_text()
+
+
+@pytest.mark.pins
+class TestAuditOnEveryPlan:
+    """Every command that plans through PolicyBundle.prepare audits the
+    relaxation: a solution whose y is scaled by 1 + 1e-6 fails
+    normalization, and the command exits 3 without writing an output."""
+
+    @pytest.fixture()
+    def broken_solve(self, monkeypatch):
+        from wcmdp import simulator
+        real = simulator.solve_lp
+
+        def scaled(problem):
+            solution = real(problem)
+            return dataclasses.replace(solution, y=solution.y * (1.0 + 1e-6))
+
+        monkeypatch.setattr(simulator, "solve_lp", scaled)
+
+    @pytest.fixture()
+    def instance_file(self, tmp_path):
+        out = tmp_path / "inst.json"
+        assert run(["generate", "--n", "6", "--states", "3", "--actions", "2",
+                    "--k", "1", "--out", str(out)]) == 0
+        return out
+
+    def test_prepare_raises(self, broken_solve):
+        instance = tiny_instance(seed=0, n=6, s=3, a=2, k=1)
+        with pytest.raises(LpSolveError, match="max_normalization_residual"):
+            PolicyBundle.prepare(instance)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--instance", "{inst}", "--policies", "id,erc",
+         *_SIM_FLAGS, "--out", "{out}"],
+        [*_SWEEP, "--n-list", "4,8", "--policies", "id,erc", *_SIM_FLAGS,
+         "--out", "{out}", "--svg", "{out}.svg"],
+        ["diagnose", "--instance", "{inst}", "--probe-drift", "--out", "{out}"],
+        ["oracle-check", "--n", "2", "--states", "2", "--actions", "2",
+         "--k", "1", "--seeds", "2"],
+    ], ids=["simulate", "sweep", "diagnose", "oracle-check"])
+    def test_command_exits_3(self, broken_solve, instance_file, tmp_path,
+                             capsys, argv):
+        out = tmp_path / "out"
+        argv = [a.format(inst=instance_file, out=out) for a in argv]
+        assert run(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("relaxation solve failed:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "inst.json", "inst.json.manifest.json"]

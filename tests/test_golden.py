@@ -15,6 +15,8 @@ import pytest
 
 from wcmdp.cli import main
 
+pytestmark = pytest.mark.pins
+
 GENERATE = ["generate", "--family", "fully-het", "--n", "12", "--states", "4",
             "--actions", "3", "--k", "2", "--seed", "7"]
 SWEEP = ["sweep", "--family", "typed", "--types", "4", "--states", "3",

@@ -102,6 +102,7 @@ def multichain_arm(num_states: int):
     return transition, reward, cost
 
 
+@pytest.mark.pins
 class TestColumnGenerationAgainstHighs:
     """solve_lp against the monolithic HiGHS LP over all N*S*A variables."""
 
@@ -220,6 +221,7 @@ def structured_instance(seed: int) -> WcmdpInstance:
                          alpha=alpha)
 
 
+@pytest.mark.pins
 class TestStructuredFamily:
     """solve_lp on 300 seeded structured instances against the monolithic
     HiGHS LP. Sparse rows make many policies multichain, so the family keeps
@@ -256,6 +258,7 @@ class TestStructuredFamily:
         assert count >= self.MIN_FALLBACK_INSTANCES
 
 
+@pytest.mark.pins
 class TestSolvePins:
     """solve_lp bit for bit: y, objective, duals and the SolveStats counters
     on a typed, a repeated-multichain and a fully heterogeneous instance. A
@@ -300,6 +303,7 @@ class TestSolvePins:
         assert solution.stats.fallback_arms == 3
 
 
+@pytest.mark.pins
 class TestDistinctArms:
     """Repeated arms are priced once; arms that differ in any bit are not."""
 

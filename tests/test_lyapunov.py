@@ -62,6 +62,7 @@ class TestMixingTime:
             mixing_time(LAZY2, np.array([0.9, 0.1]))
 
 
+@pytest.mark.pins
 class TestChainStructure:
     def test_strictly_positive_chain(self):
         assert chain_structure(IID2) == (True, True)
@@ -117,6 +118,7 @@ def _some_stationary_distribution(P: np.ndarray) -> np.ndarray:
     return mu
 
 
+@pytest.mark.pins
 class TestChainDiagnostics:
     def test_constants_match_closed_forms(self, small_solved):
         instance, _, policy = small_solved
@@ -233,6 +235,7 @@ class TestChainDiagnostics:
         assert calls == []
 
 
+@pytest.mark.pins
 class TestSubsetH:
     def test_closed_form_half(self):
         policy = one_arm_policy(IID2, HALF, [1.0, 0.0])
@@ -368,6 +371,7 @@ def _random_state(instance, seed):
     return x
 
 
+@pytest.mark.pins
 class TestHIdAndFocus:
     def test_empty_prefix_is_zero_and_envelope_monotone(self, small_solved):
         instance, _, policy = small_solved
@@ -447,6 +451,7 @@ class TestHIdAndFocus:
             report.h_id[round(m * n)] + diag.l_h * n * (1 - m), rel=1e-12)
 
 
+@pytest.mark.pins
 class TestSeriesPins:
     """subset_h and build_report bit for bit on seeded K=2 and K=4
     instances, at one-hot and at Dirichlet states. A digest moves only when
@@ -516,6 +521,7 @@ class TestSeriesPins:
         assert probes[0] == probes[1]
 
 
+@pytest.mark.pins
 class TestSlowMixing:
     """tau = 500: the series needs about 30 tau terms, past any fixed cap
     of 10^4 terms."""
@@ -534,6 +540,7 @@ class TestSlowMixing:
         assert report.prefix_h[-1] == pytest.approx(h, abs=2e-6)
 
 
+@pytest.mark.pins
 class TestDriftProbe:
     def test_empty_set_is_identically_zero(self, small_solved):
         instance, _, policy = small_solved

@@ -29,8 +29,7 @@ def manual_policy(instance, C_star):
 def dense_slope(instance, policy, result):
     """Reference slope check over the full (n1, n2) table, O(N^2) memory:
     (margin, worst) as verify_slope reports them."""
-    ordered = policy.permuted(result.order())
-    curve = remaining_budget_curve(instance, ordered, result.active_set)
+    curve = remaining_budget_curve(instance, policy, result)
     margin, worst = math.inf, (1, 1, 0)
     idx = np.arange(instance.num_arms + 1, dtype=np.float64)
     for k in range(instance.num_constraints):
@@ -43,6 +42,14 @@ def dense_slope(instance, policy, result):
             margin = float(masked[pos])
             worst = (int(pos[0]) + 1, int(pos[1]) + 1, k)
     return margin, worst
+
+
+def in_id_order(instance, active_set):
+    """The identity reassignment with the given active set; its slope
+    constants are placeholders that remaining_budget_curve does not read."""
+    return ReassignmentResult(new_id=np.arange(instance.num_arms),
+                              active_set=tuple(active_set), c_thr=0.0,
+                              group_size=None, eta_c=0.0, m_c=0.0, rng_seed=0)
 
 
 def solved_policy(instance):
@@ -73,25 +80,29 @@ class TestRemainingBudget:
     def test_empty_prefix_active(self):
         instance = tiny_instance(seed=0, n=5, s=2, a=2, k=1)
         policy = manual_policy(instance, [[0.1] * 5])
-        curve = remaining_budget_curve(instance, policy, (0,))
+        curve = remaining_budget_curve(instance, policy,
+                                       in_id_order(instance, (0,)))
         assert curve[0, 0] == pytest.approx(instance.alpha[0] * 5)
 
     def test_inactive_full_prefix_with_zero_costs(self):
         instance = tiny_instance(seed=0, n=6, s=2, a=2, k=1)
         policy = manual_policy(instance, np.zeros((1, 6)))
-        curve = remaining_budget_curve(instance, policy, ())
+        curve = remaining_budget_curve(instance, policy,
+                                       in_id_order(instance, ()))
         assert curve[6, 0] == pytest.approx(2.0 / 3.0 * instance.alpha[0] * 6)
 
     def test_nonnegative_on_feasible_policies(self, small_solved):
         instance, _, policy = small_solved
         act = active_constraints(instance, policy)
-        curve = remaining_budget_curve(instance, policy, act)
+        curve = remaining_budget_curve(instance, policy,
+                                       in_id_order(instance, act))
         assert np.min(curve) >= -1e-9
 
     def test_nonincreasing_for_active_types(self, small_solved):
         instance, _, policy = small_solved
         act = active_constraints(instance, policy)
-        curve = remaining_budget_curve(instance, policy, act)
+        curve = remaining_budget_curve(instance, policy,
+                                       in_id_order(instance, act))
         for k in act:
             assert np.all(np.diff(curve[:, k]) <= 1e-12)
 
@@ -222,6 +233,7 @@ class TestVerifySlope:
 
 
 
+@pytest.mark.pins
 class TestSlopePins:
     """verify_slope bit for bit on two reassigned instances, neither in
     identity order nor on the fallback. The real constants put the minimum
