@@ -15,7 +15,8 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from wcmdp.lp_relax import LpProblem, LpSolution, LpSolveError
-from wcmdp.lyapunov import (BURN_IN, DriftProbeResult, _deviation_series,
+from wcmdp.lyapunov import (BURN_IN, DEFAULT_T_CAP, MIXING_THRESHOLD,
+                            UNBOUNDED, DriftProbeResult, _deviation_series,
                             _tau_window, _weights_for)
 from wcmdp.model import GeneratorConfig, WcmdpInstance, generate
 
@@ -80,6 +81,26 @@ def erc_rejections_reference(costs_q, budget) -> np.ndarray:
         else:
             rejected[i] = True
     return rejected
+
+
+def mixing_time_reference(P: np.ndarray, mu: np.ndarray,
+                          t_cap: int = DEFAULT_T_CAP):
+    """Smallest t with every row of P^t within 1/e of mu in l1 distance, by
+    one power loop per chain: the per-chain mixing_time that the batched
+    chain_diagnostics replaced. Returns an int, or UNBOUNDED if t_cap is
+    reached first."""
+    P = np.asarray(P, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
+    if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-9:
+        raise ValueError("P is not row-stochastic")
+    if np.abs(mu @ P - mu).sum() > 1e-8:
+        raise ValueError("mu is not stationary for P within 1e-8")
+    power = np.eye(P.shape[0])
+    for t in range(t_cap + 1):
+        if np.max(np.abs(power - mu[None, :]).sum(axis=1)) <= MIXING_THRESHOLD:
+            return t
+        power = power @ P
+    return UNBOUNDED
 
 
 def drift_probe_reference(instance, policy, diag, D, num_samples, rng,

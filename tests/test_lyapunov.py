@@ -18,8 +18,8 @@ from wcmdp.policies import IdPolicyRunner
 from wcmdp.reassign import verify_slope
 from wcmdp.simulator import PolicyBundle
 
-from oracles import (drift_probe_reference, slow_mixing_instance,
-                     tiny_instance, zero_cost_copy)
+from oracles import (drift_probe_reference, mixing_time_reference,
+                     slow_mixing_instance, tiny_instance, zero_cost_copy)
 
 IID2 = np.array([[0.5, 0.5], [0.5, 0.5]])
 LAZY2 = np.array([[0.75, 0.25], [0.25, 0.75]])
@@ -189,8 +189,8 @@ class TestChainDiagnostics:
         assert distinct_arms(policy.induced_P)[0].size > 4
         diag = chain_diagnostics(instance, policy)
         assert diag.tau.tolist() == [
-            mixing_time(P, mu) for P, mu in zip(policy.induced_P,
-                                                policy.mu_star)]
+            mixing_time_reference(P, mu) for P, mu in zip(policy.induced_P,
+                                                          policy.mu_star)]
 
     def test_structure_runs_once_per_distinct_failing_chain(self,
                                                            monkeypatch):
@@ -207,7 +207,8 @@ class TestChainDiagnostics:
                             lambda P: calls.append(P) or structure(P))
         diag = chain_diagnostics(instance, policy, t_cap=200)
         assert len(calls) == 2
-        assert diag.tau.tolist() == [mixing_time(P, HALF, 200) for P in chains]
+        assert diag.tau.tolist() == [mixing_time_reference(P, HALF, 200)
+                                     for P in chains]
         assert diag.failing_arms() == [0, 1, 3, 4, 6]
         flags = [chain_structure(P) if math.isinf(mixing_time(P, HALF, 200))
                  else (True, True) for P in chains]
@@ -233,6 +234,76 @@ class TestChainDiagnostics:
                             lambda P: calls.append(P) or (True, True))
         assert chain_diagnostics(instance, policy).ok
         assert calls == []
+
+
+def _chain_stack(chains, mus):
+    """A single-action policy whose induced chains are the (S, S) chains."""
+    n, s = len(chains), chains[0].shape[0]
+    return SingleArmPolicy(
+        pi=np.ones((n, s, 1)), induced_P=np.stack(chains),
+        mu_star=np.stack(mus), C_star=np.zeros((1, n)),
+        r_star=np.zeros((n, s)), c_star=np.zeros((1, n, s)))
+
+
+def _lazy2(flip: float) -> np.ndarray:
+    """Two-state chain that flips with probability flip: each row of P^t is
+    |1 - 2 flip|^t from mu = (1/2, 1/2) in l1 distance."""
+    return np.array([[1.0 - flip, flip], [flip, 1.0 - flip]])
+
+
+@pytest.mark.pins
+class TestMixingTimePins:
+    """chain_diagnostics(...).tau equals the per-chain power loop arm by
+    arm, on seeded instances, on chains that never mix and on a chain that
+    first mixes exactly at t_cap."""
+
+    @pytest.fixture(scope="class")
+    def stacks(self):
+        """(instance, policy, t_cap, expected tau or None) per case."""
+        cases = {}
+        for name, cfg in (
+                ("het-n200-k4", GeneratorConfig(
+                    seed=0, num_arms=200, num_states=10, num_actions=4,
+                    num_constraints=4)),
+                ("typed-k1", GeneratorConfig(
+                    seed=1, num_arms=100, num_states=10, num_actions=4,
+                    num_constraints=1, family=TYPED, num_types=10,
+                    cost_mode=COST_ACTION_ONLY))):
+            instance = generate(cfg)
+            policy = PolicyBundle.prepare(instance, seed=0).policy
+            cases[name] = (instance, policy, 10_000, None)
+        slow = slow_mixing_instance()
+        cases["slow"] = (slow, PolicyBundle.prepare(slow, seed=0).policy,
+                         10_000, [500, 500, 500])
+        # a period-2 cycle and two reducible chains never mix; the chain
+        # that jumps to an absorbing state mixes in one step, the lazy
+        # chains in 2 and 10
+        absorbing = np.array([[1.0, 0.0], [1.0, 0.0]])
+        chains = [CYCLE2, np.eye(2), IID2, absorbing, LAZY2, CYCLE2,
+                  _lazy2(0.05), np.array([[1.0, 0.0], [0.0, 1.0]])]
+        mus = [HALF, HALF, HALF, np.array([1.0, 0.0]), HALF, HALF, HALF,
+               np.array([0.25, 0.75])]
+        inf = UNBOUNDED
+        cases["unmixing"] = (tiny_instance(seed=0, n=8, s=2, a=1, k=1),
+                             _chain_stack(chains, mus), 200,
+                             [inf, inf, 1, 1, 2, inf, 10, inf])
+        # 0.9^9 > 1/e >= 0.9^10: the lazy chain first mixes at t_cap
+        at_cap = _chain_stack([LAZY2, _lazy2(0.05), IID2], [HALF] * 3)
+        three = tiny_instance(seed=0, n=3, s=2, a=1, k=1)
+        cases["at-cap"] = (three, at_cap, 10, [2, 10, 1])
+        cases["below-cap"] = (three, at_cap, 9, [2, inf, 1])
+        return cases
+
+    @pytest.mark.parametrize("case", ["het-n200-k4", "typed-k1", "slow",
+                                      "unmixing", "at-cap", "below-cap"])
+    def test_tau_matches_reference_arm_by_arm(self, stacks, case):
+        instance, policy, t_cap, expected = stacks[case]
+        diag = chain_diagnostics(instance, policy, t_cap=t_cap)
+        reference = [mixing_time_reference(P, mu, t_cap)
+                     for P, mu in zip(policy.induced_P, policy.mu_star)]
+        assert diag.tau.tolist() == reference
+        if expected is not None:
+            assert reference == expected
 
 
 @pytest.mark.pins
@@ -599,6 +670,43 @@ class TestDriftProbe:
                 _weights_for(policy, D), diag.gamma, 1e-6, _tau_window(diag))
             used.add(terms)
         assert len(used) > 1
+
+
+@pytest.mark.pins
+class TestDriftProbePins:
+    """drift_probe mean and stderr bit for bit at N=400: on the typed K=1
+    instance of the typed-k1-sweep benchmark, whose arms repeat, and on a
+    fully heterogeneous K=4 instance."""
+
+    DIGESTS = {
+        "typed-k1-n400":
+            "5218daa0dbd40d4313bc87f4aa78d935a1bf8a7b2994bf71c07dc494367bea03",
+        "het-k4-n400":
+            "296408836185425097b8a89b35f95ce41376eaa58c14fbe08e3e3b91082a768e",
+    }
+    CONFIGS = {
+        "typed-k1-n400": GeneratorConfig(
+            seed=1, num_arms=400, num_states=10, num_actions=4,
+            num_constraints=1, family=TYPED, num_types=10,
+            cost_mode=COST_ACTION_ONLY),
+        "het-k4-n400": GeneratorConfig(
+            seed=0, num_arms=400, num_states=10, num_actions=4,
+            num_constraints=4),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_mean_and_stderr_are_pinned(self, case):
+        instance = generate(self.CONFIGS[case])
+        policy = PolicyBundle.prepare(instance, seed=0).policy
+        diag = chain_diagnostics(instance, policy)
+        if case.startswith("typed"):
+            assert distinct_arms(policy.induced_P)[0].size < instance.num_arms
+        probe = drift_probe(instance, policy, diag,
+                            np.arange(instance.num_arms), 100,
+                            np.random.default_rng(5))
+        digest = hashlib.sha256(
+            repr((probe.mean.hex(), probe.stderr.hex())).encode())
+        assert digest.hexdigest() == self.DIGESTS[case]
 
 
 def _solved(cfg: GeneratorConfig):
