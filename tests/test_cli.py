@@ -370,6 +370,14 @@ class TestPipelineCommands:
                     "2", "--k", "1", "--seeds", "3"]) == 0
         assert "upper bound holds" in capsys.readouterr().out
 
+    def test_oracle_check_prints_a_zero_optimum_unsigned(self, capsys):
+        assert run(["oracle-check", "--n", "2", "--states", "2", "--actions",
+                    "1", "--k", "1", "--seeds", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "-0.0" not in out
+        assert out.splitlines()[0] == (
+            "seed=0: R*=0.00000000 R_rel=0.00000000 margin=+0.00e+00")
+
 
 class TestDiagnose:
     def test_healthy_instance_emits_json(self, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -176,6 +177,14 @@ class TestExactOracle:
         base = tiny_instance(seed=7, n=2, s=2, a=2, k=1)
         instance = dataclasses.replace(base, reward=np.zeros_like(base.reward))
         assert exact_oracle(instance) == pytest.approx(0.0, abs=1e-9)
+
+    def test_zero_optimum_is_positive_zero(self):
+        # one action and no reward: the LP's gain is exactly zero, and HiGHS
+        # can return it as -0.0
+        instance = tiny_instance(seed=0, n=2, s=2, a=1, k=1)
+        assert not instance.reward.any()
+        r_star = exact_oracle(instance)
+        assert r_star == 0.0 and math.copysign(1.0, r_star) == 1.0
 
     def test_upper_bound_on_small_instances(self):
         for seed in range(5):
