@@ -30,9 +30,16 @@ the arms one after another, in the same order for every K.
 drift_probe evaluates h at many one-hot states of one trajectory. The
 states never depend on h, so it draws the whole trajectory first and runs
 one series per start state: arm i in state s adds the same amount to term
-ell in every sample, so each sample gathers its terms from those S series.
-Memory does not grow with tau or with the number of terms, and a sample
-leaves once its own certificate holds.
+ell in every sample, so every sample's terms come from those S series. The
+series run once per distinct arm, and each term is one sparse product of a
+sample-by-(arm, state) selection matrix with the term's (arm, state) table.
+Memory is O(M n + S n (K+2)) for M samples of n arms; it does not grow with
+tau or with the number of terms, and a sample leaves once its own
+certificate holds.
+
+chain_diagnostics measures each distinct induced chain once, in one power
+loop over the stack of distinct chains from which a chain leaves as soon as
+it mixes.
 
 h_ID(x, m) = max_{m' <= m} h(x, [N m']) is the upper envelope over ID
 prefixes, the focus fraction m(x) is the largest grid point whose envelope
@@ -84,18 +91,43 @@ def mixing_time(P: np.ndarray, mu: np.ndarray, t_cap: int = DEFAULT_T_CAP):
     Returns an int, or UNBOUNDED if t_cap is reached first. mu must be
     stationary for P within 1e-8.
     """
+    tau = _mixing_times(np.asarray(P)[None], np.asarray(mu)[None], t_cap)[0]
+    return int(tau) if math.isfinite(tau) else UNBOUNDED
+
+
+def _mixing_times(P: np.ndarray, mu: np.ndarray, t_cap: int) -> np.ndarray:
+    """mixing_time of every chain of the (D, S, S) stack P with stationary
+    rows mu (D, S), as a (D,) float array.
+
+    One power loop runs over the whole stack, and a chain leaves it at the
+    first power whose rows all lie within 1/e of its mu. numpy multiplies a
+    stack one (S, S) product at a time, the product a loop over the chains
+    would take, so every power and every tau is the same. Raises the
+    ValueError of the first chain, in stack order, that is not
+    row-stochastic or whose mu is not stationary.
+    """
     P = np.asarray(P, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
-    if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-9:
-        raise ValueError("P is not row-stochastic")
-    if np.abs(mu @ P - mu).sum() > 1e-8:
-        raise ValueError("mu is not stationary for P within 1e-8")
-    power = np.eye(P.shape[0])
+    bad_rows = np.abs(P.sum(axis=2) - 1.0).max(axis=1) > 1e-9
+    bad_mu = np.abs(np.matmul(mu[:, None], P)[:, 0] - mu).sum(axis=1) > 1e-8
+    bad = np.flatnonzero(bad_rows | bad_mu)
+    if bad.size:
+        raise ValueError("P is not row-stochastic" if bad_rows[bad[0]]
+                         else "mu is not stationary for P within 1e-8")
+    tau = np.full(P.shape[0], UNBOUNDED)
+    live, targets = np.arange(P.shape[0]), mu[:, None, :]
+    power = np.broadcast_to(np.eye(P.shape[1]), P.shape).copy()
     for t in range(t_cap + 1):
-        if np.max(np.abs(power - mu[None, :]).sum(axis=1)) <= MIXING_THRESHOLD:
-            return t
+        if live.size == 0:
+            break
+        mixed = (np.abs(power - targets).sum(axis=2).max(axis=1)
+                 <= MIXING_THRESHOLD)
+        if mixed.any():
+            tau[live[mixed]] = t
+            live, P, targets, power = (a[~mixed]
+                                       for a in (live, P, targets, power))
         power = power @ P
-    return UNBOUNDED
+    return tau
 
 
 def chain_structure(P: np.ndarray) -> tuple[bool, bool]:
@@ -186,8 +218,7 @@ def chain_diagnostics(instance: WcmdpInstance, policy: SingleArmPolicy,
     """
     P, mu = policy.induced_P, policy.mu_star
     first, inverse = distinct_arms(P, mu)
-    tau = np.array([mixing_time(P[i], mu[i], t_cap) for i in first],
-                   dtype=np.float64)
+    tau = _mixing_times(P[first], mu[first], t_cap)
     unichain = np.ones(first.size, dtype=bool)
     aperiodic = np.ones(first.size, dtype=bool)
     failing = np.flatnonzero(np.isinf(tau))
@@ -209,12 +240,15 @@ def chain_diagnostics(instance: WcmdpInstance, policy: SingleArmPolicy,
 
 
 def _terms(diff: np.ndarray, P: np.ndarray, mu: np.ndarray,
-           weights: np.ndarray, gamma: float, tol: float, tau_window: int):
+           weights: np.ndarray, gamma: float, tol: float, tau_window: int,
+           arms: int | None = None):
     """Yield (v, per_arm) for ell = 0, 1, ...: the iterate
     v = diff (P - Xi)^ell / gamma^ell, (n, S), and its (G, n) projections.
 
-    Rows of diff are differences of distributions, so the tail bound
-    g_max * |v|_1 starts at most at t0 = 2 n g_max. It shrinks by exp(-1/2)
+    Each row of diff is a difference of distributions, and a tail bound
+    g_max * |v|_1 adds one row per arm: over the n rows of diff, or over
+    `arms` arms for a caller that adds rows of several series, so it starts
+    at most at t0 = 2 arms g_max. It shrinks by exp(-1/2)
     or more every tau_window terms and grows by exp(1/2) at most within one
     window, so all tails from term tau_window * j on are <= tol once
     j >= 1 + 2 ln(t0 / tol). With tau_window more terms to certify,
@@ -222,7 +256,8 @@ def _terms(diff: np.ndarray, P: np.ndarray, mu: np.ndarray,
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    t0 = 2.0 * diff.shape[0] * float(np.max(np.abs(weights)))
+    arms = diff.shape[0] if arms is None else arms
+    t0 = 2.0 * arms * float(np.max(np.abs(weights)))
     cap = math.ceil(tau_window * (2.0 * math.log(max(t0, tol) / tol) + 3.0))
     v = diff.astype(np.float64)
     for _ in range(cap):
@@ -415,14 +450,15 @@ def drift_probe(instance: WcmdpInstance, policy: SingleArmPolicy,
         return DriftProbeResult(mean=0.0, stderr=0.0, bound=bound,
                                 num_samples=num_samples)
 
-    n = idx.size
+    n, s = idx.size, instance.num_states
     P = policy.induced_P[idx]
-    cdf = np.cumsum(P, axis=-1)
-    ar = np.arange(n)
+    cdf = np.cumsum(P, axis=-1).reshape(n * s, s)     # row arm * S + state
+    base = np.arange(n) * s
     path = np.empty((BURN_IN + num_samples + 1, n), dtype=np.intp)
-    path[0] = rng.integers(0, instance.num_states, size=n)
+    path[0] = rng.integers(0, s, size=n)
     for j in range(BURN_IN + num_samples):
-        path[j + 1] = sample_from_cdf(cdf[ar, path[j]], rng.random(n))
+        path[j + 1] = sample_from_cdf(cdf.take(base + path[j], axis=0),
+                                      rng.random(n))
 
     h = _one_hot_h(path[BURN_IN:], policy.mu_star[idx], P,
                    _weights_for(policy, idx), diag.gamma, tol, window)
@@ -440,33 +476,48 @@ def _one_hot_h(paths: np.ndarray, mu: np.ndarray, P: np.ndarray,
     the last prefix value _deviation_series gives one state at a time.
 
     Arm i in state a starts its series from the row e_a - mu_i, so the S
-    series from the rows e_a - mu hold every term of every sample. Each live
-    sample gathers its per-arm inner products from them and adds them one
-    arm after another, as _deviation_series sums arm-major projections, so
-    its running max is the same bit for bit. Its tail bound adds the same
-    entries in another order; a sample leaves once tau_window terms in a row
-    have tail bound <= tol, on the term _deviation_series stops at unless a
-    tail lies within rounding of tol. Memory is O((S + M) n G).
+    series from the rows e_a - mu hold every term of every sample. Arms
+    with the same chain, mu and profile rows have the same series, and a
+    series never mixes its rows, so the S series run on the distinct arms
+    only and give each copy its own terms bit for bit.
+
+    Each term fills one (D, S, G+1) table over the D distinct arms, the G
+    projections and then the l1 norm of the iterate per (arm, start state),
+    and expands it to n S rows, row i S + a for arm i in state a. A CSR
+    selection matrix holds one row per live sample, with a 1 at column
+    i S + paths[m, i] for every arm in arm order, so one sparse product
+    gives every sample's G totals and its l1 norm. scipy adds a row's
+    entries in stored order, one arm after another, as _deviation_series
+    sums arm-major projections, so the running max is the same bit for bit.
+    The tail bound adds the same norms in another order; a sample leaves
+    once tau_window terms in a row have tail bound <= tol, on the term
+    _deviation_series stops at unless a tail lies within rounding of tol.
+    Memory is O(M n + S n (K+2)), with no (n, M, G) temporary.
     """
     num_paths, n = paths.shape
-    s = mu.shape[1]
+    s, g = mu.shape[1], weights.shape[0]
     g_max = float(np.max(np.abs(weights)))
-    series = zip(*(_terms(np.eye(s)[a] - mu, P, mu, weights, gamma, tol,
-                          tau_window) for a in range(s)))
+    profiles = weights.transpose(1, 0, 2)                # (n, G, S) as stored
+    first, inverse = distinct_arms(P, mu, profiles)
+    series = zip(*(_terms(np.eye(s)[a] - mu[first], P[first], mu[first],
+                          profiles[first].transpose(1, 0, 2), gamma, tol,
+                          tau_window, arms=n) for a in range(s)))
+    select = sp.csr_matrix(
+        (np.ones(num_paths * n), (paths + np.arange(n) * s).ravel(),
+         np.arange(0, num_paths * n + 1, n)), shape=(num_paths, n * s))
+    table = np.empty((first.size, s, g + 1))
     live = np.arange(num_paths)
-    cells = paths * n + np.arange(n)                     # into (S*n,) tables
     best = np.zeros(num_paths)
     calm = np.zeros(num_paths, dtype=np.int64)   # latest terms with tail <= tol
     for term in series:
-        iterates, per_arm = zip(*term)
-        table = np.stack([t.T for t in per_arm]).reshape(s * n, -1)
-        totals = np.take(table, cells.T, axis=0).sum(axis=0)    # (M', G)
-        best[live] = np.maximum(best[live], np.abs(totals).max(axis=1))
-        norms = np.stack([np.abs(v).sum(axis=1) for v in iterates])  # (S, n)
-        tails = np.take(norms, cells).sum(axis=1) * g_max
-        calm = np.where(tails <= tol, calm + 1, 0)
+        for a, (v, per_arm) in enumerate(term):
+            table[:, a, :g] = per_arm.T
+            table[:, a, g] = np.abs(v).sum(axis=1)
+        sums = select @ table[inverse].reshape(n * s, g + 1)    # (M', G+1)
+        best[live] = np.maximum(best[live], np.abs(sums[:, :g]).max(axis=1))
+        calm = np.where(sums[:, g] * g_max <= tol, calm + 1, 0)
         running = calm < tau_window
-        live, cells, calm = live[running], cells[running], calm[running]
-        if live.size == 0:
-            return best
-
+        if not running.all():
+            live, calm, select = live[running], calm[running], select[running]
+            if live.size == 0:
+                return best

@@ -19,7 +19,8 @@ from wcmdp.reassign import verify_slope
 from wcmdp.simulator import PolicyBundle
 
 from oracles import (drift_probe_reference, mixing_time_reference,
-                     slow_mixing_instance, tiny_instance, zero_cost_copy)
+                     slow_mixing_instance, take_arms, tiny_instance,
+                     zero_cost_copy)
 
 IID2 = np.array([[0.5, 0.5], [0.5, 0.5]])
 LAZY2 = np.array([[0.75, 0.25], [0.25, 0.75]])
@@ -643,7 +644,7 @@ class TestDriftProbe:
 
     @pytest.mark.parametrize("case, num_samples", [
         ("het", 200), ("typed", 60), ("slow", 60), ("subset", 60),
-        ("het", 0), ("het", 1)])
+        ("copies", 60), ("het", 0), ("het", 1)])
     def test_matches_sequential_reference(self, probe_cases, case,
                                           num_samples):
         instance, policy, diag, D = probe_cases[case]
@@ -718,7 +719,8 @@ def _solved(cfg: GeneratorConfig):
 def probe_cases(small_solved):
     """(instance, policy, diag, D) per drift-probe case: fully heterogeneous
     N=200, S=10, K=4; typed with K=1; a lazy copy of small_solved whose
-    chains mix in >= 5 steps; and a shuffled proper subset of the first."""
+    chains mix in >= 5 steps; a shuffled proper subset of the first; and
+    twelve copies of one of its arms."""
     het, het_policy = _solved(GeneratorConfig(
         seed=0, num_arms=200, num_states=10, num_actions=4, num_constraints=4))
     typed, typed_policy = _solved(GeneratorConfig(
@@ -730,6 +732,12 @@ def probe_cases(small_solved):
     slow_policy = dataclasses.replace(
         small_policy, induced_P=0.9 * eye + 0.1 * small_policy.induced_P)
     subset = np.random.default_rng(3).permutation(het.num_arms)[:70]
+    one = np.full(12, 5)
+    copies = take_arms(het, one)
+    copies_policy = SingleArmPolicy(
+        pi=het_policy.pi[one], induced_P=het_policy.induced_P[one],
+        mu_star=het_policy.mu_star[one], C_star=het_policy.C_star[:, one],
+        r_star=het_policy.r_star[one], c_star=het_policy.c_star[:, one])
     return {
         "het": (het, het_policy, chain_diagnostics(het, het_policy),
                 np.arange(het.num_arms)),
@@ -739,6 +747,9 @@ def probe_cases(small_solved):
                  np.arange(slow.num_arms)),
         "subset": (het, het_policy, chain_diagnostics(het, het_policy),
                    subset),
+        "copies": (copies, copies_policy,
+                   chain_diagnostics(copies, copies_policy),
+                   np.arange(one.size)),
     }
 
 
