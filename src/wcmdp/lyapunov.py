@@ -499,8 +499,8 @@ def _one_hot_h(paths: np.ndarray, mu: np.ndarray, P: np.ndarray,
     g_max = float(np.max(np.abs(weights)))
     profiles = weights.transpose(1, 0, 2)                # (n, G, S) as stored
     first, inverse = distinct_arms(P, mu, profiles)
-    series = zip(*(_terms(np.eye(s)[a] - mu[first], P[first], mu[first],
-                          profiles[first].transpose(1, 0, 2), gamma, tol,
+    mu, P, weights = mu[first], P[first], profiles[first].transpose(1, 0, 2)
+    series = zip(*(_terms(np.eye(s)[a] - mu, P, mu, weights, gamma, tol,
                           tau_window, arms=n) for a in range(s)))
     select = sp.csr_matrix(
         (np.ones(num_paths * n), (paths + np.arange(n) * s).ravel(),
