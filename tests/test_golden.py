@@ -1,4 +1,5 @@
-"""Golden data outputs: sha256 digests of four CLI outputs.
+"""Golden data outputs: sha256 digests of four CLI outputs, and of the
+instances the benchmark workloads generate.
 
 The digests pin the RNG and serialization contract: the same flags must
 reproduce every data output byte for byte, through any refactor of the
@@ -9,11 +10,14 @@ A digest change is a change of a data output. Record new digests only when
 that change is intended, and say why in CHANGES.md.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
 from wcmdp.cli import main
+from wcmdp.model import WcmdpInstance
 
 pytestmark = pytest.mark.pins
 
@@ -52,3 +56,40 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_data_output_digest(outputs, name):
     assert _sha256(outputs[name]) == DIGESTS[name]
+
+
+# the typed-k1-sweep instances: (N, sha256 of the loaded arrays' bytes)
+TYPED_K1 = ["--family", "typed", "--types", "10", "--states", "10",
+            "--actions", "4", "--k", "1", "--cost-mode", "action-only",
+            "--seed", "1"]
+TYPED_K1_ARRAYS = {
+    100: "51bac7e375fab34a60bce10c4b3f72f7d41687bee04667964a78c7ced13bd8d3",
+    200: "968063be2138e404aba89eb29c53232bdc800f2ccb956bf946a2be0fdd660314",
+    400: "3f900b144987b903f7cedad6b603395ca9ccd4cc8cfbf789895f60c6ba70269a",
+}
+# the plan-het-n800 instance file's text
+HET_N800 = ["--family", "fully-het", "--n", "800", "--states", "10",
+            "--actions", "4", "--k", "4", "--seed", "0"]
+HET_N800_TEXT = "d2e6561e959eeb28699c78e2c0a086b3fc33475f32510da8b844330efae7f36c"
+
+
+def _generate(argv, path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", *argv, "--out", str(path)]) == 0
+
+
+@pytest.mark.parametrize("n", sorted(TYPED_K1_ARRAYS))
+def test_typed_instance_loads_to_pinned_arrays(tmp_path, n):
+    path = tmp_path / "inst.json"
+    _generate(TYPED_K1 + ["--n", str(n)], path)
+    instance = WcmdpInstance.load(path)
+    digest = hashlib.sha256()
+    for field in ("transition", "reward", "cost", "alpha"):
+        digest.update(getattr(instance, field).tobytes())
+    assert digest.hexdigest() == TYPED_K1_ARRAYS[n]
+
+
+def test_het_n800_file_text(tmp_path):
+    path = tmp_path / "inst.json"
+    _generate(HET_N800, path)
+    assert _sha256(path) == HET_N800_TEXT
