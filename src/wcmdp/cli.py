@@ -9,10 +9,11 @@ Exit codes: 0 ok, 2 usage error (a flag value the command cannot run
 with, a size whose arrays cannot be allocated, or an output that cannot be
 written, reported on one `error:` line),
 3 validation failure (also an instance file that cannot be read or parsed,
-and a relaxation the solver cannot certify or whose solution fails the
-check_solution audit, which every command that solves runs), 4 feasibility
-assertion, 5 under `diagnose --strict` when an arm does not mix within
---t-cap steps.
+one whose arm_type is not a non-empty list of indices into its arms or
+leaves a stored arm unreferenced, and a relaxation the solver cannot
+certify or whose solution fails the check_solution audit, which every
+command that solves runs), 4 feasibility assertion, 5 under `diagnose
+--strict` when an arm does not mix within --t-cap steps.
 """
 
 from __future__ import annotations

@@ -10,14 +10,23 @@ The arms are stored as four read-only arrays stacked along the arm axis:
 transition (N, S, A, S), reward (N, S, A), cost (N, K, S, A) and the budget
 coefficients alpha (K,). Every consumer indexes these arrays directly;
 distinct_arms maps repeated arms, such as the typed family's copies, to one
-representative each. The JSON file format keeps one object per arm:
+representative each. The JSON file format keeps one object per stored arm:
 
     {"N": ..., "S": ..., "A": ..., "K": ...,
      "alpha": [...],
-     "arms": [{"P": [[[...]]], "r": [[...]], "c": [[[...]]]}, ...]}
+     "arms": [{"P": [[[...]]], "r": [[...]], "c": [[[...]]]}, ...],
+     "arm_type": [...]}
+
+When every arm is distinct, "arms" holds all N arms in order and there is no
+"arm_type". When some arm repeats, "arms" holds each distinct arm once, in
+order of first occurrence, and "arm_type" is the list of N indices into it:
+arm i is arms[arm_type[i]]. Every stored arm must be referenced. A reader
+accepts both forms.
 
 Floats are serialized with Python's shortest round-trip representation, so a
-serialize/deserialize cycle reproduces the instance bit for bit.
+serialize/deserialize cycle reproduces the instance bit for bit. Arms are
+matched on their bytes, so an arm that differs from another only by -0.0
+against 0.0 is stored on its own.
 """
 
 from __future__ import annotations
@@ -108,32 +117,43 @@ class WcmdpInstance:
         return float(np.max(self.cost))
 
     def to_json_dict(self) -> dict:
-        return {
+        """The file document: each distinct arm stored once, plus the
+        arm_type index list when some arm repeats."""
+        tables = (self.transition, self.reward, self.cost)
+        first, inverse = distinct_arms(*tables)
+        repeats = first.size < self.num_arms
+        if repeats:
+            tables = tuple(t[first] for t in tables)
+        d = {
             "N": self.num_arms,
             "S": self.num_states,
             "A": self.num_actions,
             "K": self.num_constraints,
             "alpha": self.alpha.tolist(),
-            "arms": [{"P": p, "r": r, "c": c} for p, r, c in zip(
-                self.transition.tolist(), self.reward.tolist(),
-                self.cost.tolist())],
+            "arms": [{"P": p, "r": r, "c": c}
+                     for p, r, c in zip(*(t.tolist() for t in tables))],
         }
+        if repeats:
+            d["arm_type"] = inverse.tolist()
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WcmdpInstance":
-        """Inverse of to_json_dict. A missing, empty, ragged or non-numeric
-        field (a string, boolean or null where a number belongs included),
+        """Inverse of to_json_dict; reads both the full and the arm_type
+        form. A missing, empty, ragged or non-numeric field (a string,
+        boolean or null where a number belongs included), a bad arm_type,
         or an N/S/A/K header that disagrees with the arrays, raises
         ValueError naming it."""
         arms = _field(d, "arms")
         if not isinstance(arms, list) or not arms:
             raise ValueError("arms: expected a non-empty list of arm objects")
-
-        def stacked(key: str) -> np.ndarray:
-            return _float_array([_field(a, key) for a in arms], f"arms[].{key}")
-
-        instance = cls(transition=stacked("P"), reward=stacked("r"),
-                       cost=stacked("c"),
+        tables = [_float_array([_field(a, key) for a in arms], f"arms[].{key}")
+                  for key in ("P", "r", "c")]
+        if "arm_type" in d:
+            arm_type = _arm_type(d["arm_type"], len(arms))
+            tables = [t.take(arm_type, axis=0) for t in tables]
+        transition, reward, cost = tables
+        instance = cls(transition=transition, reward=reward, cost=cost,
                        alpha=_float_array(_field(d, "alpha"), "alpha"))
         for key, size in (("N", instance.num_arms), ("S", instance.num_states),
                           ("A", instance.num_actions),
@@ -160,6 +180,23 @@ def _field(d, key: str):
         return d[key]
     except (KeyError, TypeError):
         raise ValueError(f"missing field {key!r}") from None
+
+
+def _arm_type(value, count: int) -> np.ndarray:
+    """The arm_type list as an index array into `count` stored arms."""
+    if not isinstance(value, list) or not value:
+        raise ValueError("arm_type: expected a non-empty list of arm indices")
+    for i, j in enumerate(value):
+        # bool is an int subclass, so test the exact type
+        if type(j) is not int or not 0 <= j < count:
+            raise ValueError(f"arm_type[{i}] = {j!r} is not an index into "
+                             f"the {count} stored arms")
+    index = np.array(value, dtype=np.intp)
+    unused = np.flatnonzero(np.bincount(index, minlength=count) == 0)
+    if unused.size:
+        raise ValueError(f"arm_type: stored arm {unused[0]} is never "
+                         "referenced")
+    return index
 
 
 def _float_array(value, name: str) -> np.ndarray:

@@ -73,10 +73,28 @@ class TestGenerate:
 
 
 def _instance_text(edit) -> str:
-    d = stack_arms([single_state_arm([0.0, 1.0], [[0.0, 1.0]])] * 2,
+    """A full-form file of two distinct arms, edited by `edit`."""
+    d = stack_arms([single_state_arm([0.0, 1.0], [[0.0, 1.0]]),
+                    single_state_arm([0.0, 0.5], [[0.0, 1.0]])],
                    [0.5]).to_json_dict()
     edit(d)
     return json.dumps(d)
+
+
+def _typed_text(edit) -> str:
+    """An arm_type-form file, arms A A B stored as A B, edited by `edit`."""
+    a = single_state_arm([0.0, 1.0], [[0.0, 1.0]])
+    b = single_state_arm([0.0, 0.5], [[0.0, 1.0]])
+    d = stack_arms([a, a, b], [0.5]).to_json_dict()
+    assert d["arm_type"] == [0, 0, 1]
+    edit(d)
+    return json.dumps(d)
+
+
+def _set_type(value):
+    def edit(d):
+        d["arm_type"][0] = value
+    return edit
 
 
 def _ragged(d):
@@ -111,9 +129,20 @@ def _run_cli(argv):
     (_instance_text(_true_reward), "arms[].r"),
     (_instance_text(_wrong_header), "N: header says 999"),
     ("[" * 100000 + "]" * 100000, "recursion"),
+    (_typed_text(_set_type(2)), "arm_type[0] = 2"),
+    (_typed_text(_set_type(-1)), "arm_type[0] = -1"),
+    (_typed_text(_set_type(True)), "arm_type[0] = True"),
+    (_typed_text(_set_type(0.0)), "arm_type[0] = 0.0"),
+    (_typed_text(lambda d: d.update(arm_type={"0": 0})), "arm_type"),
+    (_typed_text(lambda d: d.update(arm_type=[])), "arm_type"),
+    (_typed_text(lambda d: d["arm_type"].append(0)), "N: header says 3"),
+    (_typed_text(lambda d: d.update(arm_type=[0, 0, 0])),
+     "arm_type: stored arm 1 is never referenced"),
 ], ids=["malformed-json", "missing-alpha", "no-arms", "ragged-arms",
         "missing-path", "string-alpha", "boolean-reward", "header-mismatch",
-        "deep-nesting"])
+        "deep-nesting", "arm-type-out-of-range", "arm-type-negative",
+        "arm-type-boolean", "arm-type-float", "arm-type-not-a-list",
+        "arm-type-empty", "arm-type-length", "arm-type-unreferenced"])
 def test_bad_instance_file_exits_3_without_traceback(tmp_path, text, field):
     path = tmp_path / "bad.json"
     if text is not None:

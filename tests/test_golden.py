@@ -1,4 +1,4 @@
-"""Golden data outputs: sha256 digests of four CLI outputs, and of the
+"""Golden data outputs: sha256 digests of five CLI outputs, and of the
 instances the benchmark workloads generate.
 
 The digests pin the RNG and serialization contract: the same flags must
@@ -23,6 +23,9 @@ pytestmark = pytest.mark.pins
 
 GENERATE = ["generate", "--family", "fully-het", "--n", "12", "--states", "4",
             "--actions", "3", "--k", "2", "--seed", "7"]
+# a typed file: each of the 4 distinct arms stored once, plus arm_type
+TYPED_GENERATE = ["generate", "--family", "typed", "--types", "4", "--n", "12",
+                  "--states", "4", "--actions", "3", "--k", "2", "--seed", "7"]
 SWEEP = ["sweep", "--family", "typed", "--types", "4", "--states", "3",
          "--actions", "3", "--k", "2", "--seed", "3", "--n-list", "8,16",
          "--policies", "id,erc", "--horizon", "400", "--reps", "2",
@@ -33,6 +36,7 @@ DIGESTS = {
     "solve": "28705a139e28735cf37f5d0c4e5e3d5fdacb8ef6f844f6ea5bf78e43ff77f7c3",
     "diagnose": "9ac6e384cf0ad1008d33bccbe873213798de34f2f8a133c37511bec76bccfa37",
     "sweep": "aa05f23289f0e9b7b5af4666b8050cfe3d096b2abc2181637d97ba425dc10d59",
+    "typed-instance": "759a029b8ddf951e573a8fa2694c55eef1dd36b65459e289784bc2570adb09b5",
 }
 
 
@@ -43,14 +47,17 @@ def _sha256(path) -> str:
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden")
-    inst, sol, diag, csv = (tmp / "inst.json", tmp / "sol.json",
-                            tmp / "diag.json", tmp / "sweep.csv")
+    inst, sol, diag, csv, typed = (tmp / "inst.json", tmp / "sol.json",
+                                   tmp / "diag.json", tmp / "sweep.csv",
+                                   tmp / "typed.json")
     assert main(GENERATE + ["--out", str(inst)]) == 0
+    assert main(TYPED_GENERATE + ["--out", str(typed)]) == 0
     assert main(["solve", "--instance", str(inst), "--out", str(sol)]) == 0
     assert main(["diagnose", "--instance", str(inst), "--probe-drift",
                  "--samples", "50", "--sim-seed", "2", "--out", str(diag)]) == 0
     assert main(SWEEP + ["--out", str(csv)]) == 0
-    return {"instance": inst, "solve": sol, "diagnose": diag, "sweep": csv}
+    return {"instance": inst, "solve": sol, "diagnose": diag, "sweep": csv,
+            "typed-instance": typed}
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))

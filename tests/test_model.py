@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from wcmdp.lp_relax import build_lp, check_solution, solve_lp
 from wcmdp.model import (ALPHA_GRID_STEP, COST_ACTION_ONLY, FULLY_HETEROGENEOUS,
                          MAX_ENTRY, TYPED, GeneratorConfig, WcmdpInstance,
-                         generate, validate)
+                         distinct_arms, generate, validate)
 
-from oracles import single_state_arm, stack_arms
+from oracles import single_state_arm, stack_arms, take_arms
 
 
 def cfg(seed=0, n=6, s=3, a=2, k=2, **kw):
@@ -164,18 +164,27 @@ class TestGenerators:
             assert validate(instance) == []
 
 
+def _same_bytes(a: WcmdpInstance, b: WcmdpInstance) -> bool:
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+               and getattr(a, f).shape == getattr(b, f).shape
+               for f in ("transition", "reward", "cost", "alpha"))
+
+
+def _round_trip(instance: WcmdpInstance) -> WcmdpInstance:
+    return WcmdpInstance.from_json_dict(json.loads(instance.to_json()))
+
+
 class TestSerialization:
     @given(seed=st.integers(min_value=0, max_value=2 ** 63 - 1),
-           family=st.sampled_from([FULLY_HETEROGENEOUS, TYPED]))
+           family=st.sampled_from([FULLY_HETEROGENEOUS, TYPED]),
+           order=st.permutations(range(4)))
     @settings(max_examples=25, deadline=None)
-    def test_round_trip_is_bit_identical(self, seed, family):
+    def test_round_trip_is_bit_identical(self, seed, family, order):
         types = 2 if family == TYPED else 1
-        instance = generate(cfg(seed=seed, n=4, s=3, a=2, k=2,
-                                family=family, num_types=types))
-        back = WcmdpInstance.from_json_dict(
-            json.loads(instance.to_json()))
-        for field in ("transition", "reward", "cost", "alpha"):
-            assert np.array_equal(getattr(back, field), getattr(instance, field))
+        instance = take_arms(generate(cfg(seed=seed, n=4, s=3, a=2, k=2,
+                                          family=family, num_types=types)),
+                             order)
+        assert _same_bytes(_round_trip(instance), instance)
 
     def test_file_round_trip(self, tmp_path):
         instance = generate(cfg(seed=9))
@@ -184,10 +193,54 @@ class TestSerialization:
         back = WcmdpInstance.load(path)
         assert back.to_json() == instance.to_json()
 
+    def test_typed_file_round_trip_reproduces_the_text(self, tmp_path):
+        instance = generate(cfg(seed=9, n=6, family=TYPED, num_types=3))
+        path = tmp_path / "inst.json"
+        instance.save(path)
+        assert WcmdpInstance.load(path).to_json() == path.read_text()
+
     def test_schema_top_level_keys(self):
         d = generate(cfg()).to_json_dict()
         assert set(d) == {"N", "S", "A", "K", "alpha", "arms"}
         assert set(d["arms"][0]) == {"P", "r", "c"}
+
+    def test_typed_file_stores_each_type_once(self):
+        instance = generate(cfg(seed=2, n=12, family=TYPED, num_types=3))
+        d = instance.to_json_dict()
+        assert list(d) == ["N", "S", "A", "K", "alpha", "arms", "arm_type"]
+        assert len(d["arms"]) == 3 and d["N"] == 12
+        _, inverse = distinct_arms(instance.transition, instance.reward,
+                                   instance.cost)
+        assert d["arm_type"] == inverse.tolist()
+
+    def test_interleaved_repeats_round_trip(self):
+        a, b, c = (single_state_arm([0.0, r], [[0.0, 1.0]])
+                   for r in (0.25, 0.5, 0.75))
+        instance = stack_arms([a, b, a, c, b], [0.5])
+        d = instance.to_json_dict()
+        assert len(d["arms"]) == 3 and d["arm_type"] == [0, 1, 0, 2, 1]
+        assert _same_bytes(_round_trip(instance), instance)
+
+    def test_negative_zero_cost_is_its_own_stored_arm(self):
+        a = single_state_arm([0.0, 1.0], [[0.0, 1.0]])
+        b = single_state_arm([0.0, 1.0], [[-0.0, 1.0]])
+        instance = stack_arms([a, b, a], [0.5])
+        d = instance.to_json_dict()
+        assert len(d["arms"]) == 2 and d["arm_type"] == [0, 1, 0]
+        back = _round_trip(instance)
+        assert _same_bytes(back, instance)
+        assert np.signbit(back.cost[1, 0, 0, 0])
+
+    def test_full_form_typed_text_loads_to_the_same_arrays(self):
+        instance = generate(cfg(seed=5, n=8, family=TYPED, num_types=2))
+        full = {key: v for key, v in instance.to_json_dict().items()
+                if key != "arm_type"}
+        full["arms"] = [{"P": p, "r": r, "c": c} for p, r, c in zip(
+            instance.transition.tolist(), instance.reward.tolist(),
+            instance.cost.tolist())]
+        back = WcmdpInstance.from_json_dict(json.loads(json.dumps(full)))
+        assert _same_bytes(back, instance)
+        assert _same_bytes(back, _round_trip(instance))
 
 
 class TestInstance:
