@@ -86,7 +86,6 @@ def _typed_text(edit) -> str:
     a = single_state_arm([0.0, 1.0], [[0.0, 1.0]])
     b = single_state_arm([0.0, 0.5], [[0.0, 1.0]])
     d = stack_arms([a, a, b], [0.5]).to_json_dict()
-    assert d["arm_type"] == [0, 0, 1]
     edit(d)
     return json.dumps(d)
 
