@@ -166,6 +166,30 @@ class TestHardFeasibility:
         assert np.array_equal(a.step_costs, b.step_costs)
 
 
+# R* of the hard-budget problem, bit for bit: (seed, N, S, A, K) -> hex. The
+# N=8 case has enough arms for numpy's pairwise sum to regroup the reward sum.
+ORACLE_PINS = {
+    (0, 2, 3, 2, 1): "0x1.be9be4fa0d394p-2",
+    (1, 2, 3, 2, 1): "0x1.fc20e5c61c2d4p-3",
+    (2, 2, 3, 2, 1): "0x1.837e228ea0762p-2",
+    (3, 2, 3, 2, 1): "0x1.4d68bab5cd78cp-2",
+    (4, 2, 3, 2, 1): "0x1.84a38caff928ep-2",
+    (0, 3, 3, 2, 1): "0x1.b3f62a1007a3dp-2",
+    (1, 3, 3, 2, 1): "0x1.01301edc46bd2p-2",
+    (2, 3, 3, 2, 1): "0x1.780a3b38231b9p-2",
+    (0, 2, 4, 3, 2): "0x1.38041046cd5d0p-2",
+    (0, 8, 1, 2, 1): "0x1.94b8c0a55988ep-2",
+}
+
+
+@pytest.mark.pins
+@pytest.mark.parametrize("key", list(ORACLE_PINS), ids=str)
+def test_exact_oracle_pinned(key):
+    seed, n, s, a, k = key
+    instance = tiny_instance(seed, n=n, s=s, a=a, k=k)
+    assert exact_oracle(instance).hex() == ORACLE_PINS[key]
+
+
 class TestExactOracle:
     def test_single_arm_unconstrained_matches_value_iteration(self):
         instance = zero_cost_copy(tiny_instance(seed=6, n=1, s=3, a=2, k=1))
