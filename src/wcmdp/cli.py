@@ -6,8 +6,9 @@ the command, flags, seeds, component versions, and the instance file's
 sha256, so a run can be replayed to identical data outputs (timestamps aside).
 
 Exit codes: 0 ok, 2 usage error (a flag value the command cannot run
-with, a size whose arrays cannot be allocated, or an output that cannot be
-written, reported on one `error:` line),
+with, a size whose arrays cannot be allocated or that the exact oracle's
+size guards refuse, or an output that cannot be written, reported on one
+`error:` line),
 3 validation failure (also an instance file that cannot be read or parsed,
 one whose arm_type is not a non-empty list of indices into its arms or
 leaves a stored arm unreferenced, and a relaxation the solver cannot
@@ -75,11 +76,11 @@ def write_manifest(out_path, command: str, flags: dict,
 
 @contextlib.contextmanager
 def _usage_errors():
-    """Report a ValueError from checking the flags as one `error:` line and
-    exit with the usage code."""
+    """Report a ValueError from checking the flags, or an oracle size error,
+    as one `error:` line and exit with the usage code."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OracleSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
 
@@ -266,19 +267,15 @@ def cmd_oracle_check(args) -> int:
             raise ValueError(f"--seeds {args.seeds} checks no instance")
         if not (math.isfinite(args.tol) and args.tol >= 0.0):
             raise ValueError(f"--tol {args.tol} is not a finite number >= 0")
+        # every instance meets the oracle's size guards before any solve
+        instances = [generate(GeneratorConfig(
+            seed=seed, num_arms=args.n, num_states=args.states,
+            num_actions=args.actions, num_constraints=args.k))
+            for seed in range(args.seeds)]
+        r_stars = [exact_oracle(instance) for instance in instances]
     worst = -math.inf
-    for seed in range(args.seeds):
-        cfg = GeneratorConfig(seed=seed, num_arms=args.n,
-                              num_states=args.states, num_actions=args.actions,
-                              num_constraints=args.k)
-        with _usage_errors():
-            instance = generate(cfg)
+    for seed, (instance, r_star) in enumerate(zip(instances, r_stars)):
         r_rel = PolicyBundle.prepare(instance).solution.objective
-        try:
-            r_star = exact_oracle(instance)
-        except OracleSizeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         margin = r_star - r_rel
         worst = max(worst, margin)
         print(f"seed={seed}: R*={r_star:.8f} R_rel={r_rel:.8f} "

@@ -33,7 +33,6 @@ row of an (R, N) step equals the (N,) step of that row.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,7 @@ from .model import WcmdpInstance
 from .reassign import ReassignmentResult
 
 ORACLE_MAX_PAIRS = 10 ** 6
-ORACLE_MAX_DENSE = 5 * 10 ** 7
+ORACLE_MAX_DENSE = 12_500_000     # dense transition entries of the feasible pairs
 
 
 class OracleSizeError(RuntimeError):
@@ -215,6 +214,23 @@ class ErcPolicyRunner(_RunnerBase):
         return self._outcome(states, actions, ideal, conforming)
 
 
+def _digits(index: np.ndarray, size: int, n: int) -> np.ndarray:
+    """Digits (len(index), n) of joint indices, arm 0 the most significant."""
+    return index[:, None] // size ** np.arange(n)[::-1] % size
+
+
+def _joint_rows(instance: WcmdpInstance, states: np.ndarray,
+                actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transition rows (m, S^N) and rewards (m,) of the joint pairs with
+    (m, N) states and actions: each row the arms' outer product in arm order,
+    as np.kron forms it, each reward numpy's sum over the arms."""
+    arms = np.arange(instance.num_arms)
+    rows = np.ones((len(states), 1))
+    for p in instance.transition[arms, states, actions].swapaxes(0, 1):
+        rows = (rows[:, :, None] * p[:, None, :]).reshape(len(rows), -1)
+    return rows, instance.reward[arms, states, actions].sum(axis=-1)
+
+
 def exact_oracle(instance: WcmdpInstance, tol: float = 1e-6) -> float:
     """Optimal long-run average reward per arm of the hard-budget problem.
 
@@ -223,9 +239,9 @@ def exact_oracle(instance: WcmdpInstance, tol: float = 1e-6) -> float:
     program for (possibly multichain) finite MDPs. Returns the best value
     over initial states, divided by the number of arms.
 
-    Raises OracleSizeError when the joint state-action enumeration exceeds
-    the size guard, and OracleNumericalError when the returned solution
-    violates its own constraints by more than tol.
+    Raises OracleSizeError when the enumeration exceeds a size guard, and
+    OracleNumericalError when the returned solution violates its own
+    constraints by more than tol.
     """
     n, s, a = instance.num_arms, instance.num_states, instance.num_actions
     n_states = s ** n
@@ -234,42 +250,27 @@ def exact_oracle(instance: WcmdpInstance, tol: float = 1e-6) -> float:
         raise OracleSizeError(
             f"{n_pairs} joint state-action pairs exceed the guard {ORACLE_MAX_PAIRS}")
 
-    joint_states = np.array(list(itertools.product(range(s), repeat=n)),
-                            dtype=np.int64)
-    joint_actions = np.array(list(itertools.product(range(a), repeat=n)),
-                             dtype=np.int64)
-    budget = instance.alpha * n
-
-    arms = np.arange(n)
-    rows = []       # (joint state, P(.|s, a) - e_s, reward) per feasible pair
-    for si, sv in enumerate(joint_states):
-        for av in joint_actions:
-            cost = instance.cost[arms, :, sv, av].sum(axis=0)
-            if np.any(cost > budget):
-                continue
-            reward = instance.reward[arms, sv, av].sum()
-            trans = np.ones(1)
-            for p in instance.transition[arms, sv, av]:
-                trans = np.kron(trans, p)
-            trans[si] -= 1.0
-            rows.append((si, trans, reward))
-            # a_ub below holds (2m) x (2 n_states) float64 entries
-            if 4 * len(rows) * n_states > ORACLE_MAX_DENSE:
-                raise OracleSizeError(
-                    f"dense matrix exceeds {ORACLE_MAX_DENSE} entries")
-
-    m = len(rows)
-    a_ub = np.zeros((2 * m, 2 * n_states))
-    b_ub = np.zeros(2 * m)
-    for r, (si, row, reward) in enumerate(rows):
-        a_ub[r, :n_states] = row                       # P g - g(s) <= 0
-        a_ub[m + r, si] = -1.0                         # -g(s) + P h - h(s) <= -r
-        a_ub[m + r, n_states:] = row
-        b_ub[m + r] = -reward
+    # (S^N, A^N, K) joint costs in product order, summed arm by arm
+    cost = np.zeros((1, 1, instance.num_constraints))
+    for arm_cost in instance.cost.transpose(0, 2, 3, 1):       # (S, A, K)
+        cost = (cost[:, None, :, None] + arm_cost[None, :, None]).reshape(
+            cost.shape[0] * s, cost.shape[1] * a, -1)
+    si, ai = np.nonzero(~(cost > instance.alpha * n).any(axis=-1))
+    m = len(si)
+    if m * n_states > ORACLE_MAX_DENSE:
+        raise OracleSizeError(f"{m * n_states} transition entries exceed "
+                              f"the guard {ORACLE_MAX_DENSE}")
+    rows, reward = _joint_rows(instance, _digits(si, s, n), _digits(ai, a, n))
+    rows[np.arange(m), si] -= 1.0
+    t = sp.csr_matrix(rows)                           # P - e_s
+    e = -sp.eye(n_states, format="csr")[si]           # -e_s
+    # P g - g(s) <= 0 and -g(s) + P h - h(s) <= -r, over x = (g, h)
+    a_ub = sp.bmat([[t, None], [e, t]], format="csr")
+    b_ub = np.concatenate([np.zeros(m), -reward])
 
     c = np.concatenate([np.full(n_states, 1.0 / n_states), np.zeros(n_states)])
-    res = linprog(c=c, A_ub=sp.csr_matrix(a_ub), b_ub=b_ub,
-                  bounds=(None, None), method="highs")
+    res = linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=(None, None),
+                  method="highs")
     if res.status != 0:
         raise OracleNumericalError(f"linprog status {res.status}: {res.message}")
     residual = float(np.max(a_ub @ res.x - b_ub))

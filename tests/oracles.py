@@ -3,6 +3,15 @@
 Everything here is deliberately implemented from first principles (value
 iteration, closed forms, explicit constructions) so it exercises none of the
 code paths it is used to check.
+
+`executor_value` gives the exact long-run reward per arm and conforming
+fraction of the ID policy or the ERC baseline on a tiny instance. Both
+executors are Markov on the joint state: given the states, the ideal actions
+are independent draws from pi, admission is deterministic, and the arms then
+move independently. It writes the admission rules again as sequential loops
+(`admission_reference`), takes each admitted pair's joint transition row and
+reward from the oracle's joint-chain enumerator, and solves the stationary
+distribution of the S^N-state chain.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from wcmdp.lyapunov import (BURN_IN, DEFAULT_T_CAP, MIXING_THRESHOLD,
                             UNBOUNDED, DriftProbeResult, _deviation_series,
                             _tau_window, _weights_for)
 from wcmdp.model import GeneratorConfig, WcmdpInstance, generate
+from wcmdp.policies import _digits, _joint_rows
 
 
 def rvi_average_reward(transition: np.ndarray, reward: np.ndarray,
@@ -81,6 +91,67 @@ def erc_rejections_reference(costs_q, budget) -> np.ndarray:
         else:
             rejected[i] = True
     return rejected
+
+
+def admission_reference(instance, bundle, kind, states, ideal):
+    """The system action and conforming count of one step of the ID ("id")
+    or ERC ("erc") executor, for (N,) states and ideal actions in original
+    arm order.
+
+    ID: walk arms in `bundle.reassignment.order()`, keep ideal actions while
+    every running budget covers the prefix cost, and give the first arm that
+    overflows and every later arm action 0; the count is the prefix length.
+    ERC: rank arms by r_star at their state, descending with ties by arm ID,
+    keep each ideal action whose cost still fits every running budget and
+    give the others action 0; the count is the arms that keep their ideal
+    action."""
+    n = instance.num_arms
+    budget = (instance.alpha * n).tolist()
+    ks = range(len(budget))
+    costs = [instance.cost[i, :, states[i], ideal[i]].tolist() for i in range(n)]
+    actions = np.zeros(n, dtype=np.intp)
+    running = [0.0] * len(budget)
+    if kind == "id":
+        conforming = 0
+        for arm in bundle.reassignment.order().tolist():
+            if not all(running[k] + costs[arm][k] <= budget[k] for k in ks):
+                break
+            running = [running[k] + costs[arm][k] for k in ks]
+            actions[arm] = ideal[arm]
+            conforming += 1
+        return actions, conforming
+    index = bundle.policy.r_star
+    for arm in sorted(range(n), key=lambda i: (-index[i, states[i]], i)):
+        if all(running[k] + costs[arm][k] <= budget[k] for k in ks):
+            running = [running[k] + costs[arm][k] for k in ks]
+            actions[arm] = ideal[arm]
+    return actions, int((actions == ideal).sum())
+
+
+def executor_value(instance, bundle, kind) -> tuple[float, float]:
+    """Exact long-run reward per arm and conforming fraction of the ID
+    ("id") or ERC ("erc") executor: the stationary averages of the joint
+    chain over the S^N joint states, which must be a unichain."""
+    n, s, a = instance.num_arms, instance.num_states, instance.num_actions
+    si, ai = np.divmod(np.arange(s ** n * a ** n), a ** n)   # product order
+    states, ideals = _digits(si, s, n), _digits(ai, a, n)
+    prob = bundle.policy.pi[np.arange(n), states, ideals].prod(axis=1)
+    admitted = [admission_reference(instance, bundle, kind, st, ideal)
+                for st, ideal in zip(states, ideals)]
+    actions = np.array([act for act, _ in admitted])
+    conforming = np.array([count for _, count in admitted], dtype=np.float64)
+    rows, reward = _joint_rows(instance, states, actions)
+    # expectations over the ideal vector, one per joint state
+    chain = (prob[:, None] * rows).reshape(s ** n, a ** n, -1).sum(axis=1)
+    reward = (prob * reward).reshape(s ** n, -1).sum(axis=1)
+    conforming = (prob * conforming).reshape(s ** n, -1).sum(axis=1)
+    # stationary mu: mu (P - I) = 0 with one balance row replaced by sum = 1
+    system = (chain - np.eye(s ** n)).T
+    system[-1] = 1.0
+    rhs = np.zeros(s ** n)
+    rhs[-1] = 1.0
+    mu = np.linalg.solve(system, rhs)
+    return float(mu @ reward) / n, float(mu @ conforming) / n
 
 
 def mixing_time_reference(P: np.ndarray, mu: np.ndarray,

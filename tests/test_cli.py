@@ -190,6 +190,7 @@ _SWEEP = ["sweep", "--states", "3", "--actions", "2", "--k", "1"]
      *_SIM_FLAGS, "--out", "{out}"],
     ["oracle-check", "--n", "0"],
     ["oracle-check", "--seeds", "0"],
+    ["oracle-check", "--n", "10", "--states", "10", "--actions", "4"],
     ["diagnose", "--instance", "{inst}", "--probe-drift", "--samples", "-1",
      "--out", "{out}"],
     ["diagnose", "--instance", "{inst}", "--t-cap", "-1", "--out", "{out}"],
@@ -205,7 +206,8 @@ _SWEEP = ["sweep", "--states", "3", "--actions", "2", "--k", "1"]
         "simulate-unknown-policy",
         "sweep-descending", "sweep-zero-size", "sweep-unknown-policy",
         "sweep-types-divide", "oracle-check-zero-arms",
-        "oracle-check-zero-seeds", "diagnose-negative-samples",
+        "oracle-check-zero-seeds", "oracle-check-too-many-pairs",
+        "diagnose-negative-samples",
         "diagnose-negative-t-cap", "generate-missing-dir",
         "generate-out-is-directory", "solve-missing-dir",
         "simulate-missing-dir", "sweep-missing-dir", "sweep-svg-missing-dir",
@@ -254,6 +256,29 @@ def test_oracle_check_tol_must_be_finite_and_non_negative(capsys, tol):
     assert captured.out == ""       # no instance was solved
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: --tol "), lines
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["--n", "6", "--states", "10", "--actions", "1", "--seeds", "1"], None),
+    # seeds 0 and 1 hold 48 and 24 entries, seed 2 holds 56
+    (["--n", "2", "--states", "2", "--actions", "2", "--seeds", "3"], 50),
+], ids=["too-many-entries", "third-seed-too-many-entries"])
+def test_oracle_check_size_error_comes_before_any_solve(monkeypatch, capsys,
+                                                        argv, limit):
+    import wcmdp.policies as policies
+
+    def no_solve(instance, seed=0):
+        raise AssertionError("the relaxation was solved")
+
+    monkeypatch.setattr(PolicyBundle, "prepare", no_solve)
+    if limit is not None:
+        monkeypatch.setattr(policies, "ORACLE_MAX_DENSE", limit)
+    assert run(["oracle-check", *argv, "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "transition entries exceed the guard" in lines[0]
 
 
 _ODD_VALUES =[float("nan"), float("inf"), float("-inf"), -1.0, -1e-3, 0.0,

@@ -224,13 +224,13 @@ class TestExactOracle:
 
     def test_dense_guard_bounds_the_constraint_matrix(self, monkeypatch):
         # zero costs keep all 16 joint pairs over 4 joint states: 64 entries
-        # of transition rows, but a 32 x 8 constraint matrix of 256
+        # of transition rows, the block that both halves of A_ub share
         import wcmdp.policies as policies
         instance = zero_cost_copy(tiny_instance(seed=0, n=2, s=2, a=2, k=1))
-        monkeypatch.setattr(policies, "ORACLE_MAX_DENSE", 64)
-        with pytest.raises(OracleSizeError, match="64"):
+        monkeypatch.setattr(policies, "ORACLE_MAX_DENSE", 63)
+        with pytest.raises(OracleSizeError, match="guard 63"):
             exact_oracle(instance)
-        monkeypatch.setattr(policies, "ORACLE_MAX_DENSE", 256)
+        monkeypatch.setattr(policies, "ORACLE_MAX_DENSE", 64)
         exact_oracle(instance)
 
     def test_binding_constraint_strictly_below_relaxation(self):
