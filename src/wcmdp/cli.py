@@ -25,6 +25,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -136,7 +137,7 @@ def _load_instance(path: str) -> tuple[WcmdpInstance, str]:
     """The validated instance in the file and the sha256 of the file."""
     try:
         data = Path(path).read_bytes()
-        instance = WcmdpInstance.from_json_dict(json.loads(data))
+        instance = WcmdpInstance.from_json(data)
     except (OSError, ValueError, RecursionError) as exc:
         # RecursionError: JSON nested deeper than the parser's stack
         print(f"invalid instance: {exc}", file=sys.stderr)
@@ -149,6 +150,20 @@ def _load_instance(path: str) -> tuple[WcmdpInstance, str]:
     return instance, hashlib.sha256(data).hexdigest()
 
 
+def _save_atomically(instance: WcmdpInstance, out: Path) -> str:
+    """Save the instance to a temporary file beside `out`, then rename it
+    to `out`, so a write that fails partway leaves `out` as it was.
+    Returns the sha256 of the file."""
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        digest = instance.save(tmp)
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return digest
+
+
 def cmd_generate(args) -> int:
     with _usage_errors():
         _check_outputs(args.out)
@@ -158,10 +173,8 @@ def cmd_generate(args) -> int:
         for msg in problems:
             print(f"validation: {msg}", file=sys.stderr)
         return EXIT_VALIDATION
-    text = instance.to_json()
-    Path(args.out).write_text(text)
-    write_manifest(args.out, "generate", vars(args),
-                   hashlib.sha256(text.encode()).hexdigest())
+    instance_hash = _save_atomically(instance, Path(args.out))
+    write_manifest(args.out, "generate", vars(args), instance_hash)
     print(f"wrote {args.out}: N={instance.num_arms} S={instance.num_states} "
           f"A={instance.num_actions} K={instance.num_constraints}")
     return EXIT_OK

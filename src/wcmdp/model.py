@@ -27,11 +27,22 @@ Floats are serialized with Python's shortest round-trip representation, so a
 serialize/deserialize cycle reproduces the instance bit for bit. Arms are
 matched on their bytes, so an arm that differs from another only by -0.0
 against 0.0 is stored on its own.
+
+Files are written and read one stored arm at a time. json_chunks yields the
+header, each stored arm's json.dumps text and the trailer, and save writes
+them as they come, so only one arm's lists exist at once; the bytes equal
+json.dumps of to_json_dict(). from_json parses with an object hook that turns
+each arm's P, r and c into float64 arrays as soon as that arm is parsed, and
+from_json_dict stacks them. The heap peak of save is about 0.4 times the
+file size and that of load about 2 times (the text, plus the arrays twice).
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,39 +127,62 @@ class WcmdpInstance:
         """Largest cost over all arms and types."""
         return float(np.max(self.cost))
 
-    def to_json_dict(self) -> dict:
-        """The file document: each distinct arm stored once, plus the
-        arm_type index list when some arm repeats."""
-        tables = (self.transition, self.reward, self.cost)
-        first, inverse = distinct_arms(*tables)
-        repeats = first.size < self.num_arms
-        if repeats:
-            tables = tuple(t[first] for t in tables)
-        d = {
+    def _document(self) -> tuple[dict, np.ndarray, list | None]:
+        """The parts of the file document: the header (N, S, A, K, alpha),
+        the indices of the stored arms, and the arm_type list, which is
+        None when every arm is distinct and all N arms are stored."""
+        first, inverse = distinct_arms(self.transition, self.reward,
+                                       self.cost)
+        header = {
             "N": self.num_arms,
             "S": self.num_states,
             "A": self.num_actions,
             "K": self.num_constraints,
             "alpha": self.alpha.tolist(),
-            "arms": [{"P": p, "r": r, "c": c}
-                     for p, r, c in zip(*(t.tolist() for t in tables))],
         }
-        if repeats:
-            d["arm_type"] = inverse.tolist()
+        arm_type = inverse.tolist() if first.size < self.num_arms else None
+        return header, first, arm_type
+
+    def _arm_dict(self, i) -> dict:
+        return {"P": self.transition[i].tolist(), "r": self.reward[i].tolist(),
+                "c": self.cost[i].tolist()}
+
+    def to_json_dict(self) -> dict:
+        """The file document: each distinct arm stored once, plus the
+        arm_type index list when some arm repeats."""
+        header, stored, arm_type = self._document()
+        d = {**header, "arms": [self._arm_dict(i) for i in stored]}
+        if arm_type is not None:
+            d["arm_type"] = arm_type
         return d
+
+    def json_chunks(self) -> Iterator[str]:
+        """The text of to_json() in pieces: the header, then one piece per
+        stored arm, then the trailer. Only one arm is held as Python
+        objects at a time."""
+        header, stored, arm_type = self._document()
+        # the header object's text without its closing brace
+        yield json.dumps(header)[:-1] + ', "arms": ['
+        for n, i in enumerate(stored):
+            yield (", " if n else "") + json.dumps(self._arm_dict(i))
+        if arm_type is None:
+            yield "]}"
+        else:
+            yield '], "arm_type": ' + json.dumps(arm_type) + "}"
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WcmdpInstance":
         """Inverse of to_json_dict; reads both the full and the arm_type
-        form. A missing, empty, ragged or non-numeric field (a string,
-        boolean or null where a number belongs included), a bad arm_type,
-        or an N/S/A/K header that disagrees with the arrays, raises
-        ValueError naming it."""
+        form, with each arm's tables as nested lists or as the arrays
+        from_json decodes them to. A missing, empty, ragged or non-numeric
+        field (a string, boolean or null where a number belongs included),
+        a bad arm_type, or an N/S/A/K header that disagrees with the
+        arrays, raises ValueError naming it."""
         arms = _field(d, "arms")
         if not isinstance(arms, list) or not arms:
             raise ValueError("arms: expected a non-empty list of arm objects")
-        tables = [_float_array([_field(a, key) for a in arms], f"arms[].{key}")
-                  for key in ("P", "r", "c")]
+        tables = [_stack([_field(a, key) for a in arms], f"arms[].{key}")
+                  for key in _ARM_KEYS]
         if "arm_type" in d:
             arm_type = _arm_type(d["arm_type"], len(arms))
             tables = [t.take(arm_type, axis=0) for t in tables]
@@ -164,15 +198,56 @@ class WcmdpInstance:
                                  f"have {size}")
         return instance
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+    @classmethod
+    def from_json(cls, data: str | bytes) -> "WcmdpInstance":
+        """Inverse of to_json. Each arm's tables become float64 arrays as
+        soon as that arm is parsed, so the parsed floats are never all
+        held as Python objects at once."""
+        return cls.from_json_dict(json.loads(data,
+                                             object_pairs_hook=_decode_arm))
 
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
+    def to_json(self) -> str:
+        return "".join(self.json_chunks())
+
+    def save(self, path) -> str:
+        """Write to_json() to `path` piece by piece; return the sha256 of
+        the bytes written."""
+        digest = hashlib.sha256()
+        with open(path, "wb") as fh:
+            for chunk in self.json_chunks():
+                data = chunk.encode()
+                digest.update(data)
+                fh.write(data)
+        return digest.hexdigest()
 
     @classmethod
     def load(cls, path) -> "WcmdpInstance":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return cls.from_json(Path(path).read_text())
+
+
+_ARM_KEYS = ("P", "r", "c")
+
+
+def _decode_arm(pairs: list) -> dict:
+    """json object hook: an object's P, r and c values as float64 arrays.
+    A value that fails _float_array's checks is kept as parsed, so
+    from_json_dict reports it under the name of its field."""
+    d = dict(pairs)
+    for key in _ARM_KEYS:
+        if key in d:
+            with contextlib.suppress(ValueError):
+                d[key] = _float_array(d[key], key)
+    return d
+
+
+def _stack(values: list, name: str) -> np.ndarray:
+    """One table of every stored arm stacked along a new leading axis."""
+    if (all(isinstance(v, np.ndarray) for v in values)
+            and len({v.shape for v in values}) == 1):
+        return np.stack(values)
+    # a failed or mismatched arm: check the nested lists as parsed
+    return _float_array([v.tolist() if isinstance(v, np.ndarray) else v
+                         for v in values], name)
 
 
 def _field(d, key: str):

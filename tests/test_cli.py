@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -50,6 +51,33 @@ class TestGenerate:
         assert code == 0
         instance = WcmdpInstance.load(out)
         assert np.all(instance.cost == instance.cost[:, :, :1, :])
+        manifest = json.loads((tmp_path / "typed.json.manifest.json").read_text())
+        assert manifest["instance_hash"] == hashlib.sha256(
+            out.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("existing", [None, "old text"])
+    def test_failed_write_leaves_out_as_it_was(self, tmp_path, monkeypatch,
+                                               capsys, existing):
+        chunks = WcmdpInstance.json_chunks
+
+        def fail_after_first_arm(instance):
+            it = chunks(instance)
+            yield next(it)  # the header
+            yield next(it)  # arm 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(WcmdpInstance, "json_chunks", fail_after_first_arm)
+        out = tmp_path / "inst.json"
+        if existing is not None:
+            out.write_text(existing)
+        code = run(["generate", "--n", "3", "--states", "3", "--actions", "2",
+                    "--k", "1", "--out", str(out)])
+        assert code == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if existing is None else ["inst.json"])
+        if existing is not None:
+            assert out.read_text() == existing
 
     def test_missing_required_flag_exits_2(self, capsys):
         assert run(["generate", "--out", "x.json"]) == 2
@@ -105,6 +133,18 @@ def _true_reward(d):
     d["arms"][0]["r"][0][1] = True
 
 
+def _boolean_in_second_arm(d):
+    d["arms"][1]["P"][0][1][0] = True
+
+
+def _second_cost_flattened(d):
+    d["arms"][1]["c"] = d["arms"][1]["c"][0]
+
+
+def _string_in_stored_reward(d):
+    d["arms"][0]["r"][0][1] = "0.5"
+
+
 def _wrong_header(d):
     d["N"] = 999
 
@@ -137,11 +177,16 @@ def _run_cli(argv):
     (_typed_text(lambda d: d["arm_type"].append(0)), "N: header says 3"),
     (_typed_text(lambda d: d.update(arm_type=[0, 0, 0])),
      "arm_type: stored arm 1 is never referenced"),
+    (_instance_text(_boolean_in_second_arm), "arms[].P"),
+    (_instance_text(_second_cost_flattened), "arms[].c"),
+    (_typed_text(_string_in_stored_reward), "arms[].r"),
 ], ids=["malformed-json", "missing-alpha", "no-arms", "ragged-arms",
         "missing-path", "string-alpha", "boolean-reward", "header-mismatch",
         "deep-nesting", "arm-type-out-of-range", "arm-type-negative",
         "arm-type-boolean", "arm-type-float", "arm-type-not-a-list",
-        "arm-type-empty", "arm-type-length", "arm-type-unreferenced"])
+        "arm-type-empty", "arm-type-length", "arm-type-unreferenced",
+        "boolean-in-second-arm", "second-cost-one-dim-fewer",
+        "typed-string-reward"])
 def test_bad_instance_file_exits_3_without_traceback(tmp_path, text, field):
     path = tmp_path / "bad.json"
     if text is not None:
@@ -153,6 +198,9 @@ def test_bad_instance_file_exits_3_without_traceback(tmp_path, text, field):
     assert field in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("invalid instance: ")
+    with pytest.raises((OSError, ValueError, RecursionError)) as exc:
+        WcmdpInstance.load(path)
+    assert lines[0] == f"invalid instance: {exc.value}"
 
 
 def test_huge_reward_exits_3_before_the_solver(tmp_path):

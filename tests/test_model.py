@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +176,15 @@ def _round_trip(instance: WcmdpInstance) -> WcmdpInstance:
     return WcmdpInstance.from_json_dict(json.loads(instance.to_json()))
 
 
+def _heap_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSerialization:
     @given(seed=st.integers(min_value=0, max_value=2 ** 63 - 1),
            family=st.sampled_from([FULLY_HETEROGENEOUS, TYPED]),
@@ -185,6 +196,8 @@ class TestSerialization:
                                           family=family, num_types=types)),
                              order)
         assert _same_bytes(_round_trip(instance), instance)
+        assert _same_bytes(WcmdpInstance.from_json(instance.to_json()),
+                           instance)
 
     def test_file_round_trip(self, tmp_path):
         instance = generate(cfg(seed=9))
@@ -212,6 +225,7 @@ class TestSerialization:
         _, inverse = distinct_arms(instance.transition, instance.reward,
                                    instance.cost)
         assert d["arm_type"] == inverse.tolist()
+        assert instance.to_json() == json.dumps(d)
 
     def test_interleaved_repeats_round_trip(self):
         a, b, c = (single_state_arm([0.0, r], [[0.0, 1.0]])
@@ -241,6 +255,20 @@ class TestSerialization:
         back = WcmdpInstance.from_json_dict(json.loads(json.dumps(full)))
         assert _same_bytes(back, instance)
         assert _same_bytes(back, _round_trip(instance))
+
+    def test_save_and_load_heap_peaks_stay_within_file_size_multiples(
+            self, tmp_path):
+        """Streaming holds one arm's lists at a time: writing all N arms'
+        lists at once peaked at 4.5x the file size, parsing them all at
+        once at 3.4x."""
+        instance = generate(cfg(seed=3, n=200, s=10, a=4, k=4))
+        path = tmp_path / "inst.json"
+        digests = []
+        save_peak = _heap_peak(lambda: digests.append(instance.save(path)))
+        size = path.stat().st_size
+        assert digests == [hashlib.sha256(path.read_bytes()).hexdigest()]
+        assert save_peak <= 1.0 * size
+        assert _heap_peak(lambda: WcmdpInstance.load(path)) <= 2.5 * size
 
 
 class TestInstance:
