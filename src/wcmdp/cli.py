@@ -137,7 +137,12 @@ def _load_instance(path: str) -> tuple[WcmdpInstance, str]:
     """The validated instance in the file and the sha256 of the file."""
     try:
         data = Path(path).read_bytes()
-        instance = WcmdpInstance.from_json(data)
+        digest = hashlib.sha256(data).hexdigest()
+        # decoded as json.loads decodes bytes, and the bytes dropped before
+        # parsing, so the parse does not hold them too
+        text = data.decode(json.detect_encoding(data), "surrogatepass")
+        del data
+        instance = WcmdpInstance.from_json(text)
     except (OSError, ValueError, RecursionError) as exc:
         # RecursionError: JSON nested deeper than the parser's stack
         print(f"invalid instance: {exc}", file=sys.stderr)
@@ -147,7 +152,7 @@ def _load_instance(path: str) -> tuple[WcmdpInstance, str]:
         for msg in problems:
             print(f"invalid instance: {msg}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
-    return instance, hashlib.sha256(data).hexdigest()
+    return instance, digest
 
 
 def _save_atomically(instance: WcmdpInstance, out: Path) -> str:

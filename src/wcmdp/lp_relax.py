@@ -27,16 +27,29 @@ column generation instead of one LP over all N*S*A variables:
   -sum_k c before any master solve: action 0 is free, so each arm's
   all-action-0 policy is optimal there and its column enters, and the first
   master is always feasible.
+- Warm start. From N = WARM_STRIDE * WARM_MIN_ARMS arms on, solve_lp first
+  solves the relaxation over every WARM_STRIDE-th arm, in the same way (so
+  it recurses), and round 0 also prices every arm at that subsample's
+  budget duals lam0: both column sets enter the first master, and round 1's
+  policy iteration starts from the lam0 policies. Most simplex iterations
+  of a cold start are spent while the duals move from 0 to their optimum,
+  and lam0 is already close to it. lam0 is only a hint: the stop and the
+  certificate below are the same with or without it. The subsample solve's
+  own counters are kept in SolveStats.warm_start.
 - Pricing. With the master's budget duals lam, every arm maximizes the
   long-run gain of the price r - lam.c. Arms whose transition, reward and
   cost rows hold the same bytes are priced once (model.distinct_arms): the
   typed family's copies share one pricing problem, and its policy, bound and
   column reach every copy. Howard policy iteration runs for all distinct
   arms at once: each sweep evaluates every policy with one batched
-  np.linalg.inv of (n, S, S) unichain systems, then improves it. Each round
-  starts from the previous round's policies and keeps the current action on
-  ties, so the iteration terminates. Every arm keeps its own convexity row,
-  reduced cost and column in the master.
+  np.linalg.inv of (n, S, S) unichain systems, then improves it. The
+  system depends on the policy alone, so each arm keeps the inverse of its
+  last evaluation and only arms whose policy changed are inverted again
+  (the first sweep of a round, which starts from the previous round's
+  policies, inverts none). Each round starts from the previous round's
+  policies and keeps the current action on ties, so the iteration
+  terminates. Every arm keeps its own convexity row, reduced cost and
+  column in the master.
 - Fallback. An arm whose evaluation system is singular is at a multichain
   policy; it is priced by an LP over its own S*A occupation polytope.
 - Certificate. For any bias vector h, flow balance gives
@@ -80,6 +93,10 @@ EVALUATION_COND_MAX = 1e8
 # iteration caps; reaching one raises LpSolveError
 MAX_MASTER_ROUNDS = 500
 MAX_POLICY_SWEEPS = 1000
+# column generation first solves the relaxation over every WARM_STRIDE-th
+# arm, for its budget duals, when that subsample holds WARM_MIN_ARMS arms
+WARM_STRIDE = 8
+WARM_MIN_ARMS = 64
 
 
 class LpSolveError(RuntimeError):
@@ -131,7 +148,9 @@ class SolveStats:
     the master objective at the last round; simplex_iterations sums HiGHS's
     simplex iterations over the master solves; distinct_arms is the number
     of arms priced in every round, one per set of identical arms (see
-    model.distinct_arms).
+    model.distinct_arms); warm_start holds the counters of the subsample
+    solve whose duals warm-started this one, or None when N is below
+    WARM_STRIDE * WARM_MIN_ARMS. The other counters exclude it.
     """
 
     master_rounds: int
@@ -141,6 +160,7 @@ class SolveStats:
     lagrangian_gap: float
     simplex_iterations: int
     distinct_arms: int
+    warm_start: SolveStats | None
 
 
 @dataclass(frozen=True)
@@ -226,39 +246,59 @@ def _occupation(policy: np.ndarray, mu: np.ndarray, num_actions: int) -> np.ndar
     return x
 
 
-def _evaluate(transition: np.ndarray, price: np.ndarray, policy: np.ndarray):
-    """Bias and stationary distribution of deterministic policies.
+class _Evaluations:
+    """Policy evaluation of deterministic policies, for every distinct arm.
 
     Solves g + h(s) = r(s) + sum_t P(s, t) h(t) with h(0) = 0 per arm: the
     matrix is I - P with its first column replaced by ones, its solution is
     (g, h(1), ..., h(S-1)), and the first row of its inverse is the
-    stationary distribution. Returns h (n, S), mu (n, S) and a mask of the
-    arms whose matrix is singular (see EVALUATION_COND_MAX), i.e. whose
-    policy is multichain.
+    stationary distribution. The matrix depends on the policy alone, so each
+    arm keeps the policy, inverse and singular flag of its last evaluation,
+    and only arms whose policy changed since then are inverted again; the
+    bias is recomputed for every price.
     """
-    n, S = policy.shape
-    p_pi = np.take_along_axis(transition, policy[:, :, None, None], axis=2)[:, :, 0]
-    r_pi = np.take_along_axis(price, policy[:, :, None], axis=2)[:, :, 0]
-    m = np.eye(S) - p_pi
-    m[:, :, 0] = 1.0
-    try:
-        inverse = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        inverse = np.full_like(m, np.nan)
-        for i in range(n):
+
+    def __init__(self, transition: np.ndarray):
+        n, S = transition.shape[:2]
+        self.transition = transition
+        self._policy = np.full((n, S), -1, dtype=np.intp)   # never evaluated
+        self._inverse = np.empty((n, S, S))
+        self._singular = np.zeros(n, dtype=bool)
+
+    def __call__(self, active: np.ndarray, price: np.ndarray,
+                 policy: np.ndarray):
+        """h (m, S), mu (m, S) and a mask of the singular systems (see
+        EVALUATION_COND_MAX), i.e. multichain policies, for the arms
+        `active` under their (m, S) `policy` rows and the (n, S, A) `price`."""
+        states = np.arange(policy.shape[1])
+        stale = (policy != self._policy[active]).any(axis=1)
+        if stale.any():
+            arms = active[stale]
+            self._policy[arms] = policy[stale]
+            m = np.eye(states.size) - self.transition[arms[:, None], states,
+                                                      policy[stale]]
+            m[:, :, 0] = 1.0
             try:
-                inverse[i] = np.linalg.inv(m[i])
+                inverse = np.linalg.inv(m)
             except np.linalg.LinAlgError:
-                pass
-    cond = (np.abs(m).sum(axis=2).max(axis=1)
-            * np.abs(inverse).sum(axis=2).max(axis=1))
-    singular = ~(cond <= EVALUATION_COND_MAX)
-    h = np.einsum("nst,nt->ns", inverse, r_pi)
-    h[:, 0] = 0.0
-    return h, np.maximum(inverse[:, 0, :], 0.0), singular
+                inverse = np.full_like(m, np.nan)
+                for i in range(arms.size):
+                    try:
+                        inverse[i] = np.linalg.inv(m[i])
+                    except np.linalg.LinAlgError:
+                        pass
+            cond = (np.abs(m).sum(axis=2).max(axis=1)
+                    * np.abs(inverse).sum(axis=2).max(axis=1))
+            self._inverse[arms] = inverse
+            self._singular[arms] = ~(cond <= EVALUATION_COND_MAX)
+        inverse = self._inverse[active]
+        r_pi = price[active[:, None], states, policy]
+        h = np.einsum("nst,nt->ns", inverse, r_pi)
+        h[:, 0] = 0.0
+        return h, np.maximum(inverse[:, 0, :], 0.0), self._singular[active]
 
 
-def _policy_iteration(transition: np.ndarray, price: np.ndarray,
+def _policy_iteration(evaluate: _Evaluations, price: np.ndarray,
                       policy: np.ndarray):
     """Howard policy iteration for every arm, from the given policies.
 
@@ -270,6 +310,7 @@ def _policy_iteration(transition: np.ndarray, price: np.ndarray,
     """
     policy = policy.copy()
     n, S = policy.shape
+    states = np.arange(S)
     mu = np.zeros((n, S))
     bound = np.full(n, np.nan)
     multichain = np.zeros(n, dtype=bool)
@@ -280,15 +321,19 @@ def _policy_iteration(transition: np.ndarray, price: np.ndarray,
             raise LpSolveError(f"policy iteration did not converge in "
                                f"{MAX_POLICY_SWEEPS} sweeps")
         sweeps += 1
-        h, mu_a, singular = _evaluate(transition[active], price[active],
-                                         policy[active])
+        h, mu_a, singular = evaluate(active, price, policy[active])
         multichain[active[singular]] = True
         ok = ~singular
         mu[active[ok]] = mu_a[ok]
         active, h = active[ok], h[ok]
         _require_finite("bias in policy iteration", h)
-        q = price[active] + np.einsum("nsat,nt->nsa", transition[active], h)
-        current = np.take_along_axis(q, policy[active][:, :, None], axis=2)[:, :, 0]
+        # active is ascending, so when it holds every arm it is the identity
+        # and the tables need no gathered copy
+        every = active.size == n
+        q = ((price if every else price[active])
+             + np.einsum("nsat,nt->nsa", evaluate.transition if every
+                         else evaluate.transition[active], h))
+        current = q[np.arange(active.size)[:, None], states, policy[active]]
         tie = TIE_RTOL * np.maximum(1.0, np.abs(q).max(axis=(1, 2)))
         improve = q.max(axis=2) > current + tie[:, None]
         changed = improve.any(axis=1)
@@ -370,11 +415,24 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the relaxation by column generation; raise LpSolveError unless
     the Lagrangian gap certifies optimality within GAP_RTOL. y is the
     master's convex combination of its columns, nonnegative by construction."""
-    transition, reward, cost = problem.transition, problem.reward, problem.cost
-    alpha = problem.budget_rhs
-    N, S, A = problem.num_arms, problem.num_states, problem.num_actions
     for name in ("transition", "reward", "cost", "budget_rhs"):
         _require_finite(name, getattr(problem, name))
+    return _column_generation(problem.transition, problem.reward,
+                              problem.cost, problem.budget_rhs)
+
+
+def _column_generation(transition: np.ndarray, reward: np.ndarray,
+                       cost: np.ndarray, alpha: np.ndarray) -> LpSolution:
+    """solve_lp on the instance's (N, S, A, S), (N, S, A) and (N, K, S, A)
+    tables and its (K,) per-arm budget alpha."""
+    N, S, A = reward.shape
+    # the relaxation over every WARM_STRIDE-th arm has budget duals close to
+    # this one's; they are a hint for round 0 (see the module docstring)
+    warm = None
+    if N >= WARM_STRIDE * WARM_MIN_ARMS:
+        warm = _column_generation(transition[::WARM_STRIDE],
+                                  reward[::WARM_STRIDE], cost[::WARM_STRIDE],
+                                  alpha)
 
     # pricing runs once per distinct arm: copies of one arm share their
     # price, policies, bound and fallback result, which reach every copy
@@ -382,6 +440,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     first, inverse = distinct_arms(transition, reward, cost)
     arm_transition, arm_reward, arm_cost = (
         table[first] for table in (transition, reward, cost))
+    evaluate = _Evaluations(arm_transition)
+
+    def lagrangian_price(lam: np.ndarray) -> np.ndarray:
+        price = arm_reward - np.einsum("k,nksa->nsa", lam, arm_cost)
+        _require_finite("price", price)
+        return price
 
     # columns: arm index and occupation measure, kept to rebuild y; their
     # reward and cost coefficients go straight into the master.
@@ -396,47 +460,55 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     # non-negative and action 0 is free, so the all-action-0 policy is
     # optimal, and the empty master's convexity rows, which no column meets
     # yet, let every arm's column enter: the first master is feasible.
-    price = -arm_cost.sum(axis=1)
+    # With a warm start, round 0 prices at the hint's duals too, and round 1
+    # starts from those policies.
+    prices = [-arm_cost.sum(axis=1)]
+    if warm is not None:
+        prices.append(lagrangian_price(-warm.duals))
     convexity_duals = np.full(N, np.inf)
     policy = np.zeros((first.size, S), dtype=np.intp)
     sweeps = 0
     fallback = np.zeros(first.size, dtype=bool)
     for rounds in range(MAX_MASTER_ROUNDS + 1):
-        policy, mu, bound, multichain, n_sweeps = _policy_iteration(
-            arm_transition, price, policy)
-        sweeps += n_sweeps
-        x = _occupation(policy, mu, A)
-        for j in np.flatnonzero(multichain):
-            x[j], bound[j] = _arm_lp(arm_transition[j], price[j])
-        fallback |= multichain
-        x, bound = x[inverse], bound[inverse]
+        entered = 0
+        for price in prices:
+            policy, mu, bound, multichain, n_sweeps = _policy_iteration(
+                evaluate, price, policy)
+            sweeps += n_sweeps
+            x = _occupation(policy, mu, A)
+            for j in np.flatnonzero(multichain):
+                x[j], bound[j] = _arm_lp(arm_transition[j], price[j])
+            fallback |= multichain
+            x, bound = x[inverse], bound[inverse]
 
-        reduced = bound + convexity_duals
-        gap = float(np.maximum(reduced, 0.0).sum() / N)
-        improving = np.flatnonzero(
-            reduced > REDUCED_COST_RTOL * np.maximum(1.0, np.abs(bound)))
-        rounded = x[improving].round(12)
-        fresh = np.array([(i, c.tobytes()) not in seen
-                          for i, c in zip(improving.tolist(), rounded)],
-                         dtype=bool)
-        if not fresh.any():
+            reduced = bound + convexity_duals
+            gap = float(np.maximum(reduced, 0.0).sum() / N)
+            improving = np.flatnonzero(
+                reduced > REDUCED_COST_RTOL * np.maximum(1.0, np.abs(bound)))
+            rounded = x[improving].round(12)
+            fresh = np.array([(i, c.tobytes()) not in seen
+                              for i, c in zip(improving.tolist(), rounded)],
+                             dtype=bool)
+            if not fresh.any():
+                continue
+            new = improving[fresh]
+            arms.append(new)
+            occupations.append(x[new])
+            master.add(new, np.einsum("nsa,nsa->n", x[new], reward[new]),
+                       np.einsum("nsa,nksa->nk", x[new], cost[new]))
+            seen.update(zip(new.tolist(),
+                            (c.tobytes() for c in rounded[fresh])))
+            entered += new.size
+        if not entered:
             break
         if rounds == MAX_MASTER_ROUNDS:
             raise LpSolveError(f"column generation did not converge in "
                                f"{MAX_MASTER_ROUNDS} master rounds")
-        new = improving[fresh]
-        arms.append(new)
-        occupations.append(x[new])
-        master.add(new, np.einsum("nsa,nsa->n", x[new], reward[new]),
-                   np.einsum("nsa,nksa->nk", x[new], cost[new]))
-        seen.update(zip(new.tolist(), (c.tobytes() for c in rounded[fresh])))
 
         # the master's rows are N times build_lp's: its budget duals are
         # build_lp's, its convexity duals N times theirs (HiGHS's sign)
         value, weights, budget_duals, convexity_duals = master.solve()
-        lam = -budget_duals
-        price = arm_reward - np.einsum("k,nksa->nsa", lam, arm_cost)
-        _require_finite("price", price)
+        prices = [lagrangian_price(-budget_duals)]
 
     objective = value / N + 0.0     # + 0.0 reports a zero optimum as +0.0
     if not gap <= GAP_RTOL * max(1.0, abs(objective)):
@@ -452,7 +524,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
                        fallback_arms=int(fallback[inverse].sum()),
                        lagrangian_gap=gap,
                        simplex_iterations=master.simplex_iterations,
-                       distinct_arms=int(first.size))
+                       distinct_arms=int(first.size),
+                       warm_start=None if warm is None else warm.stats)
     return LpSolution(y=y, objective=objective, duals=budget_duals,
                       stats=stats)
 

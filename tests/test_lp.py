@@ -141,6 +141,59 @@ class TestColumnGenerationAgainstHighs:
         assert check_solution(instance, solution).ok
         assert solution.stats.lagrangian_gap <= lp_relax.GAP_RTOL
 
+    @pytest.mark.parametrize("family", ["fully-het", "typed"])
+    def test_warm_started_solve_matches_monolithic_lp(self, family):
+        # N = WARM_STRIDE * WARM_MIN_ARMS: the smallest warm-started size
+        typed = dict(family=TYPED, num_types=4) if family == "typed" else {}
+        for seed in range(3):
+            instance = tiny_instance(seed=seed, n=512, s=3, a=2, k=2, **typed)
+            problem = build_lp(instance)
+            solution = solve_lp(problem)
+            reference = solve_lp_highs(problem)
+            assert solution.stats.warm_start is not None
+            assert solution.objective == pytest.approx(reference.objective,
+                                                       abs=1e-9)
+            if family == "fully-het":
+                assert np.max(np.abs(solution.y - reference.y)) <= 1e-9
+            assert np.allclose(solution.duals, reference.duals, atol=1e-9)
+            assert check_solution(instance, solution).ok
+            assert solution.stats.lagrangian_gap <= lp_relax.GAP_RTOL
+        below = take_arms(instance, np.arange(511))
+        assert solve_lp(build_lp(below)).stats.warm_start is None
+
+    @pytest.mark.parametrize("scale", [0.0, 100.0])
+    def test_poor_warm_duals_are_only_a_hint(self, monkeypatch, scale):
+        instance = tiny_instance(seed=1, n=512, s=3, a=2, k=2)
+        problem = build_lp(instance)
+        reference = solve_lp_highs(problem)
+        solve = lp_relax._column_generation
+
+        def poor_hint(transition, reward, cost, alpha):
+            solution = solve(transition, reward, cost, alpha)
+            if transition.shape[0] == instance.num_arms:
+                return solution
+            return dataclasses.replace(solution, duals=scale * reference.duals)
+
+        monkeypatch.setattr(lp_relax, "_column_generation", poor_hint)
+        solution = solve_lp(problem)
+        assert solution.stats.warm_start is not None
+        assert solution.objective == pytest.approx(reference.objective,
+                                                   abs=1e-9)
+        assert check_solution(instance, solution).ok
+
+    def test_warm_started_fallback_counts_every_copy(self):
+        # 64 copies of the eight arms; every subsampled arm is a copy of
+        # the multichain prototype
+        instance = take_arms(repeated_multichain_instance(),
+                             np.tile(np.arange(8), 64))
+        problem = build_lp(instance)
+        solution = solve_lp(problem)
+        assert solution.stats.warm_start is not None
+        assert solution.stats.fallback_arms == 3 * 64
+        assert solution.objective == pytest.approx(
+            solve_lp_highs(problem).objective, abs=1e-9)
+        assert check_solution(instance, solution).ok
+
     def test_stats_certify_the_solve(self, small_solved):
         _, solution, _ = small_solved
         stats = solution.stats
