@@ -12,9 +12,14 @@ size guards refuse, or an output that cannot be written, reported on one
 3 validation failure (also an instance file that cannot be read or parsed,
 one whose arm_type is not a non-empty list of indices into its arms or
 leaves a stored arm unreferenced, and a relaxation the solver cannot
-certify or whose solution fails the check_solution audit, which every
-command that solves runs), 4 feasibility assertion, 5 under `diagnose
---strict` when an arm does not mix within --t-cap steps.
+certify or whose solution fails the feasibility audit, reported on one
+`relaxation solve failed:` line), 4 feasibility assertion, 5 under
+`diagnose --strict` when an arm does not mix within --t-cap steps.
+
+Every command that solves the relaxation (solve, simulate, sweep, diagnose
+and oracle-check) plans through simulator.PolicyBundle.prepare, the one
+path that solves and audits it. Instance files are decoded as
+WcmdpInstance.load decodes them, as json.loads decodes bytes.
 """
 
 from __future__ import annotations
@@ -34,9 +39,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .lp_relax import LpSolveError, build_lp, check_solution, solve_lp
+from .lp_relax import LpSolveError
 from .model import (COST_ACTION_ONLY, COST_STATE_ACTION, FULLY_HETEROGENEOUS,
-                    TYPED, GeneratorConfig, WcmdpInstance, generate, validate)
+                    TYPED, GeneratorConfig, WcmdpInstance, _decode, generate,
+                    validate)
 from .policies import OracleSizeError, exact_oracle
 from .simulator import (PolicyBundle, SimConfig, _check_sweep, results_row,
                         simulate, sweep, write_results_csv)
@@ -138,9 +144,9 @@ def _load_instance(path: str) -> tuple[WcmdpInstance, str]:
     try:
         data = Path(path).read_bytes()
         digest = hashlib.sha256(data).hexdigest()
-        # decoded as json.loads decodes bytes, and the bytes dropped before
-        # parsing, so the parse does not hold them too
-        text = data.decode(json.detect_encoding(data), "surrogatepass")
+        # decoded as WcmdpInstance.load decodes, and the bytes dropped
+        # before parsing, so the parse does not hold them too
+        text = _decode(data)
         del data
         instance = WcmdpInstance.from_json(text)
     except (OSError, ValueError, RecursionError) as exc:
@@ -189,14 +195,11 @@ def cmd_solve(args) -> int:
     with _usage_errors():
         _check_outputs(args.out)
     instance, instance_hash = _load_instance(args.instance)
-    solution = solve_lp(build_lp(instance))
-    report = check_solution(instance, solution)
-    if not report.ok:
-        print(f"solution failed the feasibility audit: {report}", file=sys.stderr)
-        return EXIT_VALIDATION
+    bundle = PolicyBundle.prepare(instance)
+    solution = bundle.solution
     Path(args.out).write_text(json.dumps(solution.to_json_dict()))
     solver = {**dataclasses.asdict(solution.stats),
-              "audit": dataclasses.asdict(report)}
+              "audit": dataclasses.asdict(bundle.audit)}
     write_manifest(args.out, "solve", vars(args), instance_hash, solver=solver)
     print(f"R_rel = {solution.objective:.10f}")
     return EXIT_OK
@@ -250,6 +253,8 @@ def cmd_diagnose(args) -> int:
         _check_outputs(args.out)
         if args.probe_drift and args.samples < 0:
             raise ValueError(f"--samples {args.samples} is negative")
+        if args.probe_drift and args.sim_seed < 0:
+            raise ValueError(f"--sim-seed {args.sim_seed} is negative")
         if args.t_cap < 0:
             raise ValueError(f"--t-cap {args.t_cap} is negative")
     instance, instance_hash = _load_instance(args.instance)

@@ -33,8 +33,11 @@ header, each stored arm's json.dumps text and the trailer, and save writes
 them as they come, so only one arm's lists exist at once; the bytes equal
 json.dumps of to_json_dict(). from_json parses with an object hook that turns
 each arm's P, r and c into float64 arrays as soon as that arm is parsed, and
-from_json_dict stacks them. The heap peak of save is about 0.4 times the
-file size and that of load about 2 times (the text, plus the arrays twice).
+from_json_dict stacks them. load reads the file's bytes and decodes them as
+json.loads does (UTF-8, UTF-16 or UTF-32, with or without a byte order
+mark), then drops them before parsing; the CLI reads instance files through
+the same decoder. The heap peak of save is about 0.4 times the file size
+and that of load about 2 times (the text, plus the arrays twice).
 """
 
 from __future__ import annotations
@@ -222,7 +225,15 @@ class WcmdpInstance:
 
     @classmethod
     def load(cls, path) -> "WcmdpInstance":
-        return cls.from_json(Path(path).read_text())
+        """The instance in the file at `path`, decoded as json.loads
+        decodes bytes; the bytes are dropped before parsing."""
+        return cls.from_json(_decode(Path(path).read_bytes()))
+
+
+def _decode(data: bytes) -> str:
+    """The text of a file's bytes, decoded as json.loads decodes bytes:
+    UTF-8, UTF-16 or UTF-32, with or without a byte order mark."""
+    return data.decode(json.detect_encoding(data), "surrogatepass")
 
 
 _ARM_KEYS = ("P", "r", "c")
@@ -310,6 +321,8 @@ class GeneratorConfig:
     cost_mode: str = COST_STATE_ACTION
 
     def check(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.num_arms < 1 or self.num_states < 1 or self.num_actions < 1:
             raise ValueError("num_arms, num_states, num_actions must be positive")
         if self.num_constraints < 1:

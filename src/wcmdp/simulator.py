@@ -30,8 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .lp_relax import (LpSolution, LpSolveError, SingleArmPolicy, build_lp,
-                       check_solution, extract_policy, solve_lp)
+from .lp_relax import (LpCheckReport, LpSolution, LpSolveError,
+                       SingleArmPolicy, build_lp, check_solution,
+                       extract_policy, solve_lp)
 from .model import GeneratorConfig, WcmdpInstance, generate
 from .policies import ErcPolicyRunner, IdPolicyRunner
 from .reassign import ReassignmentResult, reassign
@@ -90,17 +91,19 @@ class SimResult:
 
 @dataclass(frozen=True)
 class PolicyBundle:
-    """Preprocessing artifacts shared by the execution policies."""
+    """Preprocessing artifacts shared by the execution policies, and the
+    audit report of the solution (None for a bundle built by hand)."""
 
     solution: LpSolution
     policy: SingleArmPolicy
     reassignment: ReassignmentResult
+    audit: LpCheckReport | None = None
 
     @classmethod
     def prepare(cls, instance: WcmdpInstance, seed: int = 0) -> "PolicyBundle":
-        """The plan of every command that runs a policy: solve the
-        relaxation, audit the solution against the raw instance
-        (check_solution), extract the single-armed policies in original arm
+        """The plan of every command that solves the relaxation: solve
+        it, audit the solution against the raw instance (check_solution,
+        kept as `audit`), extract the single-armed policies in original arm
         order, and compute the ID permutation (its leftover shuffle uses
         `seed`). Raises LpSolveError, naming the audit's residuals, when the
         solution fails the audit."""
@@ -110,7 +113,7 @@ class PolicyBundle:
             raise LpSolveError(f"solution failed the feasibility audit: {audit}")
         policy = extract_policy(instance, solution)
         return cls(solution=solution, policy=policy,
-                   reassignment=reassign(instance, policy, seed))
+                   reassignment=reassign(instance, policy, seed), audit=audit)
 
 
 def batch_means_ci(batch_means) -> tuple[float, float]:

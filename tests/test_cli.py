@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import wcmdp
 from wcmdp.cli import _load_instance, main, ratio_chart_svg
-from wcmdp.lp_relax import LpSolveError
+from wcmdp.lp_relax import LpSolveError, check_solution
 from wcmdp.model import WcmdpInstance
 from wcmdp.simulator import CSV_COLUMNS, PolicyBundle
 
@@ -223,6 +223,29 @@ def test_load_heap_peak_stays_within_file_size_multiple(tmp_path):
     assert peak <= 2.2 * path.stat().st_size
 
 
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-32",
+                                      "utf-8-sig"])
+def test_instance_file_reads_in_every_json_encoding(tmp_path, encoding):
+    """WcmdpInstance.load and the CLI decode a file as json.loads decodes
+    bytes, whatever the locale: the encoding is read from the first bytes,
+    and a byte order mark is dropped."""
+    utf8 = tmp_path / "utf8.json"
+    tiny_instance(seed=1, n=5, s=3, a=2, k=2).save(utf8)
+    other = tmp_path / "other.json"
+    other.write_bytes(utf8.read_bytes().decode("utf-8").encode(encoding))
+    reference = WcmdpInstance.load(utf8)
+    for instance in (WcmdpInstance.load(other), _load_instance(str(other))[0]):
+        for name in ("transition", "reward", "cost", "alpha"):
+            assert (getattr(instance, name).tobytes()
+                    == getattr(reference, name).tobytes())
+    r_rel = []
+    for path in (utf8, other):
+        out = tmp_path / f"{path.stem}-sol.json"
+        assert run(["solve", "--instance", str(path), "--out", str(out)]) == 0
+        r_rel.append(json.loads(out.read_text())["R_rel"])
+    assert r_rel[0] == r_rel[1]
+
+
 def test_huge_reward_exits_3_before_the_solver(tmp_path):
     path = tmp_path / "huge.json"
     assert run(["generate", "--n", "3", "--states", "3", "--actions", "2",
@@ -262,6 +285,9 @@ _SWEEP = ["sweep", "--states", "3", "--actions", "2", "--k", "1"]
     ["diagnose", "--instance", "{inst}", "--probe-drift", "--samples", "-1",
      "--out", "{out}"],
     ["diagnose", "--instance", "{inst}", "--t-cap", "-1", "--out", "{out}"],
+    [*_SWEEP, "--n-list", "4", "--seed", "-1", *_SIM_FLAGS, "--out", "{out}"],
+    ["diagnose", "--instance", "{inst}", "--probe-drift", "--sim-seed", "-1",
+     "--out", "{out}"],
     ["generate", "--n", "4", "--out", "{missing}"],
     ["generate", "--n", "4", "--out", "{dir}"],
     ["solve", "--instance", "{inst}", "--out", "{missing}"],
@@ -276,7 +302,8 @@ _SWEEP = ["sweep", "--states", "3", "--actions", "2", "--k", "1"]
         "sweep-types-divide", "oracle-check-zero-arms",
         "oracle-check-zero-seeds", "oracle-check-too-many-pairs",
         "diagnose-negative-samples",
-        "diagnose-negative-t-cap", "generate-missing-dir",
+        "diagnose-negative-t-cap", "sweep-negative-seed",
+        "diagnose-negative-sim-seed", "generate-missing-dir",
         "generate-out-is-directory", "solve-missing-dir",
         "simulate-missing-dir", "sweep-missing-dir", "sweep-svg-missing-dir",
         "diagnose-missing-dir"])
@@ -651,9 +678,10 @@ class TestZeroRelaxationValue:
 
 @pytest.mark.pins
 class TestAuditOnEveryPlan:
-    """Every command that plans through PolicyBundle.prepare audits the
-    relaxation: a solution whose y is scaled by 1 + 1e-6 fails
-    normalization, and the command exits 3 without writing an output."""
+    """Every command that solves the relaxation plans through
+    PolicyBundle.prepare, which audits it: a solution whose y is scaled by
+    1 + 1e-6 fails normalization, and the command, solve included, exits 3
+    without writing an output."""
 
     @pytest.fixture()
     def broken_solve(self, monkeypatch):
@@ -678,7 +706,14 @@ class TestAuditOnEveryPlan:
         with pytest.raises(LpSolveError, match="max_normalization_residual"):
             PolicyBundle.prepare(instance)
 
+    def test_prepare_keeps_the_audit_report(self):
+        instance = tiny_instance(seed=0, n=6, s=3, a=2, k=1)
+        bundle = PolicyBundle.prepare(instance)
+        assert bundle.audit.ok
+        assert bundle.audit == check_solution(instance, bundle.solution)
+
     @pytest.mark.parametrize("argv", [
+        ["solve", "--instance", "{inst}", "--out", "{out}"],
         ["simulate", "--instance", "{inst}", "--policies", "id,erc",
          *_SIM_FLAGS, "--out", "{out}"],
         [*_SWEEP, "--n-list", "4,8", "--policies", "id,erc", *_SIM_FLAGS,
@@ -686,7 +721,7 @@ class TestAuditOnEveryPlan:
         ["diagnose", "--instance", "{inst}", "--probe-drift", "--out", "{out}"],
         ["oracle-check", "--n", "2", "--states", "2", "--actions", "2",
          "--k", "1", "--seeds", "2"],
-    ], ids=["simulate", "sweep", "diagnose", "oracle-check"])
+    ], ids=["solve", "simulate", "sweep", "diagnose", "oracle-check"])
     def test_command_exits_3(self, broken_solve, instance_file, tmp_path,
                              capsys, argv):
         out = tmp_path / "out"
