@@ -109,9 +109,11 @@ class LpProblem:
 
     Variables are y[i, s, a] flattened in C order. Rows: K budget
     inequalities (coefficients cost/N, right-hand side alpha), then N*S flow
-    balance equalities, then N normalization equalities. transition, reward
-    and cost are the instance's own read-only arrays, not copies; solve_lp
-    works from them.
+    balance equalities, then N normalization equalities. transition, reward,
+    cost and alpha are the instance's own read-only arrays, not copies,
+    under the instance's names, so solve_lp takes an LpProblem as it takes
+    the instance. The sparse matrices serve only the monolithic reference
+    LP; solve_lp never reads them, and planning never builds them.
     """
 
     num_arms: int
@@ -120,7 +122,7 @@ class LpProblem:
     num_constraints: int
     reward_coeffs: np.ndarray       # (N*S*A,) objective, to be maximized
     budget: sp.csr_matrix           # (K, N*S*A)
-    budget_rhs: np.ndarray          # (K,)
+    alpha: np.ndarray               # (K,) budget right-hand side
     balance: sp.csr_matrix          # (N*S, N*S*A), rhs 0
     normalization: sp.csr_matrix    # (N, N*S*A), rhs 1
     transition: np.ndarray          # (N, S, A, S)
@@ -203,7 +205,8 @@ class SingleArmPolicy:
 
 
 def build_lp(instance: WcmdpInstance) -> LpProblem:
-    """Assemble the sparse relaxation for a validated instance."""
+    """Assemble the sparse relaxation for a validated instance, the input of
+    the monolithic reference LP. solve_lp does not need it."""
     N, S, A, K = (instance.num_arms, instance.num_states,
                   instance.num_actions, instance.num_constraints)
     sa = S * A
@@ -228,7 +231,7 @@ def build_lp(instance: WcmdpInstance) -> LpProblem:
 
     return LpProblem(num_arms=N, num_states=S, num_actions=A,
                      num_constraints=K, reward_coeffs=reward_coeffs,
-                     budget=budget, budget_rhs=instance.alpha.copy(),
+                     budget=budget, alpha=instance.alpha,
                      balance=balance, normalization=normalization,
                      transition=instance.transition, reward=instance.reward,
                      cost=instance.cost)
@@ -411,14 +414,16 @@ class _Master:
                 duals[:self._num_budget], duals[self._num_budget:])
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve the relaxation by column generation; raise LpSolveError unless
-    the Lagrangian gap certifies optimality within GAP_RTOL. y is the
-    master's convex combination of its columns, nonnegative by construction."""
-    for name in ("transition", "reward", "cost", "budget_rhs"):
-        _require_finite(name, getattr(problem, name))
-    return _column_generation(problem.transition, problem.reward,
-                              problem.cost, problem.budget_rhs)
+def solve_lp(instance: WcmdpInstance | LpProblem) -> LpSolution:
+    """Solve the relaxation of `instance` by column generation; raise
+    LpSolveError unless the Lagrangian gap certifies optimality within
+    GAP_RTOL. Reads only the transition, reward, cost and alpha arrays, which
+    an LpProblem carries under the same names. y is the master's convex
+    combination of its columns, nonnegative by construction."""
+    for name in ("transition", "reward", "cost", "alpha"):
+        _require_finite(name, getattr(instance, name))
+    return _column_generation(instance.transition, instance.reward,
+                              instance.cost, instance.alpha)
 
 
 def _column_generation(transition: np.ndarray, reward: np.ndarray,
@@ -437,9 +442,9 @@ def _column_generation(transition: np.ndarray, reward: np.ndarray,
     # pricing runs once per distinct arm: copies of one arm share their
     # price, policies, bound and fallback result, which reach every copy
     # through `inverse`
-    first, inverse = distinct_arms(transition, reward, cost)
-    arm_transition, arm_reward, arm_cost = (
-        table[first] for table in (transition, reward, cost))
+    (arm_transition, arm_reward, arm_cost), inverse = distinct_arms(
+        transition, reward, cost)
+    distinct = arm_reward.shape[0]
     evaluate = _Evaluations(arm_transition)
 
     def lagrangian_price(lam: np.ndarray) -> np.ndarray:
@@ -466,9 +471,9 @@ def _column_generation(transition: np.ndarray, reward: np.ndarray,
     if warm is not None:
         prices.append(lagrangian_price(-warm.duals))
     convexity_duals = np.full(N, np.inf)
-    policy = np.zeros((first.size, S), dtype=np.intp)
+    policy = np.zeros((distinct, S), dtype=np.intp)
     sweeps = 0
-    fallback = np.zeros(first.size, dtype=bool)
+    fallback = np.zeros(distinct, dtype=bool)
     for rounds in range(MAX_MASTER_ROUNDS + 1):
         entered = 0
         for price in prices:
@@ -524,7 +529,7 @@ def _column_generation(transition: np.ndarray, reward: np.ndarray,
                        fallback_arms=int(fallback[inverse].sum()),
                        lagrangian_gap=gap,
                        simplex_iterations=master.simplex_iterations,
-                       distinct_arms=int(first.size),
+                       distinct_arms=distinct,
                        warm_start=None if warm is None else warm.stats)
     return LpSolution(y=y, objective=objective, duals=budget_duals,
                       stats=stats)

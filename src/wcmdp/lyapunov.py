@@ -216,14 +216,13 @@ def chain_diagnostics(instance: WcmdpInstance, policy: SingleArmPolicy,
     every other arm is an aperiodic unichain. When any arm does not mix the
     result has ok False and constants of None.
     """
-    P, mu = policy.induced_P, policy.mu_star
-    first, inverse = distinct_arms(P, mu)
-    tau = _mixing_times(P[first], mu[first], t_cap)
-    unichain = np.ones(first.size, dtype=bool)
-    aperiodic = np.ones(first.size, dtype=bool)
+    (P, mu), inverse = distinct_arms(policy.induced_P, policy.mu_star)
+    tau = _mixing_times(P, mu, t_cap)
+    unichain = np.ones(len(P), dtype=bool)
+    aperiodic = np.ones(len(P), dtype=bool)
     failing = np.flatnonzero(np.isinf(tau))
     for j in failing:
-        unichain[j], aperiodic[j] = chain_structure(P[first[j]])
+        unichain[j], aperiodic[j] = chain_structure(P[j])
     tau, unichain, aperiodic = (a[inverse] for a in (tau, unichain, aperiodic))
     if failing.size:
         return ChainDiagnostics(tau=tau, tau_max=None, gamma=None, c_tau=None,
@@ -498,14 +497,14 @@ def _one_hot_h(paths: np.ndarray, mu: np.ndarray, P: np.ndarray,
     s, g = mu.shape[1], weights.shape[0]
     g_max = float(np.max(np.abs(weights)))
     profiles = weights.transpose(1, 0, 2)                # (n, G, S) as stored
-    first, inverse = distinct_arms(P, mu, profiles)
-    mu, P, weights = mu[first], P[first], profiles[first].transpose(1, 0, 2)
+    (P, mu, profiles), inverse = distinct_arms(P, mu, profiles)
+    weights = profiles.transpose(1, 0, 2)
     series = zip(*(_terms(np.eye(s)[a] - mu, P, mu, weights, gamma, tol,
                           tau_window, arms=n) for a in range(s)))
     select = sp.csr_matrix(
         (np.ones(num_paths * n), (paths + np.arange(n) * s).ravel(),
          np.arange(0, num_paths * n + 1, n)), shape=(num_paths, n * s))
-    table = np.empty((first.size, s, g + 1))
+    table = np.empty((len(P), s, g + 1))
     live = np.arange(num_paths)
     best = np.zeros(num_paths)
     calm = np.zeros(num_paths, dtype=np.int64)   # latest terms with tail <= tol

@@ -130,12 +130,13 @@ class WcmdpInstance:
         """Largest cost over all arms and types."""
         return float(np.max(self.cost))
 
-    def _document(self) -> tuple[dict, np.ndarray, list | None]:
+    def _document(self) -> tuple[dict, tuple[np.ndarray, ...], list | None]:
         """The parts of the file document: the header (N, S, A, K, alpha),
-        the indices of the stored arms, and the arm_type list, which is
-        None when every arm is distinct and all N arms are stored."""
-        first, inverse = distinct_arms(self.transition, self.reward,
-                                       self.cost)
+        the stored arms' (transition, reward, cost) tables, and the arm_type
+        list, which is None when every arm is distinct and all N arms are
+        stored."""
+        stored, inverse = distinct_arms(self.transition, self.reward,
+                                        self.cost)
         header = {
             "N": self.num_arms,
             "S": self.num_states,
@@ -143,18 +144,20 @@ class WcmdpInstance:
             "K": self.num_constraints,
             "alpha": self.alpha.tolist(),
         }
-        arm_type = inverse.tolist() if first.size < self.num_arms else None
-        return header, first, arm_type
+        arm_type = (inverse.tolist() if len(stored[0]) < self.num_arms
+                    else None)
+        return header, stored, arm_type
 
-    def _arm_dict(self, i) -> dict:
-        return {"P": self.transition[i].tolist(), "r": self.reward[i].tolist(),
-                "c": self.cost[i].tolist()}
+    @staticmethod
+    def _arm_dict(transition, reward, cost) -> dict:
+        return {"P": transition.tolist(), "r": reward.tolist(),
+                "c": cost.tolist()}
 
     def to_json_dict(self) -> dict:
         """The file document: each distinct arm stored once, plus the
         arm_type index list when some arm repeats."""
         header, stored, arm_type = self._document()
-        d = {**header, "arms": [self._arm_dict(i) for i in stored]}
+        d = {**header, "arms": [self._arm_dict(*arm) for arm in zip(*stored)]}
         if arm_type is not None:
             d["arm_type"] = arm_type
         return d
@@ -166,8 +169,8 @@ class WcmdpInstance:
         header, stored, arm_type = self._document()
         # the header object's text without its closing brace
         yield json.dumps(header)[:-1] + ', "arms": ['
-        for n, i in enumerate(stored):
-            yield (", " if n else "") + json.dumps(self._arm_dict(i))
+        for n, arm in enumerate(zip(*stored)):
+            yield (", " if n else "") + json.dumps(self._arm_dict(*arm))
         if arm_type is None:
             yield "]}"
         else:
@@ -351,24 +354,31 @@ def _simplex_rows(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return e
 
 
-def _sample_arms(rng: np.random.Generator, cfg: GeneratorConfig,
-                 count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked (transition, reward, cost) of `count` arms sampled in index
-    order; per arm the reward table, the transition tensor, the cost tensor."""
-    S, A, K = cfg.num_states, cfg.num_actions, cfg.num_constraints
-    transition = np.empty((count, S, A, S))
-    reward = np.zeros((count, S, A))
-    cost = np.zeros((count, K, S, A))
+def _sample_arms(rng: np.random.Generator, cfg: GeneratorConfig
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked (transition, reward, cost) of all num_arms arms. The typed
+    family samples num_types arms and writes each one straight into its
+    contiguous block of num_arms // num_types rows; the fully heterogeneous
+    family samples every arm. Arms are sampled in index order; per arm the
+    reward table, the transition tensor, the cost tensor."""
+    N, S, A, K = (cfg.num_arms, cfg.num_states, cfg.num_actions,
+                  cfg.num_constraints)
+    count = cfg.num_types if cfg.family == TYPED else N
+    copies = N // count
+    transition = np.empty((N, S, A, S))
+    reward = np.zeros((N, S, A))
+    cost = np.zeros((N, K, S, A))
     for i in range(count):
+        rows = slice(i * copies, (i + 1) * copies)
         if A > 1:
-            reward[i, :, 1:] = rng.random((S, A - 1))
-        transition[i] = _simplex_rows(rng, (S, A, S))
+            reward[rows, :, 1:] = rng.random((S, A - 1))
+        transition[rows] = _simplex_rows(rng, (S, A, S))
         if A > 1:
             if cfg.cost_mode == COST_ACTION_ONLY:
                 per_action = rng.random((K, A - 1))
-                cost[i, :, :, 1:] = per_action[:, None, :]
+                cost[rows, :, :, 1:] = per_action[:, None, :]
             else:
-                cost[i, :, :, 1:] = rng.random((K, S, A - 1))
+                cost[rows, :, :, 1:] = rng.random((K, S, A - 1))
     return transition, reward, cost
 
 
@@ -391,9 +401,7 @@ def generate(cfg: GeneratorConfig) -> WcmdpInstance:
     cfg.check()
     rng = np.random.default_rng(cfg.seed)
     alpha = _sample_alpha(rng, cfg.num_constraints)
-    count = cfg.num_types if cfg.family == TYPED else cfg.num_arms
-    transition, reward, cost = (np.repeat(a, cfg.num_arms // count, axis=0)
-                                for a in _sample_arms(rng, cfg, count))
+    transition, reward, cost = _sample_arms(rng, cfg)
     return WcmdpInstance(transition=transition, reward=reward, cost=cost,
                          alpha=alpha)
 
@@ -456,14 +464,17 @@ def validate(instance: WcmdpInstance) -> list[str]:
     return out
 
 
-def distinct_arms(*tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def distinct_arms(*tables: np.ndarray) -> tuple[tuple[np.ndarray, ...],
+                                                np.ndarray]:
     """Map stacked per-arm tables to their distinct arms.
 
     Two arms are the same when every table holds the same bytes in their
     rows, so a one-ulp difference, or -0.0 against 0.0, keeps them apart.
-    Returns first, the index of each distinct arm's first copy in ascending
-    arm order, and inverse, the (N,) map from every arm to its distinct
-    arm: tables[t][first][inverse] equals tables[t] for every table.
+    Returns the distinct tables, each holding one row per distinct arm in
+    order of first occurrence, and inverse, the (N,) map from every arm to
+    its distinct arm: distinct[t][inverse] equals tables[t] for every table.
+    When every arm is distinct, the distinct tables are the input arrays
+    themselves, not copies, and inverse is arange(N).
     """
     index: dict[tuple[bytes, ...], int] = {}
     first = []
@@ -473,4 +484,7 @@ def distinct_arms(*tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if j == len(first):
             first.append(i)
         inverse[i] = j
-    return np.array(first, dtype=np.intp), inverse
+    if len(first) == inverse.size:
+        return tables, inverse
+    first = np.array(first, dtype=np.intp)
+    return tuple(t[first] for t in tables), inverse

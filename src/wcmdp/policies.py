@@ -16,7 +16,8 @@ single-armed policy and then enforce the hard budgets:
   running + cost <= budget on the same left-to-right fold.
 
 Both runners gather each step's rows (policy and transition CDFs, rewards,
-costs) with one take from flat row tables.
+costs) with one take from flat row tables, held in arm order for either
+runner.
 
 Feasibility is structural: action 0 costs nothing, so the emitted system
 action always satisfies every budget.
@@ -118,8 +119,14 @@ def _erc_rejections(costs_q: np.ndarray, budget: np.ndarray) -> np.ndarray:
 class _RunnerBase:
     """Shared tables of the per-step policy runners.
 
-    The per-arm tables are held as flat row tables: the row of arm i in
-    state s is i*S + s, and that of the pair (s, a) is (i*S + s)*A + a.
+    The per-arm tables are held as flat row tables in arm order, whatever
+    the runner's order: the row of arm i in state s is i*S + s, and that of
+    the pair (s, a) is (i*S + s)*A + a. reward is a view of the instance's
+    reward array; the CDF and cost tables are built from the instance and
+    policy arrays with no gathered copy, so every runner of one plan holds
+    the same bytes. Position j of the runner's own order reads arm order[j]
+    through _state_row, and states, uniforms and every per-step sum stay in
+    the runner's order.
     """
 
     def __init__(self, instance: WcmdpInstance, policy: SingleArmPolicy,
@@ -129,14 +136,14 @@ class _RunnerBase:
         self.num_actions = a
         self.order = order
         self.budget = instance.alpha * n
-        self.reward = instance.reward[order].reshape(n * s * a)
+        self.reward = instance.reward.reshape(n * s * a)
         self.cost = np.ascontiguousarray(
-            instance.cost[order].transpose(0, 2, 3, 1)).reshape(n * s * a, -1)
-        self.pi_cdf = np.cumsum(policy.pi[order], axis=-1).reshape(n * s, a)
-        self.trans_cdf = np.cumsum(instance.transition[order],
+            instance.cost.transpose(0, 2, 3, 1)).reshape(n * s * a, -1)
+        self.pi_cdf = np.cumsum(policy.pi, axis=-1).reshape(n * s, a)
+        self.trans_cdf = np.cumsum(instance.transition,
                                    axis=-1).reshape(n * s * a, s)
         self._arm = np.arange(n)
-        self._state_row = self._arm * s         # row of (arm, state 0)
+        self._state_row = order * s             # row of (order[j], state 0)
 
     def _pair_rows(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         return (self._state_row + states) * self.num_actions + actions

@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .lp_relax import (LpCheckReport, LpSolution, LpSolveError,
-                       SingleArmPolicy, build_lp, check_solution,
-                       extract_policy, solve_lp)
+                       SingleArmPolicy, check_solution, extract_policy,
+                       solve_lp)
 from .model import GeneratorConfig, WcmdpInstance, generate
 from .policies import ErcPolicyRunner, IdPolicyRunner
 from .reassign import ReassignmentResult, reassign
@@ -107,7 +107,7 @@ class PolicyBundle:
         order, and compute the ID permutation (its leftover shuffle uses
         `seed`). Raises LpSolveError, naming the audit's residuals, when the
         solution fails the audit."""
-        solution = solve_lp(build_lp(instance))
+        solution = solve_lp(instance)
         audit = check_solution(instance, solution)
         if not audit.ok:
             raise LpSolveError(f"solution failed the feasibility audit: {audit}")

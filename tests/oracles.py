@@ -57,7 +57,7 @@ def solve_lp_highs(problem: LpProblem) -> LpSolution:
         np.zeros(problem.balance.shape[0]), np.ones(problem.num_arms)])
     res = linprog(
         c=-problem.reward_coeffs,
-        A_ub=problem.budget, b_ub=problem.budget_rhs,
+        A_ub=problem.budget, b_ub=problem.alpha,
         A_eq=a_eq, b_eq=b_eq,
         bounds=(0, None), method="highs",
     )

@@ -34,7 +34,7 @@ class TestBuildLp:
         for i in range(3):
             block = dense[:, i * 4:(i + 1) * 4]
             assert np.allclose(block, instance.cost[i].reshape(2, 4) / 3.0)
-        assert np.array_equal(prob.budget_rhs, instance.alpha)
+        assert np.array_equal(prob.alpha, instance.alpha)
 
 
 class TestSolveLp:
@@ -340,9 +340,16 @@ class TestSolvePins:
             return repeated_multichain_instance()
         return tiny_instance(seed=2, n=60, s=10, a=4, k=4)
 
-    @pytest.mark.parametrize("case", sorted(DIGESTS))
-    def test_solution_is_pinned(self, case):
-        solution = solve_lp(build_lp(self.instance(case)))
+    # solve_lp reads the same four arrays from the instance and from
+    # build_lp's problem; the build_lp cases are named by the case alone
+    @pytest.mark.parametrize("case, source", [
+        *(pytest.param(c, "build_lp", id=c) for c in sorted(DIGESTS)),
+        *(pytest.param(c, "instance", id=f"{c}-instance")
+          for c in sorted(DIGESTS))])
+    def test_solution_is_pinned(self, case, source):
+        instance = self.instance(case)
+        solution = solve_lp(build_lp(instance) if source == "build_lp"
+                            else instance)
         digest = hashlib.sha256()
         digest.update(solution.y.tobytes())
         digest.update(float(solution.objective).hex().encode())
@@ -360,28 +367,42 @@ class TestSolvePins:
 class TestDistinctArms:
     """Repeated arms are priced once; arms that differ in any bit are not."""
 
+    @staticmethod
+    def tables(instance):
+        return instance.transition, instance.reward, instance.cost
+
+    def assert_rows_of(self, distinct, instance, arms):
+        """The distinct tables hold the given arms' rows, byte for byte."""
+        for table, full in zip(distinct, self.tables(instance)):
+            assert table.tobytes() == full[arms].tobytes()
+
     def test_typed_copies_map_to_their_prototype(self):
         instance = tiny_instance(seed=3, n=40, s=3, a=2, k=2, family=TYPED,
                                  num_types=4)
-        first, inverse = distinct_arms(instance.transition, instance.reward,
-                                       instance.cost)
-        assert first.tolist() == [0, 10, 20, 30]
+        distinct, inverse = distinct_arms(*self.tables(instance))
+        self.assert_rows_of(distinct, instance, [0, 10, 20, 30])
         assert np.array_equal(inverse, np.repeat(np.arange(4), 10))
-        assert solve_lp(build_lp(instance)).stats.distinct_arms == 4
+        for table, full in zip(distinct, self.tables(instance)):
+            assert table[inverse].tobytes() == full.tobytes()
+        assert solve_lp(instance).stats.distinct_arms == 4
 
     def test_heterogeneous_arms_are_all_distinct(self):
         instance = tiny_instance(seed=3, n=30, s=3, a=2, k=2)
-        first, inverse = distinct_arms(instance.transition, instance.reward,
-                                       instance.cost)
-        assert np.array_equal(first, np.arange(30))
+        distinct, inverse = distinct_arms(*self.tables(instance))
+        assert [len(table) for table in distinct] == [30, 30, 30]
         assert np.array_equal(inverse, np.arange(30))
-        assert solve_lp(build_lp(instance)).stats.distinct_arms == 30
+        assert solve_lp(instance).stats.distinct_arms == 30
+
+    def test_all_distinct_returns_the_input_arrays(self):
+        instance = tiny_instance(seed=3, n=30, s=3, a=2, k=2)
+        distinct, _ = distinct_arms(*self.tables(instance))
+        assert all(table is full for table, full
+                   in zip(distinct, self.tables(instance)))
 
     def test_interleaved_copies_keep_first_occurrence_order(self):
         instance = repeated_multichain_instance()
-        first, inverse = distinct_arms(instance.transition, instance.reward,
-                                       instance.cost)
-        assert first.tolist() == [0, 1, 3]
+        distinct, inverse = distinct_arms(*self.tables(instance))
+        self.assert_rows_of(distinct, instance, [0, 1, 3])
         assert inverse.tolist() == [0, 1, 0, 2, 1, 0, 2, 1]
 
     @pytest.mark.parametrize("change", ["transition-ulp", "reward-ulp",
@@ -390,7 +411,7 @@ class TestDistinctArms:
         base = tiny_instance(seed=6, n=12, s=3, a=2, k=1, family=TYPED,
                              num_types=3)
         transition, reward, cost = (table.copy() for table in
-                                    (base.transition, base.reward, base.cost))
+                                    self.tables(base))
         if change == "transition-ulp":
             transition[1, 0, 1, 0] = np.nextafter(transition[1, 0, 1, 0], 1.0)
         elif change == "reward-ulp":
@@ -399,9 +420,11 @@ class TestDistinctArms:
             cost[9, 0, 1, 0] = -0.0
         instance = dataclasses.replace(base, transition=transition,
                                        reward=reward, cost=cost)
-        first, _ = distinct_arms(instance.transition, instance.reward,
-                                 instance.cost)
-        assert first.size == 4
+        distinct, _ = distinct_arms(*self.tables(instance))
+        # the changed arm is stored on its own, after the copies before it
+        self.assert_rows_of(distinct, instance, {
+            "transition-ulp": [0, 1, 4, 8], "reward-ulp": [0, 4, 5, 8],
+            "cost-negative-zero": [0, 4, 8, 9]}[change])
         problem = build_lp(instance)
         solution = solve_lp(problem)
         assert solution.stats.distinct_arms == 4

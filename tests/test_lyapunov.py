@@ -187,7 +187,7 @@ class TestChainDiagnostics:
             num_constraints=1, family=TYPED, num_types=4,
             cost_mode=COST_ACTION_ONLY))
         policy = extract_policy(instance, solve_lp(build_lp(instance)))
-        assert distinct_arms(policy.induced_P)[0].size > 4
+        assert len(distinct_arms(policy.induced_P)[0][0]) > 4
         diag = chain_diagnostics(instance, policy)
         assert diag.tau.tolist() == [
             mixing_time_reference(P, mu) for P, mu in zip(policy.induced_P,
@@ -701,7 +701,8 @@ class TestDriftProbePins:
         policy = PolicyBundle.prepare(instance, seed=0).policy
         diag = chain_diagnostics(instance, policy)
         if case.startswith("typed"):
-            assert distinct_arms(policy.induced_P)[0].size < instance.num_arms
+            assert (len(distinct_arms(policy.induced_P)[0][0])
+                    < instance.num_arms)
         probe = drift_probe(instance, policy, diag,
                             np.arange(instance.num_arms), 100,
                             np.random.default_rng(5))

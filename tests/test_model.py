@@ -160,6 +160,16 @@ class TestGenerators:
         assert np.all(instance.cost == instance.cost[:, :, :1, :])
         assert np.all(instance.cost[:, :, :, 0] == 0.0)
 
+    def test_heap_peak_is_the_instance(self):
+        """Each sampled arm is written straight into its rows, so generate
+        holds no second copy of a table; a repeat copy peaked at 2.0x."""
+        instances = []
+        peak = _heap_peak(lambda: instances.append(
+            generate(cfg(seed=0, n=3200, s=10, a=4, k=4))))
+        size = sum(getattr(instances[0], f).nbytes
+                   for f in ("transition", "reward", "cost", "alpha"))
+        assert peak <= 1.1 * size
+
     def test_validate_generated_over_many_seeds(self):
         for seed in range(100):
             instance = generate(cfg(seed=seed, n=4, s=3, a=2, k=2))

@@ -135,6 +135,22 @@ class TestErcPolicyStep:
         assert outcome.actions.tolist() == [1, 0, 1]
 
 
+class TestRunnerTables:
+    def test_id_and_erc_hold_the_same_tables_in_arm_order(self,
+                                                          small_solved):
+        instance, _, policy = small_solved
+        result = reassign(instance, policy, seed=0)
+        assert not np.array_equal(result.order(),
+                                  np.arange(instance.num_arms))
+        id_runner = IdPolicyRunner(instance, policy, result)
+        erc_runner = ErcPolicyRunner(instance, policy)
+        for name in ("pi_cdf", "trans_cdf", "cost"):
+            assert (getattr(id_runner, name).tobytes()
+                    == getattr(erc_runner, name).tobytes())
+        for runner in (id_runner, erc_runner):
+            assert np.shares_memory(runner.reward, instance.reward)
+
+
 class TestHardFeasibility:
     @pytest.mark.parametrize("kind", ["id", "erc"])
     def test_costs_never_exceed_budget(self, kind, small_solved):

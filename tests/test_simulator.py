@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from wcmdp import simulator
-from wcmdp.model import GeneratorConfig
+from wcmdp import lp_relax, simulator
+from wcmdp.model import GeneratorConfig, generate
+from wcmdp.policies import ErcPolicyRunner, IdPolicyRunner
 from wcmdp.simulator import (CSV_COLUMNS, PolicyBundle, SimConfig,
                              batch_means_ci, simulate, sweep,
                              write_results_csv)
 
 from oracles import stack_arms, two_cycle_arm
+from test_model import _heap_peak
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +134,49 @@ class TestCsv:
         assert header == ("family,seed,N,policy,T,reps,R_rel,avg_reward,"
                           "ratio,ci_halfwidth,gap,gap_sqrtN,"
                           "conforming_frac,violations")
+
+
+class TestPlanMemory:
+    """The plan and the runners work from the instance's own arrays."""
+
+    @pytest.fixture(scope="class")
+    def het_800(self):
+        """Fully heterogeneous, N=800: solve_lp warm-starts at this size."""
+        return generate(GeneratorConfig(seed=0, num_arms=800, num_states=10,
+                                        num_actions=4, num_constraints=4))
+
+    @pytest.fixture(scope="class")
+    def bundle_800(self, het_800):
+        return PolicyBundle.prepare(het_800, seed=0)
+
+    def test_prepare_builds_no_sparse_matrix(self, bundle_30, monkeypatch):
+        class NoSparse:
+            def __getattr__(self, name):
+                raise AssertionError(f"scipy.sparse.{name} used in planning")
+
+        instance, bundle = bundle_30
+        monkeypatch.setattr(lp_relax, "sp", NoSparse())
+        again = PolicyBundle.prepare(instance, seed=0)
+        assert again.audit.ok
+        assert again.solution.y.tobytes() == bundle.solution.y.tobytes()
+
+    def test_prepare_heap_peak(self, het_800):
+        """Building the sparse LP as well peaked at 6.6x."""
+        peak = _heap_peak(lambda: PolicyBundle.prepare(het_800, seed=0))
+        assert peak <= 3.5 * het_800.transition.nbytes
+
+    @pytest.mark.parametrize("kind", ["id", "erc"])
+    def test_runner_build_peaks_at_what_it_holds(self, het_800, bundle_800,
+                                                 kind):
+        """No table is gathered into the runner's order before its cumsum;
+        gathering every table first peaked at 1.6x."""
+        held = []
+
+        def build():
+            runner = (IdPolicyRunner(het_800, bundle_800.policy,
+                                     bundle_800.reassignment) if kind == "id"
+                      else ErcPolicyRunner(het_800, bundle_800.policy))
+            held.append(tracemalloc.get_traced_memory()[0])
+            return runner
+
+        assert _heap_peak(build) <= 1.1 * held[0]
