@@ -30,7 +30,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -161,20 +160,6 @@ def _load_instance(path: str) -> tuple[WcmdpInstance, str]:
     return instance, digest
 
 
-def _save_atomically(instance: WcmdpInstance, out: Path) -> str:
-    """Save the instance to a temporary file beside `out`, then rename it
-    to `out`, so a write that fails partway leaves `out` as it was.
-    Returns the sha256 of the file."""
-    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
-    try:
-        digest = instance.save(tmp)
-        os.replace(tmp, out)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return digest
-
-
 def cmd_generate(args) -> int:
     with _usage_errors():
         _check_outputs(args.out)
@@ -184,7 +169,7 @@ def cmd_generate(args) -> int:
         for msg in problems:
             print(f"validation: {msg}", file=sys.stderr)
         return EXIT_VALIDATION
-    instance_hash = _save_atomically(instance, Path(args.out))
+    instance_hash = instance.save(args.out)
     write_manifest(args.out, "generate", vars(args), instance_hash)
     print(f"wrote {args.out}: N={instance.num_arms} S={instance.num_states} "
           f"A={instance.num_actions} K={instance.num_constraints}")

@@ -481,17 +481,20 @@ def _one_hot_h(paths: np.ndarray, mu: np.ndarray, P: np.ndarray,
     only and give each copy its own terms bit for bit.
 
     Each term fills one (D, S, G+1) table over the D distinct arms, the G
-    projections and then the l1 norm of the iterate per (arm, start state),
-    and expands it to n S rows, row i S + a for arm i in state a. A CSR
+    projections and then the l1 norm of the iterate per (distinct arm,
+    start state), row d S + a for distinct arm d in state a. A CSR
     selection matrix holds one row per live sample, with a 1 at column
-    i S + paths[m, i] for every arm in arm order, so one sparse product
-    gives every sample's G totals and its l1 norm. scipy adds a row's
-    entries in stored order, one arm after another, as _deviation_series
-    sums arm-major projections, so the running max is the same bit for bit.
+    inverse[i] S + paths[m, i] for every arm i in arm order, so one sparse
+    product gives every sample's G totals and its l1 norm; copies of one
+    distinct arm select the same column, and the product adds each entry
+    again, with no copy of the table per arm. scipy adds a row's entries
+    in stored order, duplicates included, one arm after another, as
+    _deviation_series sums arm-major projections, so the running max is
+    the same bit for bit.
     The tail bound adds the same norms in another order; a sample leaves
     once tau_window terms in a row have tail bound <= tol, on the term
     _deviation_series stops at unless a tail lies within rounding of tol.
-    Memory is O(M n + S n (K+2)), with no (n, M, G) temporary.
+    Memory is O(M n + S D (K+2)), with no (n, M, G) temporary.
     """
     num_paths, n = paths.shape
     s, g = mu.shape[1], weights.shape[0]
@@ -501,10 +504,11 @@ def _one_hot_h(paths: np.ndarray, mu: np.ndarray, P: np.ndarray,
     weights = profiles.transpose(1, 0, 2)
     series = zip(*(_terms(np.eye(s)[a] - mu, P, mu, weights, gamma, tol,
                           tau_window, arms=n) for a in range(s)))
+    d = len(P)
     select = sp.csr_matrix(
-        (np.ones(num_paths * n), (paths + np.arange(n) * s).ravel(),
-         np.arange(0, num_paths * n + 1, n)), shape=(num_paths, n * s))
-    table = np.empty((len(P), s, g + 1))
+        (np.ones(num_paths * n), (paths + inverse * s).ravel(),
+         np.arange(0, num_paths * n + 1, n)), shape=(num_paths, d * s))
+    table = np.empty((d, s, g + 1))
     live = np.arange(num_paths)
     best = np.zeros(num_paths)
     calm = np.zeros(num_paths, dtype=np.int64)   # latest terms with tail <= tol
@@ -512,7 +516,7 @@ def _one_hot_h(paths: np.ndarray, mu: np.ndarray, P: np.ndarray,
         for a, (v, per_arm) in enumerate(term):
             table[:, a, :g] = per_arm.T
             table[:, a, g] = np.abs(v).sum(axis=1)
-        sums = select @ table[inverse].reshape(n * s, g + 1)    # (M', G+1)
+        sums = select @ table.reshape(d * s, g + 1)    # (M', G+1)
         best[live] = np.maximum(best[live], np.abs(sums[:, :g]).max(axis=1))
         calm = np.where(sums[:, g] * g_max <= tol, calm + 1, 0)
         running = calm < tau_window

@@ -28,23 +28,26 @@ serialize/deserialize cycle reproduces the instance bit for bit. Arms are
 matched on their bytes, so an arm that differs from another only by -0.0
 against 0.0 is stored on its own.
 
-Files are written and read one stored arm at a time. json_chunks yields the
-header, each stored arm's json.dumps text and the trailer, and save writes
-them as they come, so only one arm's lists exist at once; the bytes equal
-json.dumps of to_json_dict(). from_json parses with an object hook that turns
-each arm's P, r and c into float64 arrays as soon as that arm is parsed, and
-from_json_dict stacks them. load reads the file's bytes and decodes them as
-json.loads does (UTF-8, UTF-16 or UTF-32, with or without a byte order
-mark), then drops them before parsing; the CLI reads instance files through
-the same decoder. The heap peak of save is about 0.4 times the file size
-and that of load about 2 times (the text, plus the arrays twice).
+This module is the only code that writes or parses the format. Files are
+written and read one stored arm at a time. json_chunks yields the header,
+each stored arm's json.dumps text and the trailer, so only one arm's lists
+exist at once; the bytes equal json.dumps of the whole document. save writes
+the pieces as they come to a temporary file beside the target and renames
+it over the target, so a failed write leaves the target as it was.
+from_json parses with an object hook that turns each arm's P, r and c into
+float64 arrays as soon as that arm is parsed, then stacks them. load reads
+the file's bytes and decodes them as json.loads does (UTF-8, UTF-16 or
+UTF-32, with or without a byte order mark), then drops them before parsing;
+the CLI reads instance files through the same decoder. The heap peak of save
+is about 0.4 times the file size and that of load about 2 times (the text,
+plus the arrays twice).
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,60 +133,39 @@ class WcmdpInstance:
         """Largest cost over all arms and types."""
         return float(np.max(self.cost))
 
-    def _document(self) -> tuple[dict, tuple[np.ndarray, ...], list | None]:
-        """The parts of the file document: the header (N, S, A, K, alpha),
-        the stored arms' (transition, reward, cost) tables, and the arm_type
-        list, which is None when every arm is distinct and all N arms are
-        stored."""
+    def json_chunks(self) -> Iterator[str]:
+        """The text of to_json() in pieces: the header, then one
+        json.dumps of {"P", "r", "c"} per stored arm, then the trailer,
+        with arm_type when some arm repeats. Only one arm is held as Python
+        objects at a time."""
         stored, inverse = distinct_arms(self.transition, self.reward,
                                         self.cost)
-        header = {
-            "N": self.num_arms,
-            "S": self.num_states,
-            "A": self.num_actions,
-            "K": self.num_constraints,
-            "alpha": self.alpha.tolist(),
-        }
-        arm_type = (inverse.tolist() if len(stored[0]) < self.num_arms
-                    else None)
-        return header, stored, arm_type
-
-    @staticmethod
-    def _arm_dict(transition, reward, cost) -> dict:
-        return {"P": transition.tolist(), "r": reward.tolist(),
-                "c": cost.tolist()}
-
-    def to_json_dict(self) -> dict:
-        """The file document: each distinct arm stored once, plus the
-        arm_type index list when some arm repeats."""
-        header, stored, arm_type = self._document()
-        d = {**header, "arms": [self._arm_dict(*arm) for arm in zip(*stored)]}
-        if arm_type is not None:
-            d["arm_type"] = arm_type
-        return d
-
-    def json_chunks(self) -> Iterator[str]:
-        """The text of to_json() in pieces: the header, then one piece per
-        stored arm, then the trailer. Only one arm is held as Python
-        objects at a time."""
-        header, stored, arm_type = self._document()
+        header = {"N": self.num_arms, "S": self.num_states,
+                  "A": self.num_actions, "K": self.num_constraints,
+                  "alpha": self.alpha.tolist()}
         # the header object's text without its closing brace
         yield json.dumps(header)[:-1] + ', "arms": ['
-        for n, arm in enumerate(zip(*stored)):
-            yield (", " if n else "") + json.dumps(self._arm_dict(*arm))
-        if arm_type is None:
+        for n, (P, r, c) in enumerate(zip(*stored)):
+            yield (", " if n else "") + json.dumps(
+                {"P": P.tolist(), "r": r.tolist(), "c": c.tolist()})
+        if len(stored[0]) == self.num_arms:
             yield "]}"
         else:
-            yield '], "arm_type": ' + json.dumps(arm_type) + "}"
+            yield '], "arm_type": ' + json.dumps(inverse.tolist()) + "}"
+
+    def to_json(self) -> str:
+        return "".join(self.json_chunks())
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "WcmdpInstance":
-        """Inverse of to_json_dict; reads both the full and the arm_type
-        form, with each arm's tables as nested lists or as the arrays
-        from_json decodes them to. A missing, empty, ragged or non-numeric
-        field (a string, boolean or null where a number belongs included),
-        a bad arm_type, or an N/S/A/K header that disagrees with the
-        arrays, raises ValueError naming it."""
+    def from_json(cls, data: str | bytes) -> "WcmdpInstance":
+        """Inverse of to_json; reads both the full and the arm_type form.
+        Each arm's tables become float64 arrays as soon as that arm is
+        parsed, so the parsed floats are never all held as Python objects
+        at once. A missing, empty, ragged or non-numeric field (a string,
+        boolean or null where a number belongs included), a bad arm_type,
+        or an N/S/A/K header that disagrees with the arrays, raises
+        ValueError naming it."""
+        d = json.loads(data, object_pairs_hook=_decode_arm)
         arms = _field(d, "arms")
         if not isinstance(arms, list) or not arms:
             raise ValueError("arms: expected a non-empty list of arm objects")
@@ -204,26 +186,24 @@ class WcmdpInstance:
                                  f"have {size}")
         return instance
 
-    @classmethod
-    def from_json(cls, data: str | bytes) -> "WcmdpInstance":
-        """Inverse of to_json. Each arm's tables become float64 arrays as
-        soon as that arm is parsed, so the parsed floats are never all
-        held as Python objects at once."""
-        return cls.from_json_dict(json.loads(data,
-                                             object_pairs_hook=_decode_arm))
-
-    def to_json(self) -> str:
-        return "".join(self.json_chunks())
-
     def save(self, path) -> str:
-        """Write to_json() to `path` piece by piece; return the sha256 of
-        the bytes written."""
+        """Write to_json() piece by piece to a temporary file beside `path`,
+        then rename it to `path`, so a write that fails partway leaves
+        `path` as it was and no temporary file behind. Returns the sha256
+        of the bytes written."""
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         digest = hashlib.sha256()
-        with open(path, "wb") as fh:
-            for chunk in self.json_chunks():
-                data = chunk.encode()
-                digest.update(data)
-                fh.write(data)
+        try:
+            with open(tmp, "wb") as fh:
+                for chunk in self.json_chunks():
+                    data = chunk.encode()
+                    digest.update(data)
+                    fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return digest.hexdigest()
 
     @classmethod
@@ -243,25 +223,23 @@ _ARM_KEYS = ("P", "r", "c")
 
 
 def _decode_arm(pairs: list) -> dict:
-    """json object hook: an object's P, r and c values as float64 arrays.
-    A value that fails _float_array's checks is kept as parsed, so
-    from_json_dict reports it under the name of its field."""
+    """json object hook: an object's P, r and c values as float64 arrays;
+    a value that fails _float_array's checks raises ValueError naming
+    arms[].<key>."""
     d = dict(pairs)
     for key in _ARM_KEYS:
         if key in d:
-            with contextlib.suppress(ValueError):
-                d[key] = _float_array(d[key], key)
+            d[key] = _float_array(d[key], f"arms[].{key}")
     return d
 
 
 def _stack(values: list, name: str) -> np.ndarray:
     """One table of every stored arm stacked along a new leading axis."""
-    if (all(isinstance(v, np.ndarray) for v in values)
-            and len({v.shape for v in values}) == 1):
-        return np.stack(values)
-    # a failed or mismatched arm: check the nested lists as parsed
-    return _float_array([v.tolist() if isinstance(v, np.ndarray) else v
-                         for v in values], name)
+    for i, v in enumerate(values):
+        if v.shape != values[0].shape:
+            raise ValueError(f"{name}: stored arm {i} has shape {v.shape}, "
+                             f"arm 0 has {values[0].shape}")
+    return np.stack(values)
 
 
 def _field(d, key: str):

@@ -103,9 +103,9 @@ class TestGenerate:
 
 def _instance_text(edit) -> str:
     """A full-form file of two distinct arms, edited by `edit`."""
-    d = stack_arms([single_state_arm([0.0, 1.0], [[0.0, 1.0]]),
-                    single_state_arm([0.0, 0.5], [[0.0, 1.0]])],
-                   [0.5]).to_json_dict()
+    d = json.loads(stack_arms([single_state_arm([0.0, 1.0], [[0.0, 1.0]]),
+                               single_state_arm([0.0, 0.5], [[0.0, 1.0]])],
+                              [0.5]).to_json())
     edit(d)
     return json.dumps(d)
 
@@ -114,7 +114,7 @@ def _typed_text(edit) -> str:
     """An arm_type-form file, arms A A B stored as A B, edited by `edit`."""
     a = single_state_arm([0.0, 1.0], [[0.0, 1.0]])
     b = single_state_arm([0.0, 0.5], [[0.0, 1.0]])
-    d = stack_arms([a, a, b], [0.5]).to_json_dict()
+    d = json.loads(stack_arms([a, a, b], [0.5]).to_json())
     edit(d)
     return json.dumps(d)
 
@@ -395,9 +395,10 @@ def mutated_instance_json(draw):
     """A valid small instance document with one to three mutations: a field
     or element deleted, a value replaced (NaN, inf, negative, huge, wrong
     type), a list made ragged, or a node swapped for another JSON type."""
-    doc = tiny_instance(seed=draw(st.integers(0, 3)), n=draw(st.integers(1, 4)),
-                        s=draw(st.integers(1, 3)), a=draw(st.integers(1, 3)),
-                        k=draw(st.integers(1, 2))).to_json_dict()
+    doc = json.loads(tiny_instance(
+        seed=draw(st.integers(0, 3)), n=draw(st.integers(1, 4)),
+        s=draw(st.integers(1, 3)), a=draw(st.integers(1, 3)),
+        k=draw(st.integers(1, 2))).to_json())
     for _ in range(draw(st.integers(1, 3))):
         parent, key, node = None, None, doc
         while (isinstance(node, (dict, list)) and node

@@ -9,9 +9,9 @@ import pytest
 from wcmdp.lp_relax import (SingleArmPolicy, build_lp, extract_policy,
                             solve_lp)
 from wcmdp.lyapunov import (AssumptionError, C_TAU_COEFF, ChainDiagnostics,
-                            UNBOUNDED, build_report, chain_diagnostics,
-                            chain_structure, drift_probe, mixing_time,
-                            subset_h)
+                            TruncationError, UNBOUNDED, build_report,
+                            chain_diagnostics, chain_structure, drift_probe,
+                            mixing_time, subset_h)
 from wcmdp.model import (COST_ACTION_ONLY, TYPED, GeneratorConfig,
                          distinct_arms, generate)
 from wcmdp.policies import IdPolicyRunner
@@ -610,6 +610,30 @@ class TestSlowMixing:
         assert report.truncation_level > 10_000
         assert report.tail_bound <= 1e-6
         assert report.prefix_h[-1] == pytest.approx(h, abs=2e-6)
+
+
+class TestTruncation:
+    """A sticky chain given a mixing time of 1: its deviation series grows
+    by 0.998 / exp(-1/2) per term, so it outlives the 33-term cap that a
+    mixing time of 1 sets at tol 1e-6 and reward profile [1, 0]."""
+
+    STICKY2 = np.array([[0.999, 0.001], [0.001, 0.999]])
+
+    def test_subset_h_raises_after_the_term_cap(self):
+        policy = one_arm_policy(self.STICKY2, HALF, [1.0, 0.0])
+        with pytest.raises(TruncationError,
+                           match="after 33 terms, more than a mixing time "
+                                 "of 1 allows"):
+            subset_h(np.array([[1.0, 0.0]]), [0], policy, manual_diag(1.0))
+
+    def test_drift_probe_raises_after_the_term_cap(self):
+        policy = one_arm_policy(self.STICKY2, HALF, [1.0, 0.0])
+        instance = tiny_instance(seed=0, n=1, s=2, a=1, k=1)
+        with pytest.raises(TruncationError,
+                           match="after 33 terms, more than a mixing time "
+                                 "of 1 allows"):
+            drift_probe(instance, policy, manual_diag(1.0), [0], 10,
+                        np.random.default_rng(0))
 
 
 @pytest.mark.pins

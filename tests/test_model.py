@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import tracemalloc
@@ -183,7 +184,7 @@ def _same_bytes(a: WcmdpInstance, b: WcmdpInstance) -> bool:
 
 
 def _round_trip(instance: WcmdpInstance) -> WcmdpInstance:
-    return WcmdpInstance.from_json_dict(json.loads(instance.to_json()))
+    return WcmdpInstance.from_json(instance.to_json())
 
 
 def _heap_peak(call) -> int:
@@ -205,9 +206,9 @@ class TestSerialization:
         instance = take_arms(generate(cfg(seed=seed, n=4, s=3, a=2, k=2,
                                           family=family, num_types=types)),
                              order)
-        assert _same_bytes(_round_trip(instance), instance)
-        assert _same_bytes(WcmdpInstance.from_json(instance.to_json()),
-                           instance)
+        back = _round_trip(instance)
+        assert _same_bytes(back, instance)
+        assert back.to_json() == instance.to_json()
 
     def test_file_round_trip(self, tmp_path):
         instance = generate(cfg(seed=9))
@@ -222,14 +223,36 @@ class TestSerialization:
         instance.save(path)
         assert WcmdpInstance.load(path).to_json() == path.read_text()
 
+    @pytest.mark.parametrize("existing", [None, "old text"])
+    def test_failed_save_leaves_the_directory_as_it_was(
+            self, tmp_path, monkeypatch, existing):
+        chunks = WcmdpInstance.json_chunks
+
+        def fail_after_first_arm(instance):
+            it = chunks(instance)
+            yield next(it)  # the header
+            yield next(it)  # arm 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(WcmdpInstance, "json_chunks", fail_after_first_arm)
+        path = tmp_path / "inst.json"
+        if existing is not None:
+            path.write_text(existing)
+        with pytest.raises(OSError, match="No space left on device"):
+            generate(cfg(seed=9)).save(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if existing is None else ["inst.json"])
+        if existing is not None:
+            assert path.read_text() == existing
+
     def test_schema_top_level_keys(self):
-        d = generate(cfg()).to_json_dict()
+        d = json.loads(generate(cfg()).to_json())
         assert set(d) == {"N", "S", "A", "K", "alpha", "arms"}
         assert set(d["arms"][0]) == {"P", "r", "c"}
 
     def test_typed_file_stores_each_type_once(self):
         instance = generate(cfg(seed=2, n=12, family=TYPED, num_types=3))
-        d = instance.to_json_dict()
+        d = json.loads(instance.to_json())
         assert list(d) == ["N", "S", "A", "K", "alpha", "arms", "arm_type"]
         assert len(d["arms"]) == 3 and d["N"] == 12
         _, inverse = distinct_arms(instance.transition, instance.reward,
@@ -241,7 +264,7 @@ class TestSerialization:
         a, b, c = (single_state_arm([0.0, r], [[0.0, 1.0]])
                    for r in (0.25, 0.5, 0.75))
         instance = stack_arms([a, b, a, c, b], [0.5])
-        d = instance.to_json_dict()
+        d = json.loads(instance.to_json())
         assert len(d["arms"]) == 3 and d["arm_type"] == [0, 1, 0, 2, 1]
         assert _same_bytes(_round_trip(instance), instance)
 
@@ -249,7 +272,7 @@ class TestSerialization:
         a = single_state_arm([0.0, 1.0], [[0.0, 1.0]])
         b = single_state_arm([0.0, 1.0], [[-0.0, 1.0]])
         instance = stack_arms([a, b, a], [0.5])
-        d = instance.to_json_dict()
+        d = json.loads(instance.to_json())
         assert len(d["arms"]) == 2 and d["arm_type"] == [0, 1, 0]
         back = _round_trip(instance)
         assert _same_bytes(back, instance)
@@ -257,12 +280,12 @@ class TestSerialization:
 
     def test_full_form_typed_text_loads_to_the_same_arrays(self):
         instance = generate(cfg(seed=5, n=8, family=TYPED, num_types=2))
-        full = {key: v for key, v in instance.to_json_dict().items()
+        full = {key: v for key, v in json.loads(instance.to_json()).items()
                 if key != "arm_type"}
         full["arms"] = [{"P": p, "r": r, "c": c} for p, r, c in zip(
             instance.transition.tolist(), instance.reward.tolist(),
             instance.cost.tolist())]
-        back = WcmdpInstance.from_json_dict(json.loads(json.dumps(full)))
+        back = WcmdpInstance.from_json(json.dumps(full))
         assert _same_bytes(back, instance)
         assert _same_bytes(back, _round_trip(instance))
 
