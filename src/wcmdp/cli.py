@@ -7,8 +7,8 @@ sha256, so a run can be replayed to identical data outputs (timestamps aside).
 
 Exit codes: 0 ok, 2 usage error (a flag value the command cannot run
 with, a size whose arrays cannot be allocated or that the exact oracle's
-size guards refuse, or an output that cannot be written, reported on one
-`error:` line),
+size guards refuse, an output that is a directory, the --instance file or
+another output, or that cannot be written, reported on one `error:` line),
 3 validation failure (also an instance file that cannot be read or parsed,
 one whose arm_type is not a non-empty list of indices into its arms or
 leaves a stored arm unreferenced, and a relaxation the solver cannot
@@ -18,8 +18,8 @@ certify or whose solution fails the feasibility audit, reported on one
 
 Every command that solves the relaxation (solve, simulate, sweep, diagnose
 and oracle-check) plans through simulator.PolicyBundle.prepare, the one
-path that solves and audits it. Instance files are decoded as
-WcmdpInstance.load decodes them, as json.loads decodes bytes.
+path that solves and audits it. Files are read with model.read_file and
+written, whole or not at all, with model.write_file.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import hashlib
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,8 +40,8 @@ import scipy
 from . import __version__
 from .lp_relax import LpSolveError
 from .model import (COST_ACTION_ONLY, COST_STATE_ACTION, FULLY_HETEROGENEOUS,
-                    TYPED, GeneratorConfig, WcmdpInstance, _decode, generate,
-                    validate)
+                    TYPED, GeneratorConfig, WcmdpInstance, generate, read_file,
+                    validate, write_file)
 from .policies import OracleSizeError, exact_oracle
 from .simulator import (PolicyBundle, SimConfig, _check_sweep, results_row,
                         simulate, sweep, write_results_csv)
@@ -76,8 +76,8 @@ def write_manifest(out_path, command: str, flags: dict,
     }
     if solver is not None:
         manifest["solver"] = solver
-    path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, default=str))
+    write_file(f"{out_path}.manifest.json",
+               [json.dumps(manifest, indent=2, default=str)])
 
 
 @contextlib.contextmanager
@@ -112,12 +112,25 @@ def _sim_config(args, policy: str) -> SimConfig:
     return config
 
 
-def _check_outputs(*paths) -> None:
-    """Raise ValueError for an output path whose directory does not exist."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
+def _check_outputs(args) -> None:
+    """Raise ValueError for an output or manifest whose directory does not
+    exist, that is a directory, or that is --instance or another output."""
+    inst = getattr(args, "instance", None)
+    seen = {os.path.realpath(inst): "the --instance file"} if inst else {}
+    for flag in ("out", "svg"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        if not Path(path).parent.is_dir():
             raise ValueError(f"cannot write {path}: no directory "
                              f"{Path(path).parent}")
+        for target in (path, f"{path}.manifest.json"):
+            if Path(target).is_dir():
+                raise ValueError(f"cannot write {target}: it is a directory")
+            key = os.path.realpath(target)
+            if key in seen:
+                raise ValueError(f"cannot write {target}: it is {seen[key]}")
+            seen[key] = f"already written for --{flag}"
 
 
 def _add_generation_flags(p: argparse.ArgumentParser) -> None:
@@ -141,12 +154,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
 def _load_instance(path: str) -> tuple[WcmdpInstance, str]:
     """The validated instance in the file and the sha256 of the file."""
     try:
-        data = Path(path).read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        # decoded as WcmdpInstance.load decodes, and the bytes dropped
-        # before parsing, so the parse does not hold them too
-        text = _decode(data)
-        del data
+        text, digest = read_file(path)
         instance = WcmdpInstance.from_json(text)
     except (OSError, ValueError, RecursionError) as exc:
         # RecursionError: JSON nested deeper than the parser's stack
@@ -162,7 +170,6 @@ def _load_instance(path: str) -> tuple[WcmdpInstance, str]:
 
 def cmd_generate(args) -> int:
     with _usage_errors():
-        _check_outputs(args.out)
         instance = generate(_generator_config(args, args.n))
     problems = validate(instance)
     if problems:
@@ -177,12 +184,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    with _usage_errors():
-        _check_outputs(args.out)
     instance, instance_hash = _load_instance(args.instance)
     bundle = PolicyBundle.prepare(instance)
     solution = bundle.solution
-    Path(args.out).write_text(json.dumps(solution.to_json_dict()))
+    write_file(args.out, [json.dumps(solution.to_json_dict())])
     solver = {**dataclasses.asdict(solution.stats),
               "audit": dataclasses.asdict(bundle.audit)}
     write_manifest(args.out, "solve", vars(args), instance_hash, solver=solver)
@@ -192,7 +197,6 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     with _usage_errors():
-        _check_outputs(args.out)
         configs = [_sim_config(args, p) for p in args.policies.split(",")]
     instance, instance_hash = _load_instance(args.instance)
     bundle = PolicyBundle.prepare(instance, seed=args.sim_seed)
@@ -213,7 +217,6 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     policies = args.policies.split(",")
     with _usage_errors():
-        _check_outputs(args.out, args.svg)
         config = _sim_config(args, policies[0])
         n_values = [int(v) for v in args.n_list.split(",")]
         template = _generator_config(args, n_values[0])
@@ -225,7 +228,7 @@ def cmd_sweep(args) -> int:
     write_results_csv(rows, args.out)
     write_manifest(args.out, "sweep", vars(args))
     if args.svg:
-        Path(args.svg).write_text(ratio_chart_svg(rows))
+        write_file(args.svg, [ratio_chart_svg(rows)])
         write_manifest(args.svg, "sweep", vars(args))
     for row in rows:
         print(f"N={row['N']:>5} {row['policy']:>4} ratio={row['ratio']:.4f} "
@@ -235,7 +238,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_diagnose(args) -> int:
     with _usage_errors():
-        _check_outputs(args.out)
         if args.probe_drift and args.samples < 0:
             raise ValueError(f"--samples {args.samples} is negative")
         if args.probe_drift and args.sim_seed < 0:
@@ -255,11 +257,9 @@ def cmd_diagnose(args) -> int:
         probe = lyapunov.drift_probe(instance, policy, diag,
                                      np.arange(instance.num_arms),
                                      args.samples, rng)
-        payload["probes"] = [{
-            "mean": probe.mean, "stderr": probe.stderr, "bound": probe.bound,
-            "num_samples": probe.num_samples, "within_bound": probe.within_bound,
-        }]
-    Path(args.out).write_text(json.dumps(payload, indent=2))
+        payload["probes"] = [{**dataclasses.asdict(probe),
+                              "within_bound": probe.within_bound}]
+    write_file(args.out, [json.dumps(payload, indent=2)])
     write_manifest(args.out, "diagnose", vars(args), instance_hash)
     if diag.ok:
         print(f"tau_max={diag.tau_max:.0f} gamma={diag.gamma:.6f} "
@@ -416,6 +416,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        with _usage_errors():
+            _check_outputs(args)
         return args.func(args)
     except LpSolveError as exc:
         print(f"relaxation solve failed: {exc}", file=sys.stderr)

@@ -28,19 +28,15 @@ serialize/deserialize cycle reproduces the instance bit for bit. Arms are
 matched on their bytes, so an arm that differs from another only by -0.0
 against 0.0 is stored on its own.
 
-This module is the only code that writes or parses the format. Files are
-written and read one stored arm at a time. json_chunks yields the header,
-each stored arm's json.dumps text and the trailer, so only one arm's lists
-exist at once; the bytes equal json.dumps of the whole document. save writes
-the pieces as they come to a temporary file beside the target and renames
-it over the target, so a failed write leaves the target as it was.
-from_json parses with an object hook that turns each arm's P, r and c into
-float64 arrays as soon as that arm is parsed, then stacks them. load reads
-the file's bytes and decodes them as json.loads does (UTF-8, UTF-16 or
-UTF-32, with or without a byte order mark), then drops them before parsing;
-the CLI reads instance files through the same decoder. The heap peak of save
-is about 0.4 times the file size and that of load about 2 times (the text,
-plus the arrays twice).
+This module alone writes or parses the format, and alone in the package
+opens a file. write_file writes text pieces as they come to a temporary
+file beside the target and renames it over the target, so a failed write
+leaves the target as it was; read_file decodes a file's bytes as
+json.loads does (UTF-8, UTF-16 or UTF-32, with or without a byte order
+mark) and hashes them. save streams json_chunks, one stored arm's text at
+a time, through write_file; load parses with an object hook that makes
+each arm's P, r and c float64 arrays as soon as the arm is parsed. The
+heap peaks of save and load are about 0.4 and 2 times the file size.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -187,36 +183,41 @@ class WcmdpInstance:
         return instance
 
     def save(self, path) -> str:
-        """Write to_json() piece by piece to a temporary file beside `path`,
-        then rename it to `path`, so a write that fails partway leaves
-        `path` as it was and no temporary file behind. Returns the sha256
-        of the bytes written."""
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        digest = hashlib.sha256()
-        try:
-            with open(tmp, "wb") as fh:
-                for chunk in self.json_chunks():
-                    data = chunk.encode()
-                    digest.update(data)
-                    fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        return digest.hexdigest()
+        """Write to_json() through write_file; returns its sha256."""
+        return write_file(path, self.json_chunks())
 
     @classmethod
     def load(cls, path) -> "WcmdpInstance":
-        """The instance in the file at `path`, decoded as json.loads
-        decodes bytes; the bytes are dropped before parsing."""
-        return cls.from_json(_decode(Path(path).read_bytes()))
+        """The instance in the file at `path`, read by read_file."""
+        return cls.from_json(read_file(path)[0])
 
 
-def _decode(data: bytes) -> str:
-    """The text of a file's bytes, decoded as json.loads decodes bytes:
-    UTF-8, UTF-16 or UTF-32, with or without a byte order mark."""
-    return data.decode(json.detect_encoding(data), "surrogatepass")
+def write_file(path, chunks: Iterable[str]) -> str:
+    """Write the text pieces as they come, UTF-8 encoded, to a temporary
+    file beside `path` and rename it to `path`, so a failed write leaves
+    `path` as it was and no temporary file; returns the bytes' sha256."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    digest = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode()
+                digest.update(data)
+                fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return digest.hexdigest()
+
+
+def read_file(path) -> tuple[str, str]:
+    """The text of the file at `path`, decoded as json.loads decodes bytes,
+    and the sha256 of its bytes, which are dropped before any parse."""
+    data = Path(path).read_bytes()
+    return (data.decode(json.detect_encoding(data), "surrogatepass"),
+            hashlib.sha256(data).hexdigest())
 
 
 _ARM_KEYS = ("P", "r", "c")

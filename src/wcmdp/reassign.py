@@ -42,10 +42,6 @@ class ReassignmentResult:
     rng_seed: int
     fallback: bool = False
 
-    @property
-    def identity(self) -> bool:
-        return len(self.active_set) == 0
-
     def order(self) -> np.ndarray:
         """Inverse permutation: order()[new] is the old index of that slot."""
         return np.argsort(self.new_id)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,7 +34,7 @@ import numpy as np
 from .lp_relax import (LpCheckReport, LpSolution, LpSolveError,
                        SingleArmPolicy, check_solution, extract_policy,
                        solve_lp)
-from .model import GeneratorConfig, WcmdpInstance, generate
+from .model import GeneratorConfig, WcmdpInstance, generate, write_file
 from .policies import ErcPolicyRunner, IdPolicyRunner
 from .reassign import ReassignmentResult, reassign
 
@@ -242,8 +243,8 @@ def results_row(result: SimResult, family: str, seed: int,
 
 def write_results_csv(rows: Sequence[dict], path) -> None:
     """Write sweep rows with the fixed column set and order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in CSV_COLUMNS})
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows({k: row[k] for k in CSV_COLUMNS} for row in rows)
+    write_file(path, [text.getvalue()])

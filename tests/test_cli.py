@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wcmdp
+from wcmdp import cli
 from wcmdp.cli import _load_instance, main, ratio_chart_svg
 from wcmdp.lp_relax import LpSolveError, check_solution
 from wcmdp.model import WcmdpInstance
@@ -150,13 +151,15 @@ def _wrong_header(d):
     d["N"] = 999
 
 
-def _run_cli(argv):
-    """Run `python -m wcmdp.cli argv` in a fresh process."""
+def _run_cli(argv, **kwargs):
+    """Run `python -m wcmdp.cli argv` in a fresh process; `kwargs` go to
+    subprocess.run."""
     src = str(Path(wcmdp.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-m", "wcmdp.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120,
+                          **kwargs)
 
 
 @pytest.mark.parametrize("text, field", [
@@ -374,6 +377,129 @@ def test_oracle_check_size_error_comes_before_any_solve(monkeypatch, capsys,
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert "transition entries exceed the guard" in lines[0]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a command generates, loads or plans anything."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran before checking its outputs")
+
+    for name in ("generate", "_load_instance", "sweep"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(PolicyBundle, "prepare", refuse)
+
+
+def _rejected_before_any_work(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write "), lines
+    assert message in lines[0]
+
+
+_INSTANCE_COMMANDS = {
+    "solve": ["solve"],
+    "simulate": ["simulate", *_SIM_FLAGS],
+    "diagnose": ["diagnose"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "4", "--out", "{dir}"],
+    ["solve", "--instance", "{inst}", "--out", "{dir}"],
+    ["simulate", "--instance", "{inst}", *_SIM_FLAGS, "--out", "{dir}"],
+    ["diagnose", "--instance", "{inst}", "--out", "{dir}"],
+    [*_SWEEP, "--n-list", "4", *_SIM_FLAGS, "--out", "{dir}"],
+    [*_SWEEP, "--n-list", "4", *_SIM_FLAGS, "--out", "{dir}/s.csv",
+     "--svg", "{dir}"],
+], ids=["generate", "solve", "simulate", "diagnose", "sweep", "sweep-svg"])
+def test_output_that_is_a_directory_exits_2_before_any_work(
+        tmp_path, capsys, no_work, argv):
+    inst = tmp_path / "inst.json"
+    tiny_instance(seed=0).save(inst)
+    _rejected_before_any_work(
+        capsys, [a.format(inst=inst, dir=tmp_path) for a in argv],
+        "it is a directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot-dot", "symlink",
+                                      "manifest"])
+@pytest.mark.parametrize("command", sorted(_INSTANCE_COMMANDS))
+def test_out_that_is_the_instance_exits_2_before_any_work(
+        tmp_path, capsys, no_work, command, spelling):
+    # "manifest": the instance is the file that --out's manifest would be
+    name = "run.manifest.json" if spelling == "manifest" else "inst.json"
+    inst = tmp_path / name
+    tiny_instance(seed=0).save(inst)
+    before = inst.read_bytes()
+    (tmp_path / "sub").mkdir()
+    out = {"same": str(inst),
+           "dot-dot": os.path.join(tmp_path, "sub", "..", name),
+           "symlink": str(tmp_path / "sub" / "link.json"),
+           "manifest": str(tmp_path / "run")}[spelling]
+    if spelling == "symlink":
+        os.symlink(inst, out)
+    _rejected_before_any_work(
+        capsys, [*_INSTANCE_COMMANDS[command], "--instance", str(inst),
+                 "--out", out], "it is the --instance file")
+    assert inst.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name, "sub"]
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot", "out-manifest"])
+def test_svg_that_is_the_out_file_exits_2_before_any_work(
+        tmp_path, capsys, no_work, spelling):
+    out = str(tmp_path / "s.csv")
+    svg = {"same": out, "dot": os.path.join(tmp_path, ".", "s.csv"),
+           "out-manifest": f"{out}.manifest.json"}[spelling]
+    _rejected_before_any_work(
+        capsys, [*_SWEEP, "--n-list", "4", *_SIM_FLAGS, "--out", out,
+                 "--svg", svg], "it is already written for --out")
+    assert list(tmp_path.iterdir()) == []
+
+
+# relative paths keep each manifest's size independent of the temporary
+# directory: the sweep's CSV (about 270 bytes) and its manifest (about 550)
+# fit under 1024 bytes, so its failing write is the SVG (about 1400)
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX resource limits")
+@pytest.mark.parametrize("existing", [None, "old text"])
+@pytest.mark.parametrize("argv, target, max_file_bytes", [
+    (["solve", "--instance", "inst.json", "--out", "sol.json"],
+     "sol.json", 128),
+    (["simulate", "--instance", "inst.json", *_SIM_FLAGS, "--out", "sim.csv"],
+     "sim.csv", 128),
+    ([*_SWEEP, "--n-list", "4", *_SIM_FLAGS, "--out", "sweep.csv",
+      "--svg", "sweep.svg"], "sweep.svg", 1024),
+    (["diagnose", "--instance", "inst.json", "--out", "diag.json"],
+     "diag.json", 128),
+], ids=["solve", "simulate", "sweep-svg", "diagnose"])
+def test_failed_output_write_leaves_nothing_behind(
+        tmp_path, argv, target, max_file_bytes, existing):
+    import resource
+
+    tiny_instance(seed=0, n=40).save(tmp_path / "inst.json")
+    if existing is not None:
+        (tmp_path / target).write_text(existing)
+
+    def cap():
+        # in the child only: a write past the limit fails with EFBIG
+        resource.setrlimit(resource.RLIMIT_FSIZE,
+                           (max_file_bytes, max_file_bytes))
+
+    proc = _run_cli(argv, cwd=tmp_path, preexec_fn=cap)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "File too large" in lines[0]
+    if existing is None:
+        assert not (tmp_path / target).exists()
+    else:
+        assert (tmp_path / target).read_text() == existing
+    assert not (tmp_path / f"{target}.manifest.json").exists()
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 _ODD_VALUES =[float("nan"), float("inf"), float("-inf"), -1.0, -1e-3, 0.0,

@@ -112,7 +112,7 @@ class TestReassign:
         instance = zero_cost_copy(tiny_instance(seed=3, n=8, s=3, a=2, k=2))
         policy = solved_policy(instance)
         result = reassign(instance, policy, seed=0)
-        assert result.identity
+        assert result.active_set == ()
         assert np.array_equal(result.new_id, np.arange(8))
         assert result.group_size is None
 
@@ -176,7 +176,7 @@ class TestVerifySlope:
         instance = zero_cost_copy(tiny_instance(seed=5, n=20, s=3, a=2, k=1))
         policy = solved_policy(instance)
         result = reassign(instance, policy, seed=0)
-        assert result.identity
+        assert result.active_set == ()
         report = verify_slope(instance, policy, result)
         assert report.holds
         assert report.margin >= result.m_c - 1e-12
