@@ -1,7 +1,7 @@
 """Command-line entry point: generation, solving, simulation, sweeps, and
 diagnostics as composable subcommands.
 
-Every file-producing command writes a manifest next to its output recording
+Every file-producing command writes a manifest next to each output recording
 the command, flags, seeds, component versions, and the instance file's
 sha256, so a run can be replayed to identical data outputs (timestamps aside).
 
@@ -18,8 +18,11 @@ certify or whose solution fails the feasibility audit, reported on one
 
 Every command that solves the relaxation (solve, simulate, sweep, diagnose
 and oracle-check) plans through simulator.PolicyBundle.prepare, the one
-path that solves and audits it. Files are read with model.read_file and
-written, whole or not at all, with model.write_file.
+path that solves and audits it. Files are read with model.read_file. Each
+command writes all its outputs and their manifests in one model.writing()
+block (_publish, or generate's own block): they are renamed into place only
+after every one of them is whole, so a command that fails leaves all of
+them as they were.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ from . import __version__
 from .lp_relax import LpSolveError
 from .model import (COST_ACTION_ONLY, COST_STATE_ACTION, FULLY_HETEROGENEOUS,
                     TYPED, GeneratorConfig, WcmdpInstance, generate, read_file,
-                    validate, write_file)
+                    validate, writing)
 from .policies import OracleSizeError, exact_oracle
-from .simulator import (PolicyBundle, SimConfig, _check_sweep, results_row,
-                        simulate, sweep, write_results_csv)
+from .simulator import (PolicyBundle, SimConfig, _check_sweep, results_csv,
+                        results_row, simulate, sweep)
 from . import lyapunov
 
 EXIT_OK = 0
@@ -57,14 +60,13 @@ _FAMILY_FLAGS = {"fully-het": FULLY_HETEROGENEOUS, "typed": TYPED}
 _COST_FLAGS = {"state-action": COST_STATE_ACTION, "action-only": COST_ACTION_ONLY}
 
 
-def write_manifest(out_path, command: str, flags: dict,
-                   instance_hash: str | None = None,
-                   solver: dict | None = None) -> None:
-    """Write <out_path>.manifest.json; `solver`, when given, records the
-    solver statistics and audit residuals of the run."""
+def _manifest(args, instance_hash: str | None = None,
+              solver: dict | None = None) -> str:
+    """The manifest text of a run of `args.command`; `solver`, when given,
+    records the solver statistics and audit residuals of the run."""
     manifest = {
-        "command": command,
-        "flags": {k: v for k, v in flags.items() if not callable(v)},
+        "command": args.command,
+        "flags": {k: v for k, v in vars(args).items() if not callable(v)},
         "versions": {
             "wcmdp": __version__,
             "numpy": np.__version__,
@@ -76,8 +78,18 @@ def write_manifest(out_path, command: str, flags: dict,
     }
     if solver is not None:
         manifest["solver"] = solver
-    write_file(f"{out_path}.manifest.json",
-               [json.dumps(manifest, indent=2, default=str)])
+    return json.dumps(manifest, indent=2, default=str)
+
+
+def _publish(args, outputs, instance_hash: str | None = None,
+             solver: dict | None = None) -> None:
+    """Write each (path, chunks) in `outputs` and its <path>.manifest.json
+    in one writing() block, so either all of them reach disk or none."""
+    manifest = _manifest(args, instance_hash, solver)
+    with writing() as write:
+        for path, chunks in outputs:
+            write(path, chunks)
+            write(f"{path}.manifest.json", [manifest])
 
 
 @contextlib.contextmanager
@@ -176,8 +188,9 @@ def cmd_generate(args) -> int:
         for msg in problems:
             print(f"validation: {msg}", file=sys.stderr)
         return EXIT_VALIDATION
-    instance_hash = instance.save(args.out)
-    write_manifest(args.out, "generate", vars(args), instance_hash)
+    with writing() as write:
+        instance_hash = write(args.out, instance.json_chunks())
+        write(f"{args.out}.manifest.json", [_manifest(args, instance_hash)])
     print(f"wrote {args.out}: N={instance.num_arms} S={instance.num_states} "
           f"A={instance.num_actions} K={instance.num_constraints}")
     return EXIT_OK
@@ -187,10 +200,10 @@ def cmd_solve(args) -> int:
     instance, instance_hash = _load_instance(args.instance)
     bundle = PolicyBundle.prepare(instance)
     solution = bundle.solution
-    write_file(args.out, [json.dumps(solution.to_json_dict())])
     solver = {**dataclasses.asdict(solution.stats),
               "audit": dataclasses.asdict(bundle.audit)}
-    write_manifest(args.out, "solve", vars(args), instance_hash, solver=solver)
+    _publish(args, [(args.out, [json.dumps(solution.to_json_dict())])],
+             instance_hash, solver)
     print(f"R_rel = {solution.objective:.10f}")
     return EXIT_OK
 
@@ -206,8 +219,7 @@ def cmd_simulate(args) -> int:
     if any(row["violations"] for row in rows):
         print("budget violation detected", file=sys.stderr)
         return EXIT_FEASIBILITY
-    write_results_csv(rows, args.out)
-    write_manifest(args.out, "simulate", vars(args), instance_hash)
+    _publish(args, [(args.out, [results_csv(rows)])], instance_hash)
     for r in results:
         print(f"{r.config.policy}: avg={r.avg_reward_per_arm:.6f} "
               f"ratio={r.optimality_ratio:.4f} ci={r.ci_halfwidth:.2e}")
@@ -225,11 +237,10 @@ def cmd_sweep(args) -> int:
     if any(r["violations"] for r in rows):
         print("budget violation detected during sweep", file=sys.stderr)
         return EXIT_FEASIBILITY
-    write_results_csv(rows, args.out)
-    write_manifest(args.out, "sweep", vars(args))
+    outputs = [(args.out, [results_csv(rows)])]
     if args.svg:
-        write_file(args.svg, [ratio_chart_svg(rows)])
-        write_manifest(args.svg, "sweep", vars(args))
+        outputs.append((args.svg, [ratio_chart_svg(rows)]))
+    _publish(args, outputs)
     for row in rows:
         print(f"N={row['N']:>5} {row['policy']:>4} ratio={row['ratio']:.4f} "
               f"gap*sqrtN={row['gap_sqrtN']:.4f}")
@@ -259,8 +270,8 @@ def cmd_diagnose(args) -> int:
                                      args.samples, rng)
         payload["probes"] = [{**dataclasses.asdict(probe),
                               "within_bound": probe.within_bound}]
-    write_file(args.out, [json.dumps(payload, indent=2)])
-    write_manifest(args.out, "diagnose", vars(args), instance_hash)
+    _publish(args, [(args.out, [json.dumps(payload, indent=2)])],
+             instance_hash)
     if diag.ok:
         print(f"tau_max={diag.tau_max:.0f} gamma={diag.gamma:.6f} "
               "assumption_ok=True")

@@ -29,22 +29,25 @@ matched on their bytes, so an arm that differs from another only by -0.0
 against 0.0 is stored on its own.
 
 This module alone writes or parses the format, and alone in the package
-opens a file. write_file writes text pieces as they come to a temporary
-file beside the target and renames it over the target, so a failed write
-leaves the target as it was; read_file decodes a file's bytes as
-json.loads does (UTF-8, UTF-16 or UTF-32, with or without a byte order
-mark) and hashes them. save streams json_chunks, one stored arm's text at
-a time, through write_file; load parses with an object hook that makes
-each arm's P, r and c float64 arrays as soon as the arm is parsed. The
-heap peaks of save and load are about 0.4 and 2 times the file size.
+opens a file. writing() is the one writer: its write(path, chunks) writes
+text pieces as they come to a temporary file beside each target, and only
+when every file of the block is whole are they renamed over their targets,
+in the order written, so a failed write leaves every target as it was and
+no temporary file. read_file decodes a file's bytes as json.loads does
+(UTF-8, UTF-16 or UTF-32, with or without a byte order mark) and hashes
+them. save streams json_chunks, one stored arm's text at a time, through
+its own writing() block; load parses with an object hook that makes each
+arm's P, r and c float64 arrays as soon as the arm is parsed. The heap
+peaks of save and load are about 0.4 and 2 times the file size.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -183,8 +186,10 @@ class WcmdpInstance:
         return instance
 
     def save(self, path) -> str:
-        """Write to_json() through write_file; returns its sha256."""
-        return write_file(path, self.json_chunks())
+        """Write to_json() to `path`, whole or not at all; returns its
+        sha256."""
+        with writing() as write:
+            return write(path, self.json_chunks())
 
     @classmethod
     def load(cls, path) -> "WcmdpInstance":
@@ -192,24 +197,35 @@ class WcmdpInstance:
         return cls.from_json(read_file(path)[0])
 
 
-def write_file(path, chunks: Iterable[str]) -> str:
-    """Write the text pieces as they come, UTF-8 encoded, to a temporary
-    file beside `path` and rename it to `path`, so a failed write leaves
-    `path` as it was and no temporary file; returns the bytes' sha256."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    digest = hashlib.sha256()
-    try:
+@contextlib.contextmanager
+def writing() -> Iterator[Callable[[object, Iterable[str]], str]]:
+    """Yield write(path, chunks), which writes the text pieces as they come,
+    UTF-8 encoded, to a temporary file beside `path` and returns the bytes'
+    sha256. When the block ends, every file written in it is renamed over
+    its target, in the order written; if anything in the block raises,
+    every temporary file is removed and no target is touched."""
+    staged = []
+
+    def write(path, chunks: Iterable[str]) -> str:
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        staged.append((tmp, path))
+        digest = hashlib.sha256()
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 data = chunk.encode()
                 digest.update(data)
                 fh.write(data)
-        os.replace(tmp, path)
+        return digest.hexdigest()
+
+    try:
+        yield write
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
         raise
-    return digest.hexdigest()
 
 
 def read_file(path) -> tuple[str, str]:

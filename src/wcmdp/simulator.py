@@ -34,7 +34,7 @@ import numpy as np
 from .lp_relax import (LpCheckReport, LpSolution, LpSolveError,
                        SingleArmPolicy, check_solution, extract_policy,
                        solve_lp)
-from .model import GeneratorConfig, WcmdpInstance, generate, write_file
+from .model import GeneratorConfig, WcmdpInstance, generate, writing
 from .policies import ErcPolicyRunner, IdPolicyRunner
 from .reassign import ReassignmentResult, reassign
 
@@ -241,10 +241,16 @@ def results_row(result: SimResult, family: str, seed: int,
     }
 
 
-def write_results_csv(rows: Sequence[dict], path) -> None:
-    """Write sweep rows with the fixed column set and order."""
+def results_csv(rows: Sequence[dict]) -> str:
+    """Sweep rows as CSV text with the fixed column set and order."""
     text = io.StringIO()
     writer = csv.DictWriter(text, fieldnames=CSV_COLUMNS)
     writer.writeheader()
     writer.writerows({k: row[k] for k in CSV_COLUMNS} for row in rows)
-    write_file(path, [text.getvalue()])
+    return text.getvalue()
+
+
+def write_results_csv(rows: Sequence[dict], path) -> None:
+    """Write results_csv(rows) to `path`, whole or not at all."""
+    with writing() as write:
+        write(path, [results_csv(rows)])

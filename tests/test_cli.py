@@ -500,6 +500,65 @@ def test_failed_output_write_leaves_nothing_behind(
         assert (tmp_path / target).read_text() == existing
     assert not (tmp_path / f"{target}.manifest.json").exists()
     assert list(tmp_path.glob("*.tmp")) == []
+    # nor any other output of the command, such as the sweep's CSV
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        {"inst.json", target} if existing is not None else {"inst.json"})
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX resource limits")
+def test_failed_manifest_write_leaves_the_previous_run_as_it_was(
+        tmp_path, monkeypatch):
+    import resource
+
+    argv = ["simulate", "--instance", "inst.json", *_SIM_FLAGS,
+            "--out", "st.csv", "--sim-seed"]
+    for name in ("free", "run"):
+        (tmp_path / name).mkdir()
+        tiny_instance(seed=0, n=40).save(tmp_path / name / "inst.json")
+    # the seed-2 CSV fits under the cap, its manifest does not
+    monkeypatch.chdir(tmp_path / "free")
+    assert run([*argv, "2"]) == 0
+    assert Path("st.csv").stat().st_size < 300
+    assert Path("st.csv.manifest.json").stat().st_size > 300
+    monkeypatch.chdir(tmp_path / "run")
+    assert run([*argv, "1"]) == 0
+    before = {p.name: p.read_bytes() for p in Path(".").iterdir()}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (300, 300))
+
+    proc = _run_cli([*argv, "2"], cwd=tmp_path / "run", preexec_fn=cap)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    # the seed-1 CSV and manifest, byte for byte, and no temporary file
+    assert {p.name: p.read_bytes() for p in Path(".").iterdir()} == before
+
+
+@pytest.mark.parametrize("argv, outputs", [
+    (["simulate", "--instance", "inst.json", *_SIM_FLAGS, "--out", "sim.csv"],
+     ["sim.csv"]),
+    (["diagnose", "--instance", "inst.json", "--probe-drift", "--samples",
+      "5", "--out", "diag.json"], ["diag.json"]),
+    ([*_SWEEP, "--n-list", "4", *_SIM_FLAGS, "--out", "sweep.csv",
+      "--svg", "sweep.svg"], ["sweep.csv", "sweep.svg"]),
+], ids=["simulate", "diagnose", "sweep-svg"])
+def test_every_manifest_describes_its_run(tmp_path, monkeypatch, argv,
+                                          outputs):
+    tiny_instance(seed=0, n=40).save(tmp_path / "inst.json")
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    manifests = [json.loads(Path(f"{out}.manifest.json").read_text())
+                 for out in outputs]
+    instance_hash = None if argv[0] == "sweep" else hashlib.sha256(
+        Path("inst.json").read_bytes()).hexdigest()
+    for manifest in manifests:
+        assert manifest["command"] == argv[0]
+        assert manifest["flags"]["out"] == outputs[0]
+        assert manifest["instance_hash"] == instance_hash
+    untimed = [{k: v for k, v in m.items() if k != "timestamp"}
+               for m in manifests]
+    assert all(m == untimed[0] for m in untimed)
 
 
 _ODD_VALUES =[float("nan"), float("inf"), float("-inf"), -1.0, -1e-3, 0.0,

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import errno
 import hashlib
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from wcmdp.lp_relax import build_lp, check_solution, solve_lp
 from wcmdp.model import (ALPHA_GRID_STEP, COST_ACTION_ONLY, FULLY_HETEROGENEOUS,
                          MAX_ENTRY, TYPED, GeneratorConfig, WcmdpInstance,
-                         distinct_arms, generate, validate)
+                         distinct_arms, generate, validate, writing)
 
 from oracles import single_state_arm, stack_arms, take_arms
 
@@ -244,6 +245,24 @@ class TestSerialization:
             [] if existing is None else ["inst.json"])
         if existing is not None:
             assert path.read_text() == existing
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_writing_renames_every_file_or_none(self, tmp_path, fail):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("old a")
+        raises = (pytest.raises(RuntimeError) if fail
+                  else contextlib.nullcontext())
+        with raises, writing() as write:
+            digest = write(a, ["new ", "a"])
+            write(b, ["new b"])
+            assert digest == hashlib.sha256(b"new a").hexdigest()
+            # nothing is renamed in before the block ends
+            assert a.read_text() == "old a" and not b.exists()
+            if fail:
+                raise RuntimeError("a later step failed")
+        expected = ({"a.txt": "old a"} if fail
+                    else {"a.txt": "new a", "b.txt": "new b"})
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == expected
 
     def test_schema_top_level_keys(self):
         d = json.loads(generate(cfg()).to_json())
