@@ -134,36 +134,27 @@ def chain_structure(P: np.ndarray) -> tuple[bool, bool]:
     """(unichain, aperiodic) of a stochastic matrix via its support graph.
 
     Unichain means exactly one closed communicating class; aperiodic means
-    every closed class has cycle-length gcd 1.
+    every closed class has cycle-length gcd 1. A strongly connected class is
+    closed when no support edge leaves it, so one scan of the edges finds
+    every closed class. A breadth-first search from a member of a closed
+    class never leaves it, so one search from the first member of each
+    levels every closed class, and a class's period is the gcd over its
+    edges u -> v of level(u) + 1 - level(v).
     """
-    P = np.asarray(P)
-    n = P.shape[0]
-    adjacency = sp.csr_matrix((P > 0.0).astype(np.int8))
-    n_comp, labels = connected_components(adjacency, directed=True,
-                                          connection="strong")
-    closed = []
-    for comp in range(n_comp):
-        members = np.flatnonzero(labels == comp)
-        leaves = P[np.ix_(members, np.setdiff1d(np.arange(n), members))]
-        if leaves.size == 0 or not np.any(leaves > 0.0):
-            closed.append(members)
-    unichain = len(closed) == 1
-
-    aperiodic = True
-    for members in closed:
-        if _class_period(P, members) != 1:
-            aperiodic = False
-    return unichain, aperiodic
-
-
-def _class_period(P: np.ndarray, members: np.ndarray) -> int:
-    """gcd of cycle lengths inside one strongly connected closed class: the
-    gcd over its edges u -> v of level(u) + 1 - level(v), with levels the
-    BFS distances from its first member."""
-    sub = sp.csr_matrix((P[np.ix_(members, members)] > 0.0).astype(np.int8))
-    level = shortest_path(sub, unweighted=True, indices=0).astype(np.int64)
-    u, v = sub.nonzero()
-    return int(np.gcd.reduce(level[u] + 1 - level[v]))
+    adjacency = sp.csr_matrix((np.asarray(P) > 0.0).astype(np.int8))
+    _, labels = connected_components(adjacency, directed=True,
+                                     connection="strong")
+    u, v = adjacency.nonzero()
+    closed = np.ones(labels.max() + 1, dtype=bool)
+    closed[labels[u[labels[u] != labels[v]]]] = False
+    roots = np.unique(labels, return_index=True)[1][closed]
+    level = shortest_path(adjacency, unweighted=True, indices=roots)
+    inner = closed[labels[u]]         # no edge leaves a closed class
+    u, v = u[inner], v[inner]
+    row = (np.cumsum(closed) - 1)[labels[u]]
+    period = np.zeros(roots.size, dtype=np.int64)
+    np.gcd.at(period, row, (level[row, u] + 1 - level[row, v]).astype(np.int64))
+    return roots.size == 1, bool(np.all(period == 1))
 
 
 @dataclass(frozen=True)
@@ -242,7 +233,11 @@ def _terms(diff: np.ndarray, P: np.ndarray, mu: np.ndarray,
            weights: np.ndarray, gamma: float, tol: float, tau_window: int,
            arms: int | None = None):
     """Yield (v, per_arm) for ell = 0, 1, ...: the iterate
-    v = diff (P - Xi)^ell / gamma^ell, (n, S), and its (G, n) projections.
+    v = diff (P - Xi)^ell / gamma^ell, (n, S), and its (G, n) projections
+    onto the (n, G, S) arm-major profiles `weights`. The projection einsum
+    reads them through a (G, n, S) view, so its (G, n) output is laid out
+    arm by arm and numpy sums it over the arms one after another, whatever
+    K is.
 
     Each row of diff is a difference of distributions, and a tail bound
     g_max * |v|_1 adds one row per arm: over the n rows of diff, or over
@@ -259,8 +254,9 @@ def _terms(diff: np.ndarray, P: np.ndarray, mu: np.ndarray,
     t0 = 2.0 * arms * float(np.max(np.abs(weights)))
     cap = math.ceil(tau_window * (2.0 * math.log(max(t0, tol) / tol) + 3.0))
     v = diff.astype(np.float64)
+    by_profile = weights.transpose(1, 0, 2)
     for _ in range(cap):
-        yield v, np.einsum("gns,ns->gn", weights, v)
+        yield v, np.einsum("gns,ns->gn", by_profile, v)
         v = (np.einsum("ns,nst->nt", v, P)
              - v.sum(axis=1, keepdims=True) * mu) / gamma
     raise TruncationError(
@@ -275,16 +271,13 @@ def _deviation_series(diff: np.ndarray, P: np.ndarray, mu: np.ndarray,
     """Evaluate the deviation sup over horizons on deflated difference rows,
     for every prefix of the rows.
 
-    diff, mu: (n, S); P: (n, S, S); weights: (G, n, S). Returns
+    diff, mu: (n, S); P: (n, S, S); weights: (n, G, S), arm-major. Returns
     (values, terms_used, tail_bound): values[m] is the value on the first m
     rows, an (n+1,) array whose last entry is the value on all of them. The
     series stops once tau_window terms in a row have tail bound <= tol;
     tail_bound is the largest of them.
     """
-    n = diff.shape[0]
-    best = np.zeros(n + 1)
-    if n == 0:
-        return best, 0, 0.0
+    best = np.zeros(diff.shape[0] + 1)
     g_max = float(np.max(np.abs(weights)))
     calm, tail_bound = 0, 0.0
     for ell, (v, per_arm) in enumerate(
@@ -304,15 +297,13 @@ def _check_rows(x: np.ndarray) -> None:
 
 
 def _weights_for(policy: SingleArmPolicy, idx: np.ndarray) -> np.ndarray:
-    """(G, n, S) profiles of the arms idx: the K cost rows, then the reward
-    row. They are stored arm-major, as (n, G, S) memory, so every projection
-    einsum returns a (G, n) array laid out arm by arm, which numpy sums over
-    the arms one after another, whatever K is."""
+    """(n, G, S) profiles of the arms idx, arm-major: for every arm its K
+    cost rows, then its reward row. Every consumer keeps this one layout."""
     k = policy.c_star.shape[0]
-    stored = np.empty((idx.size, k + 1, policy.r_star.shape[1]))
-    stored[:, :k] = policy.c_star[:, idx].transpose(1, 0, 2)
-    stored[:, k] = policy.r_star[idx]
-    return stored.transpose(1, 0, 2)
+    profiles = np.empty((idx.size, k + 1, policy.r_star.shape[1]))
+    profiles[:, :k] = policy.c_star[:, idx].transpose(1, 0, 2)
+    profiles[:, k] = policy.r_star[idx]
+    return profiles
 
 
 def _tau_window(diag: ChainDiagnostics) -> int:
@@ -473,6 +464,8 @@ def _one_hot_h(paths: np.ndarray, mu: np.ndarray, P: np.ndarray,
                tau_window: int) -> np.ndarray:
     """h at every one-hot state of paths (M, n), arm i in state paths[m, i]:
     the last prefix value _deviation_series gives one state at a time.
+    weights are the (n, G, S) arm-major profiles, as everywhere, so
+    distinct_arms compares each arm's profile rows as they are stored.
 
     Arm i in state a starts its series from the row e_a - mu_i, so the S
     series from the rows e_a - mu hold every term of every sample. Arms
@@ -497,11 +490,9 @@ def _one_hot_h(paths: np.ndarray, mu: np.ndarray, P: np.ndarray,
     Memory is O(M n + S D (K+2)), with no (n, M, G) temporary.
     """
     num_paths, n = paths.shape
-    s, g = mu.shape[1], weights.shape[0]
+    s, g = mu.shape[1], weights.shape[1]
     g_max = float(np.max(np.abs(weights)))
-    profiles = weights.transpose(1, 0, 2)                # (n, G, S) as stored
-    (P, mu, profiles), inverse = distinct_arms(P, mu, profiles)
-    weights = profiles.transpose(1, 0, 2)
+    (P, mu, weights), inverse = distinct_arms(P, mu, weights)
     series = zip(*(_terms(np.eye(s)[a] - mu, P, mu, weights, gamma, tol,
                           tau_window, arms=n) for a in range(s)))
     d = len(P)

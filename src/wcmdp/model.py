@@ -470,13 +470,23 @@ def distinct_arms(*tables: np.ndarray) -> tuple[tuple[np.ndarray, ...],
     its distinct arm: distinct[t][inverse] equals tables[t] for every table.
     When every arm is distinct, the distinct tables are the input arrays
     themselves, not copies, and inverse is arange(N).
+
+    Arms are indexed on the hash of their row bytes, and a hit is confirmed
+    by comparing the bytes with those of the distinct arm's first
+    occurrence, so no arm's bytes are kept past its own lookup.
     """
-    index: dict[tuple[bytes, ...], int] = {}
+    index: dict[int, list[int]] = {}
     first = []
     inverse = np.empty(tables[0].shape[0], dtype=np.intp)
     for i in range(inverse.size):
-        j = index.setdefault(tuple(t[i].tobytes() for t in tables), len(first))
-        if j == len(first):
+        rows = tuple([t[i].tobytes() for t in tables])
+        candidates = index.setdefault(hash(rows), [])
+        for j in candidates:
+            if rows == tuple([t[first[j]].tobytes() for t in tables]):
+                break
+        else:
+            j = len(first)
+            candidates.append(j)
             first.append(i)
         inverse[i] = j
     if len(first) == inverse.size:

@@ -1,6 +1,6 @@
 import pytest
 
-from wcmdp.lp_relax import build_lp, extract_policy, solve_lp
+from wcmdp.lp_relax import extract_policy, solve_lp
 from wcmdp.model import GeneratorConfig, generate
 
 
@@ -10,6 +10,6 @@ def small_solved():
     cfg = GeneratorConfig(seed=3, num_arms=30, num_states=5, num_actions=3,
                           num_constraints=2)
     instance = generate(cfg)
-    solution = solve_lp(build_lp(instance))
+    solution = solve_lp(instance)
     policy = extract_policy(instance, solution)
     return instance, solution, policy

@@ -174,6 +174,32 @@ def mixing_time_reference(P: np.ndarray, mu: np.ndarray,
     return UNBOUNDED
 
 
+def chain_structure_reference(P: np.ndarray) -> tuple[bool, bool]:
+    """(unichain, aperiodic) from the definitions, by boolean powers of the
+    support matrix. A state is recurrent when every state it reaches
+    reaches it back, and the recurrent states that reach each other form one
+    closed class. A class's period is the gcd of the lengths of the closed
+    walks through one of its members, and walks of length <= 3 S suffice:
+    for every simple cycle C of the class some closed walk W through that
+    member meets C with |W| <= 2 S, W with C inserted is a closed walk too,
+    and gcd(|W|, |W| + |C|) divides |C|."""
+    s = P.shape[0]
+    support = (np.asarray(P) > 0.0).astype(np.int64)
+    power = np.eye(s, dtype=np.int64)
+    reach = np.eye(s, dtype=bool)
+    returns: list[list[int]] = [[] for _ in range(s)]
+    for t in range(1, 3 * s + 1):
+        power = np.minimum(power @ support, 1)
+        reach |= power > 0
+        for i in np.flatnonzero(np.diag(power)):
+            returns[i].append(t)
+    recurrent = [i for i in range(s)
+                 if all(reach[j, i] for j in np.flatnonzero(reach[i]))]
+    classes = {min(np.flatnonzero(reach[i] & reach[:, i])) for i in recurrent}
+    return (len(classes) == 1,
+            all(math.gcd(*returns[i]) == 1 for i in classes))
+
+
 def drift_probe_reference(instance, policy, diag, D, num_samples, rng,
                           tol: float = 1e-6) -> DriftProbeResult:
     """The sequential drift probe: one full deviation series per sampled

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from wcmdp.lp_relax import build_lp, extract_policy, solve_lp
+from wcmdp.lp_relax import extract_policy, solve_lp
 from wcmdp.lyapunov import (UNBOUNDED, chain_diagnostics, drift_probe,
                             mixing_time, subset_h)
 from wcmdp.model import (COST_ACTION_ONLY, TYPED, GeneratorConfig,
@@ -52,7 +52,7 @@ def test_criterion_1_oracle_upper_bound():
     for seed in range(20):
         instance = tiny_instance(seed=seed, n=2, s=3, a=2, k=1)
         r_star = exact_oracle(instance)
-        r_rel = solve_lp(build_lp(instance)).objective
+        r_rel = solve_lp(instance).objective
         worst = max(worst, r_star - r_rel)
     _report(1, worst <= 1e-6,
             f"exact optimum vs relaxation bound over 20 instances, "
@@ -98,7 +98,7 @@ def test_criterion_5_slope_property():
         cfg = GeneratorConfig(seed=seed, num_arms=200, num_states=10,
                               num_actions=4, num_constraints=4)
         instance = generate(cfg)
-        policy = extract_policy(instance, solve_lp(build_lp(instance)))
+        policy = extract_policy(instance, solve_lp(instance))
         result = reassign(instance, policy, seed=seed)
         report = verify_slope(instance, policy, result)
         worst_margin = min(worst_margin, report.margin)
@@ -113,7 +113,7 @@ def test_criterion_6_drift_bound():
     cfg = GeneratorConfig(seed=0, num_arms=50, num_states=10, num_actions=4,
                           num_constraints=4)
     instance = generate(cfg)
-    policy = extract_policy(instance, solve_lp(build_lp(instance)))
+    policy = extract_policy(instance, solve_lp(instance))
     diag = chain_diagnostics(instance, policy)
     probe = drift_probe(instance, policy, diag, np.arange(50), 1000,
                         np.random.default_rng(0))
@@ -125,7 +125,7 @@ def test_criterion_6_drift_bound():
 
 def test_criterion_7_h_unit_truths():
     instance = tiny_instance(seed=3, n=25, s=5, a=3, k=2)
-    policy = extract_policy(instance, solve_lp(build_lp(instance)))
+    policy = extract_policy(instance, solve_lp(instance))
     diag = chain_diagnostics(instance, policy)
     n, s = instance.num_arms, instance.num_states
     parts = []
@@ -176,7 +176,7 @@ def test_criterion_8_mixing_closed_forms():
     t_cycle = mixing_time(lyap_helpers.CYCLE2, lyap_helpers.HALF, t_cap=1000)
 
     instance = tiny_instance(seed=4, n=10, s=4, a=3, k=2)
-    policy = extract_policy(instance, solve_lp(build_lp(instance)))
+    policy = extract_policy(instance, solve_lp(instance))
     diag = chain_diagnostics(instance, policy)
     tau = diag.tau_max
     gamma_ref = math.exp(-1.0 / (2.0 * tau))

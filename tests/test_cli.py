@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -559,6 +560,32 @@ def test_every_manifest_describes_its_run(tmp_path, monkeypatch, argv,
     untimed = [{k: v for k, v in m.items() if k != "timestamp"}
                for m in manifests]
     assert all(m == untimed[0] for m in untimed)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--instance", "inst.json", "--policies", "id,erc",
+      *_SIM_FLAGS, "--out", "sim.csv"], "budget violation detected"),
+    ([*_SWEEP, "--n-list", "4", *_SIM_FLAGS, "--out", "sweep.csv",
+      "--svg", "sweep.svg"], "budget violation detected during sweep"),
+], ids=["simulate", "sweep-svg"])
+def test_budget_violation_exits_4_and_writes_nothing(tmp_path, monkeypatch,
+                                                     capsys, argv, message):
+    from wcmdp import simulator
+    tiny_instance(seed=0, n=40).save(tmp_path / "inst.json")
+    monkeypatch.chdir(tmp_path)
+    # every simulated step then exceeds the budget audit's limit
+    monkeypatch.setattr(simulator, "FEASIBILITY_SLACK", -math.inf)
+    assert run(argv) == 4
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+def test_oracle_check_exits_3_when_r_star_exceeds_r_rel(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "exact_oracle", lambda instance: 10.0)
+    assert run(["oracle-check", "--n", "2", "--states", "2", "--actions",
+                "2", "--k", "1", "--seeds", "2"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("upper bound violated by ")
 
 
 _ODD_VALUES =[float("nan"), float("inf"), float("-inf"), -1.0, -1e-3, 0.0,

@@ -40,7 +40,7 @@ class TestBuildLp:
 class TestSolveLp:
     def test_zero_costs_match_per_arm_value_iteration(self):
         instance = zero_cost_copy(tiny_instance(seed=7, n=4, s=3, a=2, k=1))
-        solution = solve_lp(build_lp(instance))
+        solution = solve_lp(instance)
         expected = np.mean([rvi_average_reward(p, r) for p, r
                             in zip(instance.transition, instance.reward)])
         assert solution.objective == pytest.approx(expected, abs=1e-7)
@@ -48,7 +48,7 @@ class TestSolveLp:
     def test_hand_solved_one_variable_lp(self):
         arm = single_state_arm([0.0, 0.7], [[0.0, 1.0]])
         instance = stack_arms([arm], [0.5])
-        solution = solve_lp(build_lp(instance))
+        solution = solve_lp(instance)
         assert solution.objective == pytest.approx(0.35, abs=1e-9)
         assert solution.y[0, 0, 1] == pytest.approx(0.5, abs=1e-9)
 
@@ -57,15 +57,15 @@ class TestSolveLp:
                               num_constraints=1, family="typed", num_types=1)
         instance = generate(cfg)
         single = take_arms(instance, [0])
-        many = solve_lp(build_lp(instance))
-        one = solve_lp(build_lp(single))
+        many = solve_lp(instance)
+        one = solve_lp(single)
         assert many.objective == pytest.approx(one.objective, abs=1e-7)
 
     def test_duplicating_arms_leaves_objective_unchanged(self):
         instance = tiny_instance(seed=11, n=5, s=3, a=2, k=2)
         doubled = take_arms(instance, np.tile(np.arange(5), 2))
-        r1 = solve_lp(build_lp(instance)).objective
-        r2 = solve_lp(build_lp(doubled)).objective
+        r1 = solve_lp(instance).objective
+        r2 = solve_lp(doubled).objective
         assert r2 == pytest.approx(r1, abs=1e-7)
 
     def test_solution_invariants(self, small_solved):
@@ -159,7 +159,7 @@ class TestColumnGenerationAgainstHighs:
             assert check_solution(instance, solution).ok
             assert solution.stats.lagrangian_gap <= lp_relax.GAP_RTOL
         below = take_arms(instance, np.arange(511))
-        assert solve_lp(build_lp(below)).stats.warm_start is None
+        assert solve_lp(below).stats.warm_start is None
 
     @pytest.mark.parametrize("scale", [0.0, 100.0])
     def test_poor_warm_duals_are_only_a_hint(self, monkeypatch, scale):
@@ -228,14 +228,14 @@ class TestColumnGenerationAgainstHighs:
         monkeypatch.setattr(lp_relax._Master, "__init__", stopping_init)
         instance = tiny_instance(seed=0, n=20, s=4, a=3, k=2)
         with pytest.raises(LpSolveError, match="Iteration limit reached"):
-            solve_lp(build_lp(instance))
+            solve_lp(instance)
 
     @pytest.mark.parametrize("cap", ["MAX_MASTER_ROUNDS", "MAX_POLICY_SWEEPS"])
     def test_iteration_cap_raises(self, monkeypatch, cap):
         monkeypatch.setattr(lp_relax, cap, 1)
         instance = tiny_instance(seed=0, n=20, s=4, a=3, k=2)
         with pytest.raises(LpSolveError, match="did not converge"):
-            solve_lp(build_lp(instance))
+            solve_lp(instance)
 
 
 def repeated_multichain_instance():
@@ -359,7 +359,7 @@ class TestSolvePins:
         assert digest.hexdigest() == self.DIGESTS[case]
 
     def test_fallback_counts_every_copy(self):
-        solution = solve_lp(build_lp(repeated_multichain_instance()))
+        solution = solve_lp(repeated_multichain_instance())
         assert solution.stats.fallback_arms == 3
 
 
@@ -453,7 +453,7 @@ class TestExtractPolicy:
 
     def test_zero_costs_give_zero_expected_costs(self):
         instance = zero_cost_copy(tiny_instance(seed=8, n=3, s=3, a=2, k=2))
-        solution = solve_lp(build_lp(instance))
+        solution = solve_lp(instance)
         policy = extract_policy(instance, solution)
         assert np.all(policy.C_star == 0.0)
 

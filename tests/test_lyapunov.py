@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wcmdp.lp_relax import (SingleArmPolicy, build_lp, extract_policy,
-                            solve_lp)
+from wcmdp.lp_relax import SingleArmPolicy, extract_policy, solve_lp
 from wcmdp.lyapunov import (AssumptionError, C_TAU_COEFF, ChainDiagnostics,
                             TruncationError, UNBOUNDED, build_report,
                             chain_diagnostics, chain_structure, drift_probe,
@@ -18,9 +17,9 @@ from wcmdp.policies import IdPolicyRunner
 from wcmdp.reassign import verify_slope
 from wcmdp.simulator import PolicyBundle
 
-from oracles import (drift_probe_reference, mixing_time_reference,
-                     slow_mixing_instance, take_arms, tiny_instance,
-                     zero_cost_copy)
+from oracles import (chain_structure_reference, drift_probe_reference,
+                     mixing_time_reference, slow_mixing_instance, take_arms,
+                     tiny_instance, zero_cost_copy)
 
 IID2 = np.array([[0.5, 0.5], [0.5, 0.5]])
 LAZY2 = np.array([[0.75, 0.25], [0.25, 0.75]])
@@ -105,6 +104,29 @@ class TestChainStructure:
         assert seen.get((True, True), 0) >= 300
 
 
+def test_chain_structure_matches_the_definitions():
+    """The flags equal those of the definitions on random chains of up to
+    seven states, among them chains with transient states and with several
+    closed classes of different periods."""
+    rng = np.random.default_rng(1)
+    seen = {}
+    for _ in range(1500):
+        s = int(rng.integers(1, 8))
+        # a permutation's cycles, some of them closed, give periods >= 2
+        permuted = rng.random() < 0.5
+        support = rng.random((s, s)) < rng.uniform(0.0, 0.1 if permuted
+                                                   else 0.4)
+        support[np.arange(s), rng.permutation(s) if permuted
+                else rng.integers(0, s, s)] = True
+        P = np.where(support, rng.random((s, s)) + 0.05, 0.0)
+        P /= P.sum(axis=1, keepdims=True)
+        structure = chain_structure(P)
+        assert structure == chain_structure_reference(P), P
+        seen[structure] = seen.get(structure, 0) + 1
+    assert min(seen.get(flags, 0) for flags in itertools.product(
+        (True, False), repeat=2)) >= 50, seen
+
+
 def _some_stationary_distribution(P: np.ndarray) -> np.ndarray:
     """A stationary distribution of P: the limit of the uniform start under
     the lazy chain (I + P) / 2, which has the same stationary set as P and
@@ -186,7 +208,7 @@ class TestChainDiagnostics:
             seed=1, num_arms=20, num_states=4, num_actions=3,
             num_constraints=1, family=TYPED, num_types=4,
             cost_mode=COST_ACTION_ONLY))
-        policy = extract_policy(instance, solve_lp(build_lp(instance)))
+        policy = extract_policy(instance, solve_lp(instance))
         assert len(distinct_arms(policy.induced_P)[0][0]) > 4
         diag = chain_diagnostics(instance, policy)
         assert diag.tau.tolist() == [
@@ -737,7 +759,7 @@ class TestDriftProbePins:
 
 def _solved(cfg: GeneratorConfig):
     instance = generate(cfg)
-    return instance, extract_policy(instance, solve_lp(build_lp(instance)))
+    return instance, extract_policy(instance, solve_lp(instance))
 
 
 @pytest.fixture(scope="module")

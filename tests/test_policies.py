@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from wcmdp.lp_relax import SingleArmPolicy, build_lp, extract_policy, solve_lp
+from wcmdp.lp_relax import SingleArmPolicy, extract_policy, solve_lp
 from wcmdp.policies import (ErcPolicyRunner, IdPolicyRunner, OracleSizeError,
                             exact_oracle)
 from wcmdp.reassign import ReassignmentResult, reassign
@@ -43,7 +43,7 @@ def two_arm_instance(costs, alpha, rewards=(1.0, 1.0)):
 class TestIdPolicyStep:
     def test_zero_costs_everyone_conforms(self):
         instance = zero_cost_copy(tiny_instance(seed=0, n=6, s=3, a=2, k=1))
-        policy = extract_policy(instance, solve_lp(build_lp(instance)))
+        policy = extract_policy(instance, solve_lp(instance))
         runner = IdPolicyRunner(instance, policy, identity_reassignment(6))
         outcome = runner.step(np.zeros(6, dtype=int),
                               np.random.default_rng(0).random(6))
@@ -230,7 +230,7 @@ class TestExactOracle:
         for seed in range(5):
             instance = tiny_instance(seed=seed, n=2, s=3, a=2, k=1)
             r_star = exact_oracle(instance)
-            r_rel = solve_lp(build_lp(instance)).objective
+            r_rel = solve_lp(instance).objective
             assert r_star <= r_rel + 1e-6
 
     def test_size_guard(self):
@@ -257,4 +257,4 @@ class TestExactOracle:
         instance = stack_arms([arm], [0.5])
         # budget 0.5 < cost 1.0, so the ideal action is never playable
         assert exact_oracle(instance) == pytest.approx(0.0, abs=1e-8)
-        assert solve_lp(build_lp(instance)).objective == pytest.approx(0.5, abs=1e-9)
+        assert solve_lp(instance).objective == pytest.approx(0.5, abs=1e-9)

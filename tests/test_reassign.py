@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcmdp.lp_relax import SingleArmPolicy, build_lp, extract_policy, solve_lp
+from wcmdp.lp_relax import SingleArmPolicy, extract_policy, solve_lp
 from wcmdp.model import (COST_ACTION_ONLY, TYPED, GeneratorConfig,
                          generate)
 from wcmdp.reassign import (ReassignmentResult, active_constraints, reassign,
@@ -53,7 +53,7 @@ def in_id_order(instance, active_set):
 
 
 def solved_policy(instance):
-    return extract_policy(instance, solve_lp(build_lp(instance)))
+    return extract_policy(instance, solve_lp(instance))
 
 
 class TestActiveConstraints:
@@ -137,6 +137,31 @@ class TestReassign:
         assert sorted(result.new_id.tolist()) == list(range(5))
         if result.active_set and result.group_size > 5:
             assert not result.fallback  # no group was ever served
+
+    def test_pool_that_runs_out_falls_back_to_a_seeded_shuffle(self):
+        """One arm carries the whole active cost and four groups need it:
+        group 0 takes it, group 1 finds the pool empty, and every other arm
+        gets a free slot in the seeded permutation's order."""
+        n, seed = 20, 7
+        base = tiny_instance(seed=0, n=n, s=3, a=2, k=1)
+        cost = np.zeros_like(base.cost)
+        cost[0, 0, 0, 1] = 0.55     # c_max: group_size ceil(0.45 / 0.1) = 5
+        instance = dataclasses.replace(base, cost=cost, alpha=np.array([0.4]))
+        C_star = np.zeros((1, n))
+        C_star[0, 0] = 0.4 * n / 2  # active, and the pool is arm 0 alone
+        policy = manual_policy(instance, C_star)
+        result = reassign(instance, policy, seed=seed)
+        assert result.active_set == (0,)
+        assert result.group_size == 5
+        assert result.fallback
+        assert sorted(result.new_id.tolist()) == list(range(n))
+        assert result.new_id[0] == 0
+        free = np.arange(1, n)
+        assert np.array_equal(
+            result.new_id[1:],
+            free[np.random.default_rng(seed).permutation(n - 1)])
+        with pytest.raises(ValueError, match="fallback"):
+            verify_slope(instance, policy, result)
 
     def test_determinism(self, small_solved):
         instance, _, policy = small_solved
