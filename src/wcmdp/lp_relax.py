@@ -40,18 +40,19 @@ column generation instead of one LP over all N*S*A variables:
   long-run gain of the price r - lam.c. Arms whose transition, reward and
   cost rows hold the same bytes are priced once (model.distinct_arms): the
   typed family's copies share one pricing problem, and its policy, bound and
-  column reach every copy. Howard policy iteration runs for all distinct
-  arms at once: each sweep evaluates every policy with one batched
-  np.linalg.inv of (n, S, S) unichain systems, then improves it. The
-  system depends on the policy alone, so each arm keeps the inverse of its
-  last evaluation and only arms whose policy changed are inverted again
-  (the first sweep of a round, which starts from the previous round's
-  policies, inverts none). Each round starts from the previous round's
-  policies and keeps the current action on ties, so the iteration
+  column reach every copy. One _Howard object per solve runs Howard policy
+  iteration for all distinct arms at once and holds each arm's current
+  policy together with the inverse of that policy's evaluation system.
+  Every sweep evaluates and improves every distinct arm, until a sweep
+  improves none. The system depends on the policy alone, so one batched
+  np.linalg.inv re-inverts just the arms a sweep changed, and the first
+  sweep of a round, which starts from the previous round's policies,
+  inverts none. Ties keep the current action, so the iteration
   terminates. Every arm keeps its own convexity row, reduced cost and
   column in the master.
 - Fallback. An arm whose evaluation system is singular is at a multichain
-  policy; it is priced by an LP over its own S*A occupation polytope.
+  policy. It keeps that policy, and from then on it is priced by an LP
+  over its own S*A occupation polytope.
 - Certificate. For any bias vector h, flow balance gives
   sum y (r - lam.c) <= max_{s,a} [r - lam.c + P h - h(s)] for every y in the
   arm's polytope. This bound, less the arm's convexity dual in the master,
@@ -249,102 +250,84 @@ def _occupation(policy: np.ndarray, mu: np.ndarray, num_actions: int) -> np.ndar
     return x
 
 
-class _Evaluations:
-    """Policy evaluation of deterministic policies, for every distinct arm.
+class _Howard:
+    """Howard policy iteration (Puterman, Markov Decision Processes, §8.6)
+    for every distinct arm, held from one price to the next.
 
-    Solves g + h(s) = r(s) + sum_t P(s, t) h(t) with h(0) = 0 per arm: the
-    matrix is I - P with its first column replaced by ones, its solution is
+    Holds each arm's current deterministic policy, the inverse of that
+    policy's evaluation system and its singular flag. The system is
+    g + h(s) = r(s) + sum_t P(s, t) h(t) with h(0) = 0: its matrix is I - P
+    with the first column replaced by ones, its solution is
     (g, h(1), ..., h(S-1)), and the first row of its inverse is the
-    stationary distribution. The matrix depends on the policy alone, so each
-    arm keeps the policy, inverse and singular flag of its last evaluation,
-    and only arms whose policy changed since then are inverted again; the
-    bias is recomputed for every price.
+    stationary distribution. The matrix depends on the policy alone, so an
+    arm is inverted again only when a sweep changes its policy; the bias is
+    recomputed for every price. A singular system (see EVALUATION_COND_MAX)
+    marks a multichain policy: its arm keeps that policy, is never improved,
+    and holds a zero inverse, so its rows of every sweep stay finite.
     """
 
     def __init__(self, transition: np.ndarray):
         n, S = transition.shape[:2]
         self.transition = transition
-        self._policy = np.full((n, S), -1, dtype=np.intp)   # never evaluated
-        self._inverse = np.empty((n, S, S))
-        self._singular = np.zeros(n, dtype=bool)
+        self.policy = np.zeros((n, S), dtype=np.intp)
+        self.inverse = np.empty((n, S, S))
+        self.singular = np.zeros(n, dtype=bool)
+        self._invert(np.arange(n))
 
-    def __call__(self, active: np.ndarray, price: np.ndarray,
-                 policy: np.ndarray):
-        """h (m, S), mu (m, S) and a mask of the singular systems (see
-        EVALUATION_COND_MAX), i.e. multichain policies, for the arms
-        `active` under their (m, S) `policy` rows and the (n, S, A) `price`."""
-        states = np.arange(policy.shape[1])
-        stale = (policy != self._policy[active]).any(axis=1)
-        if stale.any():
-            arms = active[stale]
-            self._policy[arms] = policy[stale]
-            m = np.eye(states.size) - self.transition[arms[:, None], states,
-                                                      policy[stale]]
-            m[:, :, 0] = 1.0
-            try:
-                inverse = np.linalg.inv(m)
-            except np.linalg.LinAlgError:
-                inverse = np.full_like(m, np.nan)
-                for i in range(arms.size):
-                    try:
-                        inverse[i] = np.linalg.inv(m[i])
-                    except np.linalg.LinAlgError:
-                        pass
-            cond = (np.abs(m).sum(axis=2).max(axis=1)
-                    * np.abs(inverse).sum(axis=2).max(axis=1))
-            self._inverse[arms] = inverse
-            self._singular[arms] = ~(cond <= EVALUATION_COND_MAX)
-        inverse = self._inverse[active]
-        r_pi = price[active[:, None], states, policy]
-        h = np.einsum("nst,nt->ns", inverse, r_pi)
-        h[:, 0] = 0.0
-        return h, np.maximum(inverse[:, 0, :], 0.0), self._singular[active]
+    def _invert(self, arms: np.ndarray) -> None:
+        """Invert the evaluation systems of `arms` under their policies."""
+        states = np.arange(self.policy.shape[1])
+        m = np.eye(states.size) - self.transition[arms[:, None], states,
+                                                  self.policy[arms]]
+        m[:, :, 0] = 1.0
+        try:
+            inverse = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            inverse = np.full_like(m, np.nan)
+            for i in range(arms.size):
+                try:
+                    inverse[i] = np.linalg.inv(m[i])
+                except np.linalg.LinAlgError:
+                    pass
+        cond = (np.abs(m).sum(axis=2).max(axis=1)
+                * np.abs(inverse).sum(axis=2).max(axis=1))
+        singular = ~(cond <= EVALUATION_COND_MAX)
+        inverse[singular] = 0.0
+        self.inverse[arms] = inverse
+        self.singular[arms] = singular
 
+    def howard(self, price: np.ndarray):
+        """Sweep every arm under the (n, S, A) `price` until no sweep
+        improves a policy, keeping the current action on ties.
 
-def _policy_iteration(evaluate: _Evaluations, price: np.ndarray,
-                      policy: np.ndarray):
-    """Howard policy iteration for every arm, from the given policies.
-
-    Returns the final policies, their stationary distributions, a gain
-    bound per arm (max over (s, a) of price + P h - h(s) at the final
-    bias h), a mask of arms that reached a multichain policy (left for the
-    fallback; their other outputs are meaningless) and the number of
-    evaluation sweeps.
-    """
-    policy = policy.copy()
-    n, S = policy.shape
-    states = np.arange(S)
-    mu = np.zeros((n, S))
-    bound = np.full(n, np.nan)
-    multichain = np.zeros(n, dtype=bool)
-    active = np.arange(n)
-    sweeps = 0
-    while active.size:
-        if sweeps == MAX_POLICY_SWEEPS:
-            raise LpSolveError(f"policy iteration did not converge in "
-                               f"{MAX_POLICY_SWEEPS} sweeps")
-        sweeps += 1
-        h, mu_a, singular = evaluate(active, price, policy[active])
-        multichain[active[singular]] = True
-        ok = ~singular
-        mu[active[ok]] = mu_a[ok]
-        active, h = active[ok], h[ok]
-        _require_finite("bias in policy iteration", h)
-        # active is ascending, so when it holds every arm it is the identity
-        # and the tables need no gathered copy
-        every = active.size == n
-        q = ((price if every else price[active])
-             + np.einsum("nsat,nt->nsa", evaluate.transition if every
-                         else evaluate.transition[active], h))
-        current = q[np.arange(active.size)[:, None], states, policy[active]]
-        tie = TIE_RTOL * np.maximum(1.0, np.abs(q).max(axis=(1, 2)))
-        improve = q.max(axis=2) > current + tie[:, None]
-        changed = improve.any(axis=1)
-        done = ~changed
-        bound[active[done]] = (q[done] - h[done][:, :, None]).max(axis=(1, 2))
-        policy[active] = np.where(improve, q.argmax(axis=2), policy[active])
-        active = active[changed]
-    return policy, mu, bound, multichain, sweeps
+        Returns the stationary distributions (n, S), a gain bound per arm
+        (max over (s, a) of price + P h - h(s) at the final bias h), the
+        mask of multichain arms (left for the fallback; their other outputs
+        are meaningless) and the number of sweeps.
+        """
+        n, S = self.policy.shape
+        rows, states = np.arange(n)[:, None], np.arange(S)
+        for sweeps in range(1, MAX_POLICY_SWEEPS + 1):
+            h = np.einsum("nst,nt->ns", self.inverse,
+                          price[rows, states, self.policy])
+            h[:, 0] = 0.0
+            _require_finite("bias in policy iteration", h)
+            q = price + np.einsum("nsat,nt->nsa", self.transition, h)
+            tie = TIE_RTOL * np.maximum(1.0, np.abs(q).max(axis=(1, 2)))
+            improve = ((q.max(axis=2)
+                        > q[rows, states, self.policy] + tie[:, None])
+                       & ~self.singular[:, None])
+            changed = np.flatnonzero(improve.any(axis=1))
+            if not changed.size:
+                return (np.maximum(self.inverse[:, 0, :], 0.0),
+                        (q - h[:, :, None]).max(axis=(1, 2)),
+                        self.singular.copy(), sweeps)
+            self.policy[changed] = np.where(improve[changed],
+                                            q[changed].argmax(axis=2),
+                                            self.policy[changed])
+            self._invert(changed)
+        raise LpSolveError(f"policy iteration did not converge in "
+                           f"{MAX_POLICY_SWEEPS} sweeps")
 
 
 def _arm_lp(transition: np.ndarray, price: np.ndarray):
@@ -445,7 +428,7 @@ def _column_generation(transition: np.ndarray, reward: np.ndarray,
     (arm_transition, arm_reward, arm_cost), inverse = distinct_arms(
         transition, reward, cost)
     distinct = arm_reward.shape[0]
-    evaluate = _Evaluations(arm_transition)
+    pricing = _Howard(arm_transition)
 
     def lagrangian_price(lam: np.ndarray) -> np.ndarray:
         price = arm_reward - np.einsum("k,nksa->nsa", lam, arm_cost)
@@ -471,16 +454,14 @@ def _column_generation(transition: np.ndarray, reward: np.ndarray,
     if warm is not None:
         prices.append(lagrangian_price(-warm.duals))
     convexity_duals = np.full(N, np.inf)
-    policy = np.zeros((distinct, S), dtype=np.intp)
     sweeps = 0
     fallback = np.zeros(distinct, dtype=bool)
     for rounds in range(MAX_MASTER_ROUNDS + 1):
         entered = 0
         for price in prices:
-            policy, mu, bound, multichain, n_sweeps = _policy_iteration(
-                evaluate, price, policy)
+            mu, bound, multichain, n_sweeps = pricing.howard(price)
             sweeps += n_sweeps
-            x = _occupation(policy, mu, A)
+            x = _occupation(pricing.policy, mu, A)
             for j in np.flatnonzero(multichain):
                 x[j], bound[j] = _arm_lp(arm_transition[j], price[j])
             fallback |= multichain

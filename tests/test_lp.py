@@ -238,6 +238,56 @@ class TestColumnGenerationAgainstHighs:
             solve_lp(instance)
 
 
+class TestHowardEvaluationCache:
+    """The pricing object inverts each distinct arm's evaluation system once
+    when it is built, and after that only the systems of the arms whose
+    policy a sweep changed."""
+
+    def test_each_sweep_inverts_exactly_the_arms_it_changed(self,
+                                                             monkeypatch):
+        transition = tiny_instance(seed=3, n=12, s=5, a=3, k=1).transition
+        n, S, A = transition.shape[:3]
+        price = np.random.default_rng(0).normal(size=(n, S, A))
+        inv = np.linalg.inv
+        inverted = []   # (matrices, every arm's policy when they were passed)
+        howard = None
+
+        def recording_inv(m):
+            policy = (np.zeros((n, S), dtype=np.intp) if howard is None
+                      else howard.policy.copy())
+            inverted.append((m.copy(), policy))
+            return inv(m)
+
+        def systems(arms, policy):
+            m = np.eye(S) - transition[arms[:, None], np.arange(S),
+                                       policy[arms]]
+            m[:, :, 0] = 1.0
+            return m
+
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        howard = lp_relax._Howard(transition)
+        [(matrices, policy)] = inverted
+        np.testing.assert_array_equal(matrices, systems(np.arange(n), policy))
+
+        mu, bound, multichain, sweeps = howard.howard(price)
+        assert not multichain.any()
+        # every sweep but the last changed some policies and inverted them
+        assert len(inverted) == sweeps >= 3
+        sizes = []
+        for (_, before), (matrices, after) in zip(inverted, inverted[1:]):
+            changed = np.flatnonzero((after != before).any(axis=1))
+            np.testing.assert_array_equal(matrices, systems(changed, after))
+            sizes.append(changed.size)
+        assert 0 < min(sizes) < n
+        np.testing.assert_array_equal(inverted[-1][1], howard.policy)
+
+        inverted.clear()
+        *again, sweeps = howard.howard(price)
+        assert sweeps == 1 and inverted == []
+        for first, second in zip((mu, bound, multichain), again):
+            np.testing.assert_array_equal(first, second)
+
+
 def repeated_multichain_instance():
     """K=2 instance of eight arms from three prototypes, interleaved: three
     copies of a four-state multichain arm (priced by the fallback LP) and

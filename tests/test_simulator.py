@@ -161,9 +161,10 @@ class TestPlanMemory:
         assert again.solution.y.tobytes() == bundle.solution.y.tobytes()
 
     def test_prepare_heap_peak(self, het_800):
-        """Building the sparse LP as well peaked at 6.6x."""
+        """Gathering the still-improving arms' transition rows in every
+        policy-iteration sweep peaked at 2.9x."""
         peak = _heap_peak(lambda: PolicyBundle.prepare(het_800, seed=0))
-        assert peak <= 3.5 * het_800.transition.nbytes
+        assert peak <= 2.75 * het_800.transition.nbytes
 
     @pytest.mark.parametrize("kind", ["id", "erc"])
     def test_runner_build_peaks_at_what_it_holds(self, het_800, bundle_800,
