@@ -9,11 +9,14 @@ single-armed policy and then enforce the hard budgets:
   arms take the free action 0, whatever their individual cost would be.
 * ERC baseline: rank arms each step by expected reward at their current
   state and greedily keep ideal actions that still fit every running budget,
-  continuing past arms that do not fit. The greedy runs in array rounds
-  (`_erc_rejections`) and rejects exactly the arms the one-at-a-time loop
-  rejects: costs are non-negative and rounded addition is monotone, so the
-  running totals never shrink, and every test is the same comparison
-  running + cost <= budget on the same left-to-right fold.
+  continuing past arms that do not fit. The rank sorts integer keys that
+  the runner computes once: each (arm, state) pair's position in the order
+  of descending index, ties by arm ID, with every free draw keyed after
+  every costly one, so each row's queue is a prefix of its rank. The greedy
+  runs in array rounds (`_erc_rejections`) and rejects exactly the arms the
+  one-at-a-time loop rejects: costs are non-negative and rounded addition
+  is monotone, so the running totals never shrink, and every test is the
+  same comparison running + cost <= budget on the same left-to-right fold.
 
 Both runners gather each step's rows (policy and transition CDFs, rewards,
 costs) with one take from flat row tables, held in arm order for either
@@ -194,28 +197,43 @@ class ErcPolicyRunner(_RunnerBase):
     `_erc_rejections`, one replication row at a time, which rejects the same
     arms as the sequential greedy: costs are non-negative, rounding is
     monotone and every test is running + cost <= budget.
+
+    The order is fixed when the runner is built. rank_key[i*S + s] is the
+    position of the pair (arm i, state s) among all N*S pairs sorted by
+    descending r_star, ties by arm ID, and key_arm maps a position back to
+    its arm. A free draw adds N*S to its key and key_arm repeats the arms
+    for those keys, so one sort of the unique keys puts each row's costly
+    draws first, in queue order, and its free draws after them.
     """
 
     def __init__(self, instance: WcmdpInstance, policy: SingleArmPolicy):
         super().__init__(instance, policy, np.arange(instance.num_arms))
-        self.index_table = policy.r_star.reshape(-1)      # (N*S,)
         self.costly = (self.cost > 0.0).any(axis=1)       # (N*S*A,)
+        # the flat rows run in arm order, so the stable sort ties by arm ID
+        order = np.argsort(-policy.r_star.reshape(-1), kind="stable")
+        self.rank_key = order.argsort()                   # (N*S,)
+        self.key_arm = np.tile(order // instance.num_states, 2)  # (2*N*S,)
+
+    def _rank(self, states: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """Each row's arms in queue order: the costly draws by descending
+        index at their current states, ties by arm ID, then the free ones."""
+        keys = self.rank_key.take(self._state_row + states)
+        keys += self.rank_key.size * free
+        return self.key_arm.take(np.sort(keys, axis=-1))
 
     def step(self, states: np.ndarray, u: np.ndarray) -> StepOutcome:
         ideal = self.sample_ideal(states, u)
         pairs = self._pair_rows(states, ideal)
         costs = self.cost.take(pairs, axis=0)             # (R, N, K)
-        # indices recomputed from the current states every step
-        indices = self.index_table.take(self._state_row + states)
-        rank = np.argsort(-indices, axis=-1, kind="stable")  # ties: arm ID ascending
         # zero-cost draws can never break a budget, so only the rest queue up
-        needs_check = self.costly.take(pairs)
+        costly = self.costly.take(pairs)
+        rank = self._rank(states, ~costly)
         actions = ideal.copy()
         n, k = costs.shape[-2:]
-        for row, row_costs, row_rank, row_check in zip(
+        for row, row_costs, row_rank, queued in zip(
                 actions.reshape(-1, n), costs.reshape(-1, n, k),
-                rank.reshape(-1, n), needs_check.reshape(-1, n)):
-            queue = row_rank[row_check[row_rank]]
+                rank.reshape(-1, n), costly.sum(axis=-1).reshape(-1)):
+            queue = row_rank[:queued]
             row[queue[_erc_rejections(row_costs[queue], self.budget)]] = 0
         conforming = (actions == ideal).sum(axis=-1)
         return self._outcome(states, actions, ideal, conforming)

@@ -2,8 +2,9 @@
 
 ERC admission must reject exactly the queued rows that the sequential greedy
 in `oracles.erc_rejections_reference` rejects, and both runners must step
-bit for bit like `oracles.ReferenceRunner`. A simulate result of a
-rejection-heavy ERC run is pinned as literals.
+bit for bit like `oracles.ReferenceRunner`, in single (N,) rows and, on a
+typed instance whose arms tie in index, in (R, N) rows. A simulate result
+of a rejection-heavy ERC run is pinned as literals.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcmdp.model import GeneratorConfig, generate
+from wcmdp.model import COST_ACTION_ONLY, TYPED, GeneratorConfig, generate
 from wcmdp.policies import ErcPolicyRunner, IdPolicyRunner, _erc_rejections
 from wcmdp.simulator import PolicyBundle, SimConfig, simulate
 
@@ -109,6 +110,49 @@ def test_runner_steps_match_reference(het200, kind, alpha_scale):
         ref_states = ref.transition_step(ref_states, actions, rng_ref)
         assert np.array_equal(states, ref_states)
     assert cut > 0          # the budgets bind on this run
+
+
+@pytest.fixture(scope="module")
+def typed100():
+    instance = generate(GeneratorConfig(seed=1, num_arms=100, num_states=10,
+                                        num_actions=4, num_constraints=1,
+                                        family=TYPED, num_types=10,
+                                        cost_mode=COST_ACTION_ONLY))
+    return instance, PolicyBundle.prepare(instance, seed=0)
+
+
+@pytest.mark.parametrize("alpha_scale", [1.0, 0.5])
+def test_erc_rows_match_reference_on_typed_ties(typed100, alpha_scale):
+    instance, bundle = typed100
+    r_star = bundle.policy.r_star
+    # most copies of one type share their index rows, and many indices are
+    # 0.0, so the queue order rests on the tie break by arm ID
+    assert len(np.unique(r_star, axis=0)) < 20 and (r_star == 0.0).any()
+    instance = dataclasses.replace(instance, alpha=instance.alpha * alpha_scale)
+    n, rows = instance.num_arms, 3
+    runner = ErcPolicyRunner(instance, bundle.policy)
+    ref = ReferenceRunner(instance, bundle.policy)
+    rngs = [np.random.default_rng(seed) for seed in range(rows)]
+    ref_rngs = [np.random.default_rng(seed) for seed in range(rows)]
+    states = np.zeros((rows, n), dtype=np.int64)
+    ref_states = list(states)
+    cut = 0
+    for _ in range(1000):
+        out = runner.step(states, np.stack([rng.random(n) for rng in rngs]))
+        for r, rng_ref in enumerate(ref_rngs):
+            actions, ideal, conforming, reward, costs = ref.step(ref_states[r],
+                                                                 rng_ref)
+            assert np.array_equal(out.actions[r], actions)
+            assert np.array_equal(out.ideal_actions[r], ideal)
+            assert out.conforming_count[r] == conforming
+            assert out.step_reward[r] == reward
+            assert out.step_costs[r].tobytes() == costs.tobytes()
+            cut += n - conforming
+            ref_states[r] = ref.transition_step(ref_states[r], actions, rng_ref)
+        states = runner.transition_step(states, out.actions,
+                                        np.stack([rng.random(n) for rng in rngs]))
+        assert np.array_equal(states, ref_states)
+    assert cut > 0          # the budget binds on this run
 
 
 def test_rejection_heavy_erc_simulate_pinned(het200):

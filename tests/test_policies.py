@@ -9,8 +9,8 @@ from wcmdp.policies import (ErcPolicyRunner, IdPolicyRunner, OracleSizeError,
                             exact_oracle)
 from wcmdp.reassign import ReassignmentResult, reassign
 
-from oracles import (rvi_average_reward, single_state_arm, stack_arms,
-                     tiny_instance, zero_cost_copy)
+from oracles import (ReferenceRunner, rvi_average_reward, single_state_arm,
+                     stack_arms, tiny_instance, zero_cost_copy)
 
 
 def det_policy(instance, chosen_action):
@@ -133,6 +133,50 @@ class TestErcPolicyStep:
             np.array([0, 0, 0]), np.random.default_rng(0).random(3))
         # order by index: arm0 (0.9), arm1 (0.5), arm2 (0.2); budget 1.2
         assert outcome.actions.tolist() == [1, 0, 1]
+
+    @staticmethod
+    def _tied_policy(n, s, seed):
+        """An instance and a deterministic policy whose index table mixes
+        0.0, -0.0 and repeated values."""
+        instance = tiny_instance(seed=seed, n=n, s=s, a=2, k=1)
+        rng = np.random.default_rng(seed)
+        policy = dataclasses.replace(
+            det_policy(instance, rng.integers(0, 2, n)),
+            r_star=rng.choice([0.0, -0.0, 0.25, 0.5, 1.0], size=(n, s)))
+        return instance, policy
+
+    @pytest.mark.parametrize("n, s", [(30, 4), (1700, 10)])
+    def test_rank_is_the_stable_argsort_of_the_indices(self, n, s):
+        # 1700 arms of 10 states give keys up to 2*N*S = 34000 > 32767
+        instance, policy = self._tied_policy(n, s, seed=n)
+        runner = ErcPolicyRunner(instance, policy)
+        rng = np.random.default_rng(1)
+        states = rng.integers(0, s, (20, n))
+        index = policy.r_star[np.arange(n), states]
+        none_free = np.zeros(states.shape, dtype=bool)
+        expected = np.argsort(-index, axis=-1, kind="stable")
+        assert np.array_equal(runner._rank(states, none_free), expected)
+        assert np.array_equal(runner._rank(states[3], none_free[3]),
+                              expected[3])
+        # free draws follow every costly one, each part in index order
+        free = rng.random(states.shape) < 0.3
+        assert np.array_equal(runner._rank(states, free),
+                              np.lexsort((-index, free), axis=-1))
+
+    def test_step_rows_match_reference_with_tied_indices(self):
+        instance, policy = self._tied_policy(1700, 10, seed=2)
+        instance = dataclasses.replace(instance, alpha=instance.alpha * 0.3)
+        ref = ReferenceRunner(instance, policy)
+        states = np.random.default_rng(3).integers(0, 10, (2, 1700))
+        u = np.stack([np.random.default_rng(r).random(1700) for r in range(2)])
+        out = ErcPolicyRunner(instance, policy).step(states, u)
+        for r in range(2):
+            actions, ideal, conforming, _, costs = ref.step(
+                states[r], np.random.default_rng(r))
+            assert np.array_equal(out.actions[r], actions)
+            assert np.array_equal(out.ideal_actions[r], ideal)
+            assert out.conforming_count[r] == conforming < 1700
+            assert out.step_costs[r].tobytes() == costs.tobytes()
 
 
 class TestRunnerTables:
