@@ -20,7 +20,11 @@ single-armed policy and then enforce the hard budgets:
 
 Both runners gather each step's rows (policy and transition CDFs, rewards,
 costs) with one take from flat row tables, held in arm order for either
-runner.
+runner. An LP vertex randomises few policy rows, so the runners look the
+ideal action of every deterministic row up in a table built once
+(`det_action`) and run the inverse-CDF count only on the mixed rows. The ID
+prefix cut runs its cumsum and its test against the budgets on a K-major
+copy of the gathered costs, along contiguous arms.
 
 Feasibility is structural: action 0 costs nothing, so the emitted system
 action always satisfies every budget.
@@ -31,8 +35,11 @@ runner's ID order, or a single (N,) row, and the uniforms it consumes in
 the same shape: `sample_ideal` and `step` use one uniform per arm for the
 ideal actions, and `transition_step` one per arm for the next states. The
 simulator draws both from each replication's own generator (see
-`simulator`). Identical states and uniforms reproduce a step exactly, and a
-row of an (R, N) step equals the (N,) step of that row.
+`simulator`). Every arm consumes its uniform, but an arm whose policy row is
+deterministic ignores it, so the stream does not depend on the policy. The
+uniforms must lie in [0, 1), as `Generator.random` draws them: the lookup
+equals the inverse CDF only there. Identical states and uniforms reproduce a
+step exactly, and a row of an (R, N) step equals the (N,) step of that row.
 """
 
 from __future__ import annotations
@@ -125,11 +132,11 @@ class _RunnerBase:
     The per-arm tables are held as flat row tables in arm order, whatever
     the runner's order: the row of arm i in state s is i*S + s, and that of
     the pair (s, a) is (i*S + s)*A + a. reward is a view of the instance's
-    reward array; the CDF and cost tables are built from the instance and
-    policy arrays with no gathered copy, so every runner of one plan holds
-    the same bytes. Position j of the runner's own order reads arm order[j]
-    through _state_row, and states, uniforms and every per-step sum stay in
-    the runner's order.
+    reward array; the CDF, ideal-action and cost tables are built from the
+    instance and policy arrays with no gathered copy, so every runner of one
+    plan holds the same bytes. Position j of the runner's own order reads
+    arm order[j] through _state_row, and states, uniforms and every per-step
+    sum stay in the runner's order.
     """
 
     def __init__(self, instance: WcmdpInstance, policy: SingleArmPolicy,
@@ -143,18 +150,27 @@ class _RunnerBase:
         self.cost = np.ascontiguousarray(
             instance.cost.transpose(0, 2, 3, 1)).reshape(n * s * a, -1)
         self.pi_cdf = np.cumsum(policy.pi, axis=-1).reshape(n * s, a)
+        # a row with no CDF entry strictly inside (0, 1) gives the same
+        # action for every u in [0, 1): the count of its entries <= 0
+        self.mixed = ((self.pi_cdf > 0.0) & (self.pi_cdf < 1.0)).any(axis=-1)
+        self.det_action = np.minimum((self.pi_cdf <= 0.0).sum(axis=-1), a - 1)
         self.trans_cdf = np.cumsum(instance.transition,
                                    axis=-1).reshape(n * s * a, s)
-        self._arm = np.arange(n)
         self._state_row = order * s             # row of (order[j], state 0)
 
     def _pair_rows(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         return (self._state_row + states) * self.num_actions + actions
 
     def sample_ideal(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Every arm's ideal action, by inverse CDF with the uniforms u."""
-        rows = self.pi_cdf.take(self._state_row + states, axis=0)
-        return sample_from_cdf(rows, u)
+        """Every arm's ideal action, by inverse CDF with the uniforms u:
+        looked up for deterministic rows, counted only for mixed ones."""
+        rows = self._state_row + states
+        ideal = self.det_action.take(rows)
+        mixed = self.mixed.take(rows)
+        if mixed.any():
+            ideal[mixed] = sample_from_cdf(
+                self.pi_cdf.take(rows[mixed], axis=0), u[mixed])
+        return ideal
 
     def transition_step(self, states: np.ndarray, actions: np.ndarray,
                         u: np.ndarray) -> np.ndarray:
@@ -181,12 +197,19 @@ class IdPolicyRunner(_RunnerBase):
     def step(self, states: np.ndarray, u: np.ndarray) -> StepOutcome:
         ideal = self.sample_ideal(states, u)
         costs = self.cost.take(self._pair_rows(states, ideal), axis=0)  # (R, N, K)
-        fits = (np.cumsum(costs, axis=-2) <= self.budget).all(axis=-1)
-        # the prefix ends at each row's first arm whose running cost overflows
-        conforming = np.where(fits.all(axis=-1), self.num_arms,
-                              fits.argmin(axis=-1))
-        actions = np.where(self._arm < conforming[..., None], ideal, 0)
-        return self._outcome(states, actions, ideal, conforming)
+        # running prefix costs K-major, so the cumsum and the test over the
+        # budgets run along contiguous arms; the sums are the same sequential
+        # folds as along the arm axis of (R, N, K)
+        running = np.ascontiguousarray(
+            costs.transpose(-1, *range(costs.ndim - 1)))      # (K, R, N)
+        np.cumsum(running, axis=-1, out=running)
+        budget = self.budget.reshape((-1,) + (1,) * (running.ndim - 1))
+        fits = np.logical_and.reduce(running <= budget, axis=0)
+        # the prefix ends at each row's first arm whose running cost
+        # overflows; the arms behind it take the free action 0
+        prefix = np.logical_and.accumulate(fits, axis=-1)
+        return self._outcome(states, ideal * prefix, ideal,
+                             prefix.sum(axis=-1))
 
 
 class ErcPolicyRunner(_RunnerBase):
@@ -203,7 +226,9 @@ class ErcPolicyRunner(_RunnerBase):
     descending r_star, ties by arm ID, and key_arm maps a position back to
     its arm. A free draw adds N*S to its key and key_arm repeats the arms
     for those keys, so one sort of the unique keys puts each row's costly
-    draws first, in queue order, and its free draws after them.
+    draws first, in queue order, and its free draws after them. The keys
+    are int32, which halves the sort against intp and covers every N*S
+    below 2**30.
     """
 
     def __init__(self, instance: WcmdpInstance, policy: SingleArmPolicy):
@@ -211,14 +236,14 @@ class ErcPolicyRunner(_RunnerBase):
         self.costly = (self.cost > 0.0).any(axis=1)       # (N*S*A,)
         # the flat rows run in arm order, so the stable sort ties by arm ID
         order = np.argsort(-policy.r_star.reshape(-1), kind="stable")
-        self.rank_key = order.argsort()                   # (N*S,)
+        self.rank_key = order.argsort().astype(np.int32)  # (N*S,)
         self.key_arm = np.tile(order // instance.num_states, 2)  # (2*N*S,)
 
     def _rank(self, states: np.ndarray, free: np.ndarray) -> np.ndarray:
         """Each row's arms in queue order: the costly draws by descending
         index at their current states, ties by arm ID, then the free ones."""
         keys = self.rank_key.take(self._state_row + states)
-        keys += self.rank_key.size * free
+        keys += free * np.int32(self.rank_key.size)
         return self.key_arm.take(np.sort(keys, axis=-1))
 
     def step(self, states: np.ndarray, u: np.ndarray) -> StepOutcome:

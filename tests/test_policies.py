@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from wcmdp.lp_relax import SingleArmPolicy, extract_policy, solve_lp
+from wcmdp.model import WcmdpInstance
 from wcmdp.policies import (ErcPolicyRunner, IdPolicyRunner, OracleSizeError,
-                            exact_oracle)
+                            exact_oracle, sample_from_cdf)
 from wcmdp.reassign import ReassignmentResult, reassign
 
 from oracles import (ReferenceRunner, rvi_average_reward, single_state_arm,
@@ -19,6 +20,13 @@ def det_policy(instance, chosen_action):
     pi = np.zeros((n, s, a))
     for i, act in enumerate(chosen_action):
         pi[i, :, act] = 1.0
+    return policy_from_pi(instance, pi)
+
+
+def policy_from_pi(instance, pi):
+    """Single-armed policies with the given (N, S, A) action probabilities
+    and a uniform mu_star."""
+    n, s = instance.num_arms, instance.num_states
     induced = np.einsum("nsat,nsa->nst", instance.transition, pi)
     c_star = np.einsum("nsa,nksa->kns", pi, instance.cost)
     r_star = np.einsum("nsa,nsa->ns", pi, instance.reward)
@@ -86,6 +94,94 @@ class TestIdPolicyStep:
             assert np.all(outcome.actions[n_star:] == 0)
             states = runner.transition_step(states, outcome.actions,
                                             rng.random(instance.num_arms))
+
+
+    @staticmethod
+    def _exact_hit_instance(k):
+        """Eight one-action-costly arms with dyadic costs and budgets 1, 2,
+        0.5, 4 (the first k): state 0 costs a quarter of every budget, state
+        1 nothing, state 2 twice every budget, and state 3 half of the last
+        budget only, so running sums meet a budget exactly."""
+        n, s = 8, 4
+        alpha = np.array([0.125, 0.25, 0.0625, 0.5])[:k]
+        budget = alpha * n
+        per_state = np.stack([budget / 4, 0 * budget, 2 * budget,
+                              np.where(np.arange(k) == k - 1, budget / 2, 0)])
+        cost = np.zeros((n, k, s, 2))
+        cost[:, :, :, 1] = per_state.T
+        instance = WcmdpInstance(transition=np.full((n, s, 2, s), 1 / s),
+                                 reward=np.ones((n, s, 2)), cost=cost,
+                                 alpha=alpha)
+        return instance, det_policy(instance, [1] * n)
+
+    @pytest.mark.pins
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_cut_matches_reference_when_running_costs_meet_the_budget(self, k):
+        instance, policy = self._exact_hit_instance(k)
+        new_id = np.array([3, 0, 6, 1, 7, 2, 5, 4])
+        result = dataclasses.replace(identity_reassignment(8), new_id=new_id)
+        runner = IdPolicyRunner(instance, policy, result)
+        ref = ReferenceRunner(instance, policy, result.order())
+        states = np.array([
+            [0, 0, 0, 0, 0, 1, 1, 1],   # meets every budget at arm 3
+            [2, 1, 1, 1, 1, 1, 1, 1],   # the first arm overflows
+            [1, 1, 1, 1, 1, 1, 1, 1],   # every arm fits
+            [0, 1, 1, 0, 1, 0, 1, 0],   # meets every budget at the last arm
+            [3, 3, 0, 1, 1, 1, 1, 1],   # meets the last budget at arm 1
+        ])
+        u = np.stack([np.random.default_rng(r).random(8) for r in range(5)])
+        conforming = [4, 0, 8, 8, 2]
+        out = runner.step(states, u)
+        assert out.conforming_count.tolist() == conforming
+        for r in range(len(states)):
+            actions, ideal, count, reward, costs = ref.step(
+                states[r], np.random.default_rng(r))
+            row = runner.step(states[r], u[r])
+            for got in (row, dataclasses.replace(
+                    out, **{f.name: getattr(out, f.name)[r]
+                            for f in dataclasses.fields(out)})):
+                assert np.array_equal(got.actions, actions)
+                assert np.array_equal(got.ideal_actions, ideal)
+                assert got.conforming_count == count
+                assert got.step_reward == reward
+                assert got.step_costs.tobytes() == costs.tobytes()
+
+
+class TestSampleIdeal:
+    @pytest.mark.pins
+    def test_lookup_matches_inverse_cdf_on_edge_rows(self):
+        top = np.nextafter(1.0, 0.0)
+        kinds = np.array([
+            [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],  # one-hot
+            [1 / 3, 1 / 3, 1 / 3],                              # uniform
+            [0.5, 0.25, top - 0.75],                            # ends at top
+            [0.0, 1e-300, 1.0],                                 # 1e-300 mass
+        ])
+        instance = tiny_instance(seed=0, n=6, s=2, a=3, k=1)
+        # arm i plays kind i in state 0 and kind (i + 3) % 6 in state 1,
+        # so states [0, 0, 0, 1, 1, 1] read one-hot rows only
+        pi = np.stack([kinds, np.roll(kinds, -3, axis=0)], axis=1)
+        policy = policy_from_pi(instance, pi)
+        new_id = np.array([2, 5, 0, 4, 1, 3])
+        result = dataclasses.replace(identity_reassignment(6), new_id=new_id)
+        uniforms = [0.0, top, 1e-300, 0.25, 1 / 3, 0.5, 0.75, 0.9]
+        states = np.array([[0] * 6, [1] * 6, [0, 0, 0, 1, 1, 1],
+                           [1, 0, 1, 0, 1, 0]])
+        all_states = np.repeat(states, len(uniforms), axis=0)
+        u = np.tile(np.repeat(uniforms, 6).reshape(-1, 6), (len(states), 1))
+        u[-6:] = np.random.default_rng(0).random((6, 6))  # one per arm
+        for runner in (IdPolicyRunner(instance, policy, result),
+                       ErcPolicyRunner(instance, policy)):
+            assert runner.pi_cdf[4 * 2 + 0, -1] == top
+            assert runner.mixed.any() and not runner.mixed.all()
+            expected = sample_from_cdf(
+                runner.pi_cdf[runner._state_row + all_states], u)
+            got = runner.sample_ideal(all_states, u)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            for r in range(len(all_states)):
+                assert np.array_equal(
+                    runner.sample_ideal(all_states[r], u[r]), expected[r])
 
 
 class TestErcPolicyStep:
@@ -188,7 +284,7 @@ class TestRunnerTables:
                                   np.arange(instance.num_arms))
         id_runner = IdPolicyRunner(instance, policy, result)
         erc_runner = ErcPolicyRunner(instance, policy)
-        for name in ("pi_cdf", "trans_cdf", "cost"):
+        for name in ("pi_cdf", "det_action", "mixed", "trans_cdf", "cost"):
             assert (getattr(id_runner, name).tobytes()
                     == getattr(erc_runner, name).tobytes())
         for runner in (id_runner, erc_runner):
