@@ -1,8 +1,8 @@
 """Per-step execution of the ID policy and the ERC baseline, plus an exact
 small-instance oracle for the N-armed problem.
 
-Both policies first sample an ideal action for every arm from its
-single-armed policy and then enforce the hard budgets:
+Both policies run one step (`_RunnerBase.step`): sample every arm's ideal
+action from its single-armed policy, then apply the policy's budget rule:
 
 * ID policy: walk arms in ascending reassigned ID and keep ideal actions
   while every budget still covers the running prefix cost; all remaining
@@ -22,9 +22,9 @@ Both runners gather each step's rows (policy and transition CDFs, rewards,
 costs) with one take from flat row tables, held in arm order for either
 runner. An LP vertex randomises few policy rows, so the runners look the
 ideal action of every deterministic row up in a table built once
-(`det_action`) and run the inverse-CDF count only on the mixed rows. The ID
-prefix cut runs its cumsum and its test against the budgets on a K-major
-copy of the gathered costs, along contiguous arms.
+(`det_action`, -1 on a mixed row) and run the inverse-CDF count only on the
+mixed rows. The ID prefix cut runs its cumsum and its test against the
+budgets on a K-major copy of the gathered costs, along contiguous arms.
 
 Feasibility is structural: action 0 costs nothing, so the emitted system
 action always satisfies every budget.
@@ -72,9 +72,9 @@ class StepOutcome:
 
     Shapes follow the states of the step: (R, N) states give the fields
     below, and (N,) states drop the leading R axis. conforming_count is the
-    number of arms that played their sampled ideal action; under the ID
-    policy it is also the length of the conforming prefix. step_costs never
-    exceeds any budget.
+    conforming prefix's length under ID (an arm behind the cut that drew
+    action 0 plays it uncounted) and under ERC the number of arms whose
+    emitted action equals the ideal one. step_costs never exceeds any budget.
     """
 
     actions: np.ndarray            # (R, N)
@@ -127,7 +127,7 @@ def _erc_rejections(costs_q: np.ndarray, budget: np.ndarray) -> np.ndarray:
 
 
 class _RunnerBase:
-    """Shared tables of the per-step policy runners.
+    """The step of both policy runners and its tables; subclasses add `_admit`.
 
     The per-arm tables are held as flat row tables in arm order, whatever
     the runner's order: the row of arm i in state s is i*S + s, and that of
@@ -150,23 +150,21 @@ class _RunnerBase:
         self.cost = np.ascontiguousarray(
             instance.cost.transpose(0, 2, 3, 1)).reshape(n * s * a, -1)
         self.pi_cdf = np.cumsum(policy.pi, axis=-1).reshape(n * s, a)
-        # a row with no CDF entry strictly inside (0, 1) gives the same
-        # action for every u in [0, 1): the count of its entries <= 0
-        self.mixed = ((self.pi_cdf > 0.0) & (self.pi_cdf < 1.0)).any(axis=-1)
-        self.det_action = np.minimum((self.pi_cdf <= 0.0).sum(axis=-1), a - 1)
+        # -1 marks a mixed row; one with no CDF entry strictly inside (0, 1)
+        # gives the count of its entries <= 0 for every u in [0, 1)
+        mixed = ((self.pi_cdf > 0.0) & (self.pi_cdf < 1.0)).any(axis=-1)
+        self.det_action = np.where(
+            mixed, -1, np.minimum((self.pi_cdf <= 0.0).sum(axis=-1), a - 1))
         self.trans_cdf = np.cumsum(instance.transition,
                                    axis=-1).reshape(n * s * a, s)
         self._state_row = order * s             # row of (order[j], state 0)
-
-    def _pair_rows(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        return (self._state_row + states) * self.num_actions + actions
 
     def sample_ideal(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Every arm's ideal action, by inverse CDF with the uniforms u:
         looked up for deterministic rows, counted only for mixed ones."""
         rows = self._state_row + states
         ideal = self.det_action.take(rows)
-        mixed = self.mixed.take(rows)
+        mixed = ideal < 0
         if mixed.any():
             ideal[mixed] = sample_from_cdf(
                 self.pi_cdf.take(rows[mixed], axis=0), u[mixed])
@@ -175,12 +173,20 @@ class _RunnerBase:
     def transition_step(self, states: np.ndarray, actions: np.ndarray,
                         u: np.ndarray) -> np.ndarray:
         """Every arm's next state, by inverse CDF with the uniforms u."""
-        rows = self.trans_cdf.take(self._pair_rows(states, actions), axis=0)
-        return sample_from_cdf(rows, u)
+        pairs = (self._state_row + states) * self.num_actions + actions
+        return sample_from_cdf(self.trans_cdf.take(pairs, axis=0), u)
 
-    def _outcome(self, states, actions, ideal, conforming) -> StepOutcome:
+    def step(self, states: np.ndarray, u: np.ndarray) -> StepOutcome:
+        """Sample, admit by `_admit(rows, pairs, ideal, costs) -> (actions,
+        conforming)`, which writes no argument, and audit the emitted pairs."""
+        ideal = self.sample_ideal(states, u)
+        rows = self._state_row + states
+        first = rows * self.num_actions                   # pair of action 0
+        pairs = first + ideal
+        costs = self.cost.take(pairs, axis=0)             # (R, N, K)
+        actions, conforming = self._admit(rows, pairs, ideal, costs)
         # recomputed from the emitted actions, independent of admission
-        pairs = self._pair_rows(states, actions)
+        pairs = first + actions
         return StepOutcome(actions=actions, ideal_actions=ideal,
                            conforming_count=conforming,
                            step_reward=self.reward.take(pairs).sum(axis=-1),
@@ -194,22 +200,19 @@ class IdPolicyRunner(_RunnerBase):
                  reassignment: ReassignmentResult):
         super().__init__(instance, policy, reassignment.order())
 
-    def step(self, states: np.ndarray, u: np.ndarray) -> StepOutcome:
-        ideal = self.sample_ideal(states, u)
-        costs = self.cost.take(self._pair_rows(states, ideal), axis=0)  # (R, N, K)
-        # running prefix costs K-major, so the cumsum and the test over the
-        # budgets run along contiguous arms; the sums are the same sequential
-        # folds as along the arm axis of (R, N, K)
-        running = np.ascontiguousarray(
-            costs.transpose(-1, *range(costs.ndim - 1)))      # (K, R, N)
+    def _admit(self, rows, pairs, ideal, costs):
+        # running prefix costs in a K-major copy (costs stay as gathered), so
+        # the cumsum and the budget test run along contiguous arms, with the
+        # same sequential folds as along the arm axis of (R, N, K)
+        running = np.array(costs.transpose(-1, *range(costs.ndim - 1)),
+                           order="C")                         # (K, R, N)
         np.cumsum(running, axis=-1, out=running)
         budget = self.budget.reshape((-1,) + (1,) * (running.ndim - 1))
         fits = np.logical_and.reduce(running <= budget, axis=0)
         # the prefix ends at each row's first arm whose running cost
         # overflows; the arms behind it take the free action 0
         prefix = np.logical_and.accumulate(fits, axis=-1)
-        return self._outcome(states, ideal * prefix, ideal,
-                             prefix.sum(axis=-1))
+        return ideal * prefix, prefix.sum(axis=-1)
 
 
 class ErcPolicyRunner(_RunnerBase):
@@ -239,20 +242,17 @@ class ErcPolicyRunner(_RunnerBase):
         self.rank_key = order.argsort().astype(np.int32)  # (N*S,)
         self.key_arm = np.tile(order // instance.num_states, 2)  # (2*N*S,)
 
-    def _rank(self, states: np.ndarray, free: np.ndarray) -> np.ndarray:
-        """Each row's arms in queue order: the costly draws by descending
-        index at their current states, ties by arm ID, then the free ones."""
-        keys = self.rank_key.take(self._state_row + states)
+    def _rank(self, rows: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """Each row's arms in queue order from their state rows: the costly
+        draws by descending index, ties by arm ID, then the free ones."""
+        keys = self.rank_key.take(rows)
         keys += free * np.int32(self.rank_key.size)
         return self.key_arm.take(np.sort(keys, axis=-1))
 
-    def step(self, states: np.ndarray, u: np.ndarray) -> StepOutcome:
-        ideal = self.sample_ideal(states, u)
-        pairs = self._pair_rows(states, ideal)
-        costs = self.cost.take(pairs, axis=0)             # (R, N, K)
+    def _admit(self, rows, pairs, ideal, costs):
         # zero-cost draws can never break a budget, so only the rest queue up
         costly = self.costly.take(pairs)
-        rank = self._rank(states, ~costly)
+        rank = self._rank(rows, ~costly)
         actions = ideal.copy()
         n, k = costs.shape[-2:]
         for row, row_costs, row_rank, queued in zip(
@@ -260,8 +260,7 @@ class ErcPolicyRunner(_RunnerBase):
                 rank.reshape(-1, n), costly.sum(axis=-1).reshape(-1)):
             queue = row_rank[:queued]
             row[queue[_erc_rejections(row_costs[queue], self.budget)]] = 0
-        conforming = (actions == ideal).sum(axis=-1)
-        return self._outcome(states, actions, ideal, conforming)
+        return actions, (actions == ideal).sum(axis=-1)
 
 
 def _digits(index: np.ndarray, size: int, n: int) -> np.ndarray:

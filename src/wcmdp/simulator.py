@@ -143,7 +143,7 @@ def simulate(instance: WcmdpInstance, bundle: PolicyBundle,
     n, reps = runner.num_arms, config.replications
     rngs = [np.random.default_rng([config.seed, r]) for r in range(reps)]
     states = np.stack([g.integers(0, instance.num_states, size=n) for g in rngs])
-    limit = instance.alpha * n + FEASIBILITY_SLACK
+    limit = runner.budget + FEASIBILITY_SLACK
 
     totals = np.zeros(reps)
     batch_sum = np.zeros(reps)

@@ -7,7 +7,7 @@ import pytest
 from wcmdp.lp_relax import SingleArmPolicy, extract_policy, solve_lp
 from wcmdp.model import WcmdpInstance
 from wcmdp.policies import (ErcPolicyRunner, IdPolicyRunner, OracleSizeError,
-                            exact_oracle, sample_from_cdf)
+                            _RunnerBase, exact_oracle, sample_from_cdf)
 from wcmdp.reassign import ReassignmentResult, reassign
 
 from oracles import (ReferenceRunner, rvi_average_reward, single_state_arm,
@@ -79,6 +79,14 @@ class TestIdPolicyStep:
         assert outcome.actions.tolist() == [0, 0]
         assert outcome.ideal_actions.tolist() == [1, 1]
         assert outcome.step_costs[0] == 0.0
+        # an arm behind the cut that draws action 0 plays its ideal action,
+        # but the count is the prefix length
+        runner = IdPolicyRunner(instance, det_policy(instance, [1, 0]),
+                                identity_reassignment(2))
+        outcome = runner.step(np.array([0, 0]),
+                              np.random.default_rng(0).random(2))
+        assert outcome.conforming_count == 0
+        assert outcome.actions[1] == outcome.ideal_actions[1] == 0
 
     def test_conforming_set_is_a_prefix(self, small_solved):
         instance, _, policy = small_solved
@@ -146,6 +154,19 @@ class TestIdPolicyStep:
                 assert got.step_reward == reward
                 assert got.step_costs.tobytes() == costs.tobytes()
 
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_admission_leaves_the_gathered_costs_as_they_were(self, k):
+        # at K=1 the K-major transpose of the costs is already contiguous
+        instance, policy = self._exact_hit_instance(k)
+        runner = IdPolicyRunner(instance, policy, identity_reassignment(8))
+        rows = runner._state_row + np.arange(8) % 4
+        ideal = np.ones(8, dtype=np.intp)
+        pairs = rows * runner.num_actions + ideal
+        costs = runner.cost.take(pairs, axis=0)
+        before = costs.copy()
+        runner._admit(rows, pairs, ideal, costs)
+        assert np.array_equal(costs, before)
+
 
 class TestSampleIdeal:
     @pytest.mark.pins
@@ -173,7 +194,8 @@ class TestSampleIdeal:
         for runner in (IdPolicyRunner(instance, policy, result),
                        ErcPolicyRunner(instance, policy)):
             assert runner.pi_cdf[4 * 2 + 0, -1] == top
-            assert runner.mixed.any() and not runner.mixed.all()
+            mixed = runner.det_action < 0
+            assert mixed.any() and not mixed.all()
             expected = sample_from_cdf(
                 runner.pi_cdf[runner._state_row + all_states], u)
             got = runner.sample_ideal(all_states, u)
@@ -251,12 +273,13 @@ class TestErcPolicyStep:
         index = policy.r_star[np.arange(n), states]
         none_free = np.zeros(states.shape, dtype=bool)
         expected = np.argsort(-index, axis=-1, kind="stable")
-        assert np.array_equal(runner._rank(states, none_free), expected)
-        assert np.array_equal(runner._rank(states[3], none_free[3]),
+        rows = runner._state_row + states
+        assert np.array_equal(runner._rank(rows, none_free), expected)
+        assert np.array_equal(runner._rank(rows[3], none_free[3]),
                               expected[3])
         # free draws follow every costly one, each part in index order
         free = rng.random(states.shape) < 0.3
-        assert np.array_equal(runner._rank(states, free),
+        assert np.array_equal(runner._rank(rows, free),
                               np.lexsort((-index, free), axis=-1))
 
     def test_step_rows_match_reference_with_tied_indices(self):
@@ -284,11 +307,42 @@ class TestRunnerTables:
                                   np.arange(instance.num_arms))
         id_runner = IdPolicyRunner(instance, policy, result)
         erc_runner = ErcPolicyRunner(instance, policy)
-        for name in ("pi_cdf", "det_action", "mixed", "trans_cdf", "cost"):
+        for name in ("pi_cdf", "det_action", "trans_cdf", "cost"):
             assert (getattr(id_runner, name).tobytes()
                     == getattr(erc_runner, name).tobytes())
         for runner in (id_runner, erc_runner):
             assert np.shares_memory(runner.reward, instance.reward)
+
+
+class TestSharedStep:
+    def test_one_step_samples_once_for_both_runners(self, small_solved,
+                                                    monkeypatch):
+        # benchmarks/run.py --trace 1 times sample_ideal apart from the rest
+        # of step by wrapping both on each runner class
+        assert IdPolicyRunner.step is _RunnerBase.step
+        assert ErcPolicyRunner.step is _RunnerBase.step
+        calls = []
+        sample = _RunnerBase.sample_ideal
+
+        def counted(self, states, u):
+            calls.append(states.shape)
+            return sample(self, states, u)
+
+        for cls in (IdPolicyRunner, ErcPolicyRunner):
+            monkeypatch.setattr(cls, "sample_ideal", counted)
+        instance, _, policy = small_solved
+        rng = np.random.default_rng(0)
+        states = rng.integers(0, instance.num_states, (3, instance.num_arms))
+        u = rng.random(states.shape)
+        for runner in (IdPolicyRunner(instance, policy,
+                                      reassign(instance, policy, seed=0)),
+                       ErcPolicyRunner(instance, policy)):
+            calls.clear()
+            batch = runner.step(states, u)
+            single = runner.step(states[1], u[1])
+            assert calls == [states.shape, states[1].shape]
+            assert np.array_equal(single.actions, batch.actions[1])
+            assert single.conforming_count == batch.conforming_count[1]
 
 
 class TestHardFeasibility:
