@@ -1,7 +1,8 @@
 """Pins of the per-step executors against their sequential references.
 
-ERC admission must reject exactly the queued rows that the sequential greedy
-in `oracles.erc_rejections_reference` rejects, and both runners must step
+ERC admission must reject exactly the queued draws that the sequential
+greedy in `oracles.erc_rejections_reference` rejects, in every replication
+row of one call whatever its queue length, and both runners must step
 bit for bit like `oracles.ReferenceRunner`, in single (N,) rows and, on a
 typed instance whose arms tie in index, in (R, N) rows. A simulate result
 of a rejection-heavy ERC run is pinned as literals.
@@ -47,13 +48,65 @@ def _admission_case(rng):
     return costs, np.maximum(budget, 0.1)
 
 
+def _one_row(costs, budget):
+    """`_erc_rejections` on a single row whose whole (M, K) array is queued."""
+    return _erc_rejections(costs[None], np.array([len(costs)]), budget)[0]
+
+
+# each row's queue on its binding constraint, with budget 1.0
+ROW_QUEUES = [
+    [0.1, 0.2, 0.1, 0.3],                       # the whole queue fits
+    [1.5, 0.3, 0.4, 0.3, 2.0, 0.2, 0.1],        # the first draw overflows alone
+    [0.25, 0.5, 0.5],                           # the last draw: an empty tail
+    # 0.1 + 0.2 = 0.30000000000000004, then 0.7 lands on 1.0 exactly, and
+    # the tail draw one ulp above 0.7 overflows the prefix total alone
+    [0.1, 0.2, 0.8, 0.7000000000000002, 0.7, 0.5],
+    [0.5, 0.25, 0.5, 0.25, 0.125],              # exact fit 0.75 + 0.25
+]
+ROW_REJECTED = [[], [0, 4, 5, 6], [2], [2, 3, 5], [2, 4]]
+
+
+def _rows_case(k):
+    """(R, M, K) costs with the ROW_QUEUES on constraint r % k of row r, a
+    tenth of them on the others (-0.0 on one), and -0.0 and 0.0 free draws
+    behind each queue."""
+    queued = np.array([len(q) for q in ROW_QUEUES])
+    costs = np.zeros((len(queued), queued.max() + 3, k))
+    costs[:, 1::2] = -0.0
+    for r, queue in enumerate(ROW_QUEUES):
+        costs[r, :len(queue)] = np.array(queue)[:, None] / 10.0
+        costs[r, :len(queue), r % k] = queue
+        if k > 1:
+            costs[r, 0, (r + 1) % k] = -0.0
+    return costs, queued, np.ones(k)
+
+
+def _random_rows_case(rng):
+    """Several rows of different queue lengths, zero-padded behind their
+    queues, and one budget for all: the rows share the constraints."""
+    k = int(rng.integers(1, 6))
+    queued = rng.integers(0, 120, int(rng.integers(1, 6)))
+    costs = rng.uniform(0.0, 1.0, (len(queued), queued.max() + 5, k))
+    if rng.random() < 0.5:
+        costs = np.round(costs, 1)
+    costs[np.arange(costs.shape[1]) >= queued[:, None]] = -0.0
+    total = costs.sum(axis=1).max(axis=0)
+    if rng.random() < 0.5:                  # exact fit: a fold of one row
+        row = int(rng.integers(0, len(queued)))
+        fold = np.cumsum(costs[row], axis=0)
+        budget = fold[rng.integers(0, costs.shape[1], k), np.arange(k)]
+    else:
+        budget = total * rng.uniform(0.05, 1.0, k)
+    return costs, queued, np.maximum(budget, 0.1)
+
+
 class TestErcRejections:
     def test_matches_sequential_greedy_on_seeded_cases(self):
         exact_fits = rejected = 0
         for seed in range(3000):
             costs, budget = _admission_case(np.random.default_rng(seed))
             expected = erc_rejections_reference(costs, budget)
-            got = _erc_rejections(costs, budget)
+            got = _one_row(costs, budget)
             assert got.dtype == bool and got.shape == expected.shape
             assert np.array_equal(got, expected), seed
             kept = costs[~expected]
@@ -70,8 +123,34 @@ class TestErcRejections:
                  min_size=k, max_size=k))))
     def test_matches_sequential_greedy_on_grid_rows(self, case):
         costs, budget = np.array(case[0]), np.array(case[1])
-        assert np.array_equal(_erc_rejections(costs, budget),
+        assert np.array_equal(_one_row(costs, budget),
                               erc_rejections_reference(costs, budget))
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_rows_of_one_call_match_sequential_greedy_row_by_row(self, k):
+        costs, queued, budget = _rows_case(k)
+        got = _erc_rejections(costs, queued, budget)
+        assert got.dtype == bool and got.shape == costs.shape[:2]
+        for r, (q, expected) in enumerate(zip(queued, ROW_REJECTED)):
+            reference = erc_rejections_reference(costs[r, :q], budget)
+            assert np.array_equal(got[r, :q], reference), r
+            assert np.flatnonzero(got[r]).tolist() == expected, r
+            kept = np.cumsum(costs[r, :q][~reference], axis=0)
+            # the exact-fit rows land on the budget across the junction
+            assert (kept[-1, r % k] == 1.0) == (r in (1, 3, 4)), r
+
+    def test_random_rows_match_sequential_greedy_row_by_row(self):
+        overflowing = 0
+        for seed in range(500):
+            costs, queued, budget = _random_rows_case(
+                np.random.default_rng(seed))
+            got = _erc_rejections(costs, queued, budget)
+            for r, q in enumerate(queued):
+                expected = erc_rejections_reference(costs[r, :q], budget)
+                assert np.array_equal(got[r, :q], expected), (seed, r)
+                assert not got[r, q:].any(), (seed, r)
+                overflowing += bool(expected.any())
+        assert overflowing > 500
 
 
 @pytest.fixture(scope="module")
