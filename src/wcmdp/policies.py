@@ -14,25 +14,28 @@ action from its single-armed policy, then apply the policy's budget rule:
   of descending index, ties by arm ID, with every free draw keyed after
   every costly one, so each row's queue is a prefix of its rank. The greedy
   (`_erc_rejections`) rejects exactly the arms the one-at-a-time loop
-  rejects. One cumsum over every row's queue, on a K-major copy, keeps
-  each row's prefix up to its first overflow: costs are non-negative and
-  rounded addition is monotone, so the running totals never shrink. Only
-  the queue behind that overflow, the tail, is folded one draw at a time
-  in Python floats, with the same comparison running + cost <= budget on
-  the same left-to-right fold. The tail is short: at the LP plan the
-  costly ideal draws overshoot a budget only by their O(sqrt(N))
-  fluctuation. Behind queues of about 125, 500, 2000 and 8000 draws at
-  het N = 200, 800, 3200 and 12800, the tails held 14, 32, 71 and 161
-  draws on average, and a quarter (het) to a half (typed, K = 1) of the
-  rows did not overflow at all.
+  rejects.
+
+Both rules keep a queue's draws up to its first overflow, and one fold
+(`_prefix_fold`) finds that point in every replication row at once: one
+cumsum of the queue's costs on a K-major copy, tested against every budget.
+ID cuts there: every arm behind the first overflow takes action 0. ERC
+folds only the queue behind it, the tail, one draw at a time in Python
+floats, with the same comparison running + cost <= budget on the same
+left-to-right fold. The tail is short: at the LP plan the costly ideal
+draws overshoot a budget only by their O(sqrt(N)) fluctuation. Behind
+queues of about 125, 500, 2000 and 8000 draws at het N = 200, 800, 3200 and
+12800, the tails held 14, 32, 71 and 161 draws on average, and a quarter
+(het) to a half (typed, K = 1) of the rows did not overflow at all. The
+fold needs costs that are not negative, so that the running totals never
+shrink; the runners reject a negative or NaN cost when they are built.
 
 Both runners gather each step's rows (policy and transition CDFs, rewards,
 costs) with one take from flat row tables, held in arm order for either
 runner. An LP vertex randomises few policy rows, so the runners look the
 ideal action of every deterministic row up in a table built once
 (`det_action`, -1 on a mixed row) and run the inverse-CDF count only on the
-mixed rows. The ID prefix cut runs its cumsum and its test against the
-budgets on a K-major copy of the gathered costs, along contiguous arms.
+mixed rows.
 
 Feasibility is structural: action 0 costs nothing, so the emitted system
 action always satisfies every budget.
@@ -104,6 +107,25 @@ def sample_from_cdf(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(count, width - 1)
 
 
+def _prefix_fold(costs: np.ndarray, budget: np.ndarray) -> tuple:
+    """Running totals and kept prefix of queues of (..., M, K) costs.
+
+    Returns acc, the running totals along each queue in a K-major copy of
+    shape (K, ..., M), and kept (...), the number of draws of each queue
+    before its first overflow, the first draw whose running total exceeds
+    some budget. The copy puts the cumsum and the budget test along
+    contiguous draws, with the same sequential folds as along the M axis
+    of the costs, which stay as they are. Costs are not negative and
+    rounded addition is monotone, so the totals never shrink: the draws
+    whose totals fit every budget form a prefix, and counting them finds
+    the first overflow. Zero costs behind a queue add nothing.
+    """
+    acc = np.array(costs.transpose(-1, *range(costs.ndim - 1)), order="C")
+    np.cumsum(acc, axis=-1, out=acc)
+    fits = acc <= budget.reshape((-1,) + (1,) * (acc.ndim - 1))
+    return acc, np.logical_and.reduce(fits, axis=0).sum(axis=-1)
+
+
 def _erc_rejections(costs_q: np.ndarray, queued: np.ndarray,
                     budget: np.ndarray) -> np.ndarray:
     """Mask (R, M) of the queued draws that the ERC greedy rejects.
@@ -113,28 +135,22 @@ def _erc_rejections(costs_q: np.ndarray, queued: np.ndarray,
     (all costs zero). The greedy keeps a draw while running + cost <= budget
     holds for every k and adds it to the running totals.
 
-    One prefix pass serves every row: a cumsum along the arms of a K-major
-    copy is the greedy's running fold up to each row's first overflow.
-    Costs are non-negative and rounded addition is monotone, so the folds
-    never shrink, the draws that fit form a prefix, and the free draws
-    behind the queue add zeros. A row whose whole queue fits rejects nothing.
-    In a row that overflows, the first overflowing draw is rejected and
-    only the queue behind it, the tail, is left. One array test rejects
-    the tail draws that do not fit the prefix total on their own (the
-    totals only grow, so they never fit again); the others are folded one
-    at a time in Python floats from that total. Python float addition is
-    IEEE binary64 like numpy's, so every test is the same comparison on the
-    same left-to-right fold as in the sequential greedy. At the LP plan the
-    queue overshoots a budget only by its O(sqrt(N)) fluctuation, so the
-    tails are short (see the module docstring); a plan that overspends its
-    budgets makes long tails, and the fold then costs more than array
-    rounds would.
+    `_prefix_fold` is the greedy's running fold up to each row's first
+    overflow, in one pass over every row. A row whose whole queue fits
+    rejects nothing. In a row that overflows, the first overflowing draw is
+    rejected and only the queue behind it, the tail, is left. One array
+    test rejects the tail draws that do not fit the prefix total on their
+    own (the totals only grow, so they never fit again); the others are
+    folded one at a time in Python floats from that total. Python float
+    addition is IEEE binary64 like numpy's, so every test is the same
+    comparison on the same left-to-right fold as in the sequential greedy.
+    At the LP plan the queue overshoots a budget only by its O(sqrt(N))
+    fluctuation, so the tails are short (see the module docstring); a plan
+    that overspends its budgets makes long tails, and the fold then costs
+    more than array rounds would.
     """
     rejected = np.zeros(costs_q.shape[:2], dtype=bool)
-    acc = np.array(costs_q.transpose(2, 0, 1), order="C")     # (K, R, M)
-    np.cumsum(acc, axis=-1, out=acc)
-    kept = np.logical_and.reduce(acc <= budget[:, None, None],
-                                 axis=0).sum(axis=-1)
+    acc, kept = _prefix_fold(costs_q, budget)                 # (K, R, M), (R,)
     over = np.flatnonzero(kept < queued)
     bounds = budget.tolist()
     for r, j, end in zip(over.tolist(), kept[over].tolist(),
@@ -165,7 +181,9 @@ class _RunnerBase:
     instance and policy arrays with no gathered copy, so every runner of one
     plan holds the same bytes. Position j of the runner's own order reads
     arm order[j] through _state_row, and states, uniforms and every per-step
-    sum stay in the runner's order.
+    sum stay in the runner's order. Both admission rules fold running costs
+    that must never shrink, so a negative or NaN cost raises ValueError,
+    naming the first arm that has one.
     """
 
     def __init__(self, instance: WcmdpInstance, policy: SingleArmPolicy,
@@ -178,6 +196,8 @@ class _RunnerBase:
         self.reward = instance.reward.reshape(n * s * a)
         self.cost = np.ascontiguousarray(
             instance.cost.transpose(0, 2, 3, 1)).reshape(n * s * a, -1)
+        if not (ok := (instance.cost >= 0.0).reshape(n, -1).all(axis=1)).all():
+            raise ValueError(f"arm {ok.argmin()} has a negative or NaN cost")
         self.pi_cdf = np.cumsum(policy.pi, axis=-1).reshape(n * s, a)
         # -1 marks a mixed row; one with no CDF entry strictly inside (0, 1)
         # gives the count of its entries <= 0 for every u in [0, 1)
@@ -223,25 +243,20 @@ class _RunnerBase:
 
 
 class IdPolicyRunner(_RunnerBase):
-    """ID policy executor; all vectors are indexed by reassigned ID."""
+    """ID policy executor; all vectors are indexed by reassigned ID.
+
+    `_admit` keeps each row's ideal actions up to its first overflow, found
+    by `_prefix_fold` along the arms, and gives every arm behind it the free
+    action 0; the conforming count is that prefix's length.
+    """
 
     def __init__(self, instance: WcmdpInstance, policy: SingleArmPolicy,
                  reassignment: ReassignmentResult):
         super().__init__(instance, policy, reassignment.order())
 
     def _admit(self, rows, pairs, ideal, costs):
-        # running prefix costs in a K-major copy (costs stay as gathered), so
-        # the cumsum and the budget test run along contiguous arms, with the
-        # same sequential folds as along the arm axis of (R, N, K)
-        running = np.array(costs.transpose(-1, *range(costs.ndim - 1)),
-                           order="C")                         # (K, R, N)
-        np.cumsum(running, axis=-1, out=running)
-        budget = self.budget.reshape((-1,) + (1,) * (running.ndim - 1))
-        fits = np.logical_and.reduce(running <= budget, axis=0)
-        # the prefix ends at each row's first arm whose running cost
-        # overflows; the arms behind it take the free action 0
-        prefix = np.logical_and.accumulate(fits, axis=-1)
-        return ideal * prefix, prefix.sum(axis=-1)
+        kept = _prefix_fold(costs, self.budget)[1]
+        return ideal * (np.arange(self.num_arms) < kept[..., None]), kept
 
 
 class ErcPolicyRunner(_RunnerBase):
@@ -251,7 +266,7 @@ class ErcPolicyRunner(_RunnerBase):
     descending index order (ties by arm ID). `_admit` gathers every row's
     queue in rank order with one take, padded to the longest with free
     draws, and `_erc_rejections` rejects the same arms as the sequential
-    greedy: one prefix pass over all rows, then a scalar fold over each
+    greedy: one `_prefix_fold` over all rows, then a scalar fold over each
     overflowing row's short tail.
 
     The order is fixed when the runner is built. rank_key[i*S + s] is the

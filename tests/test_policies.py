@@ -7,11 +7,13 @@ import pytest
 from wcmdp.lp_relax import SingleArmPolicy, extract_policy, solve_lp
 from wcmdp.model import WcmdpInstance
 from wcmdp.policies import (ErcPolicyRunner, IdPolicyRunner, OracleSizeError,
-                            _RunnerBase, exact_oracle, sample_from_cdf)
+                            _prefix_fold, _RunnerBase, exact_oracle,
+                            sample_from_cdf)
 from wcmdp.reassign import ReassignmentResult, reassign
 
-from oracles import (ReferenceRunner, rvi_average_reward, single_state_arm,
-                     stack_arms, tiny_instance, zero_cost_copy)
+from oracles import (ReferenceRunner, erc_rejections_reference,
+                     rvi_average_reward, single_state_arm, stack_arms,
+                     tiny_instance, zero_cost_copy)
 
 
 def det_policy(instance, chosen_action):
@@ -312,6 +314,105 @@ class TestRunnerTables:
                     == getattr(erc_runner, name).tobytes())
         for runner in (id_runner, erc_runner):
             assert np.shares_memory(runner.reward, instance.reward)
+
+
+def one_state_instance(costs, alpha, free=0.0):
+    """One one-state arm per cost: action 1 costs it, action 0 costs free."""
+    return stack_arms([single_state_arm([0.0, 1.0], [[free, c]])
+                       for c in costs], [alpha])
+
+
+class TestCostGuard:
+    @pytest.mark.parametrize("costs, arm", [((0.7, -0.5, 0.3), 1),
+                                            ((0.7, 0.3, math.nan), 2)])
+    def test_runners_reject_a_negative_or_nan_cost(self, costs, arm):
+        # with the -0.5 draw a fold over running costs would keep arm 0,
+        # whose cost alone exceeds the budget 0.6
+        instance = one_state_instance(costs, alpha=0.2)
+        policy = det_policy(instance, [1, 1, 1])
+        with pytest.raises(ValueError, match=f"arm {arm} "):
+            IdPolicyRunner(instance, policy, identity_reassignment(3))
+        with pytest.raises(ValueError, match=f"arm {arm} "):
+            ErcPolicyRunner(instance, policy)
+
+    def test_negative_zero_costs_pass(self):
+        instance = one_state_instance((0.7, -0.0, 0.3), alpha=0.2, free=-0.0)
+        policy = det_policy(instance, [1, 1, 1])
+        u = np.zeros(3)
+        out = IdPolicyRunner(instance, policy,
+                             identity_reassignment(3)).step(np.zeros(3, int), u)
+        assert out.actions.tolist() == [0, 0, 0]
+        out = ErcPolicyRunner(instance, policy).step(np.zeros(3, int), u)
+        assert out.actions.tolist() == [0, 1, 1]
+
+
+# queues of one constraint's costs against budget 1.0, and the number of
+# draws each keeps before its first overflow
+FOLD_QUEUES = [
+    ([0.25, 0.5, 0.25, 0.125], 3),              # an exact dyadic fit
+    ([0.5, 0.25, 0.125, 0.125, 0.5], 4),        # an exact fit at the end
+    ([0.125, 0.25, 0.5], 3),                    # the whole queue fits
+    ([1.5, 0.25, 0.5], 0),                      # the first draw overflows
+    ([-0.0, 0.5, -0.0, 0.5, -0.0, 0.25], 5),    # -0.0 draws at an exact fit
+    # 0.1 + 0.2 = 0.30000000000000004, and adding 0.7 lands on 1.0
+    ([0.1, 0.2, 0.7, 0.0], 4),
+]
+
+
+@pytest.mark.pins
+class TestPrefixFold:
+    @staticmethod
+    def _queue(values, row, k):
+        """(M, K) costs: the queue on constraint row % k, a tenth of it on
+        the others (-0.0 on the next constraint of the first draw)."""
+        costs = np.repeat(np.array(values)[:, None] / 10.0, k, axis=1)
+        costs[:, row % k] = values
+        if k > 1:
+            costs[0, (row + 1) % k] = -0.0
+        return costs
+
+    @staticmethod
+    def _first_rejected(costs, budget):
+        rejected = erc_rejections_reference(costs, budget)
+        return rejected.argmax() if rejected.any() else len(costs)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_kept_is_the_greedy_first_rejection_on_single_queues(self, k):
+        budget = np.ones(k)
+        for row, (values, kept) in enumerate(FOLD_QUEUES):
+            costs = self._queue(values, row, k)
+            before = costs.copy()
+            acc, got = _prefix_fold(costs, budget)
+            assert isinstance(got, np.integer), row
+            assert got == self._first_rejected(costs, budget) == kept, row
+            assert acc.shape == (k, len(values))
+            assert acc.tobytes() == np.cumsum(costs, axis=0).T.tobytes()
+            assert costs.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_kept_is_the_greedy_first_rejection_on_padded_rows(self, k):
+        # (R, M, K): every queue padded to the longest with 0.0 and -0.0
+        budget = np.ones(k)
+        m = max(len(values) for values, _ in FOLD_QUEUES) + 2
+        costs = np.zeros((len(FOLD_QUEUES), m, k))
+        costs[:, 1::2] = -0.0
+        for row, (values, _) in enumerate(FOLD_QUEUES):
+            costs[row, :len(values)] = self._queue(values, row, k)
+        acc, got = _prefix_fold(costs, budget)
+        expected = [self._first_rejected(row, budget) for row in costs]
+        assert got.tolist() == expected
+        # a queue that fits keeps its free padding too
+        assert expected == [3, 4, m, 0, 5, m]
+        assert acc.shape == (k, len(costs), m)
+        assert acc.tobytes() == np.cumsum(
+            costs, axis=1).transpose(2, 0, 1).tobytes()
+
+    def test_single_row_id_step_counts_a_numpy_integer(self):
+        instance, policy = TestIdPolicyStep._exact_hit_instance(4)
+        runner = IdPolicyRunner(instance, policy, identity_reassignment(8))
+        out = runner.step(np.zeros(8, dtype=int), np.zeros(8))
+        assert isinstance(out.conforming_count, np.integer)
+        assert out.conforming_count == 4
 
 
 class TestSharedStep:
